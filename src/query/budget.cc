@@ -50,8 +50,6 @@ void QueryBudget::ArmFrame(const Limits& limits) {
   deadline_ns_ =
       limits.frame_deadline_ns == 0 ? 0 : clock_() + limits.frame_deadline_ns;
   nodes_charged_ = 0;
-  prefetch_budget_ = limits.prefetch_budget;
-  prefetches_charged_ = 0;
   stop_ = BudgetStop::kNone;
 }
 
@@ -60,8 +58,6 @@ void QueryBudget::Disarm() {
   node_budget_ = 0;
   deadline_ns_ = 0;
   nodes_charged_ = 0;
-  prefetch_budget_ = 0;
-  prefetches_charged_ = 0;
   stop_ = BudgetStop::kNone;
   cancel_.store(false, std::memory_order_release);
 }
@@ -97,13 +93,7 @@ bool QueryBudget::TryChargePrefetch() {
   // and nothing else, so no stop is latched and no metric fires — the
   // traversal's own accounting is untouched.
   if (cancel_.load(std::memory_order_acquire)) return false;
-  if (!armed_) return true;
-  if (stop_ != BudgetStop::kNone) return false;
-  if (prefetch_budget_ != 0 && prefetches_charged_ >= prefetch_budget_) {
-    return false;
-  }
-  ++prefetches_charged_;
-  return true;
+  return !armed_ || stop_ == BudgetStop::kNone;
 }
 
 Status QueryBudget::StopStatus() const {

@@ -52,11 +52,6 @@ class QueryBudget {
   struct Limits {
     uint64_t frame_deadline_ns = 0;  // 0: no wall-clock bound.
     uint64_t node_budget = 0;        // 0: no node-read bound.
-    /// Speculative (prefetch) reads allowed this frame; 0: unlimited.
-    /// Charged by Prefetcher::Hint, separately from node charges, so
-    /// speculation never eats the traversal's own node budget — it is
-    /// extra disk work, bounded on its own axis.
-    uint64_t prefetch_budget = 0;
   };
 
   QueryBudget();
@@ -87,11 +82,11 @@ class QueryBudget {
   /// refuse cheaply without re-reading the clock.
   bool TryChargeNode();
 
-  /// Charges one speculative read against the frame's prefetch allowance.
-  /// True: issue it. False: out of prefetch budget, frame stopped, or
-  /// cancellation pending — skip the speculation (never degrades the
-  /// frame: prefetch is an optimization, not work the query owes).
-  /// Unarmed budgets always grant; refusal latches nothing.
+  /// Asks whether one speculative read may be issued. True: issue it.
+  /// False: the frame stopped or cancellation is pending — skip the
+  /// speculation (never degrades the frame: prefetch is an optimization,
+  /// not work the query owes). Unarmed budgets always grant; refusal
+  /// latches nothing.
   bool TryChargePrefetch();
 
   BudgetStop stop() const { return stop_; }
@@ -104,9 +99,6 @@ class QueryBudget {
   /// Nodes charged since the last ArmFrame.
   uint64_t nodes_charged() const { return nodes_charged_; }
 
-  /// Speculative reads charged since the last ArmFrame.
-  uint64_t prefetches_charged() const { return prefetches_charged_; }
-
  private:
   void LatchStop(BudgetStop stop);
 
@@ -115,8 +107,6 @@ class QueryBudget {
   uint64_t deadline_ns_ = 0;  // Absolute; 0 = none.
   uint64_t node_budget_ = 0;
   uint64_t nodes_charged_ = 0;
-  uint64_t prefetch_budget_ = 0;
-  uint64_t prefetches_charged_ = 0;
   BudgetStop stop_ = BudgetStop::kNone;
   std::atomic<bool> cancel_{false};
 };

@@ -86,8 +86,8 @@ class PredictiveDynamicQuery : public UpdateListener {
     /// the heap's front region and hints the node pages most imminent to
     /// pop, so their disk reads land while this node's entries are being
     /// decoded and filtered. Results and node-level counters are unchanged;
-    /// only prefetch_* IoStats counters move. Pair with `budget` to bound
-    /// speculation per frame (Limits::prefetch_budget).
+    /// only prefetch_* IoStats counters move. With a `budget`, a stopped
+    /// or cancelled frame issues no more speculation.
     Prefetcher* prefetcher = nullptr;
   };
 

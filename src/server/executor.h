@@ -7,7 +7,10 @@
 // against running sessions, and a SessionScheduler that executes many
 // deterministic, seed-driven query sessions (PDQ/NPDQ hand-off sessions,
 // raw NPDQ sequences, moving kNN) concurrently against one shared RTree —
-// typically through one shared sharded BufferPool.
+// typically through one shared sharded BufferPool. RunSession and
+// SessionScheduler are thin adapters: they hand the one frame loop
+// (server/session_runner.h) a single target, the same loop ShardRouter
+// (server/router.h) runs over N shards.
 //
 // Threading model (see DESIGN.md "Threading model" for the full story):
 //
@@ -43,8 +46,6 @@
 #include "storage/page_file.h"
 
 namespace dqmo {
-
-class Prefetcher;
 
 /// Fixed-size pool of worker threads draining per-priority FIFO task
 /// queues (higher priority classes are always dequeued first). The queue
@@ -231,15 +232,6 @@ struct SessionSpec {
   /// SessionResult::frame_latencies_us (the abl_sharding p99 source). Off
   /// by default: no extra clock reads on the frame path.
   bool record_frame_latency = false;
-  /// Speculative read driver handed to every engine the session runs
-  /// (storage/prefetch.h); not owned, may be null — no speculation, the
-  /// bit-identical default. A shed frame cancels pending speculations (the
-  /// frame's declared future is void). In the sharded engine the router
-  /// overrides this per shard with that shard's own Prefetcher.
-  Prefetcher* prefetcher = nullptr;
-  /// Per-frame cap on speculative reads, charged through
-  /// QueryBudget::Limits::prefetch_budget; 0 = unlimited.
-  uint64_t frame_prefetch_budget = 0;
 };
 
 /// Outcome of one session.

@@ -372,8 +372,6 @@ Result<PageReader::ReadResult> HedgedPageReader::Read(PageId id) {
     frame_trace = Tracer::ActiveFrame();
     frame_shard = internal::ThreadCurrentShard();
   }
-  QueryBudget* budget = budget_.load(std::memory_order_relaxed);
-  const bool can_hedge = budget == nullptr || !budget->stopped();
   const uint64_t ewma = health_ != nullptr ? health_->latency_ewma_ns() : 0;
   const uint64_t threshold_ns =
       std::max(options_.min_latency_us * 1000,
@@ -397,15 +395,6 @@ Result<PageReader::ReadResult> HedgedPageReader::Read(PageId id) {
   job_.shard = frame_shard;
   if (job_.trace != nullptr) job_.submit_ns = NowNs();
   work_cv_.notify_one();
-
-  if (!can_hedge) {
-    // Cancelled frame: no speculative probe for a result about to be thrown
-    // away. Wait for the primary, however slow.
-    done_cv_.wait(lock, [&] { return job_.done; });
-    job_.done = false;
-    if (job_.status.ok()) return Localize(job_.result);
-    return job_.status;
-  }
 
   if (done_cv_.wait_for(lock, std::chrono::nanoseconds(threshold_ns),
                         [&] { return job_.done; })) {

@@ -50,7 +50,6 @@
 #include "common/trace.h"
 #include "common/types.h"
 #include "motion/motion_segment.h"
-#include "query/budget.h"
 #include "storage/page.h"
 #include "storage/page_file.h"
 
@@ -238,10 +237,10 @@ struct HedgeOptions {
 ///
 /// Budget interaction: hedging is charged once by construction — the
 /// traversal charges the QueryBudget per node *visit*, not per physical
-/// probe, so a hedged node costs exactly what an unhedged one does. The
-/// budget hook below additionally stops new hedges on frames the budget
-/// has already cancelled: no speculative second probe for a result that
-/// will be thrown away.
+/// probe, so a hedged node costs exactly what an unhedged one does. A
+/// frame whose budget stopped reads no further node, so it issues no
+/// hedge either. The reader holds no per-session state: many sessions
+/// share it.
 class HedgedPageReader : public PageReader {
  public:
   /// Pointers not owned. `health` supplies the latency EWMA (may be null:
@@ -252,13 +251,6 @@ class HedgedPageReader : public PageReader {
   ~HedgedPageReader() override;
 
   Result<ReadResult> Read(PageId id) override;
-
-  /// Frames cancelled by this budget suppress new hedges. Atomic: with
-  /// concurrent sessions the last writer wins — a stale pointer only makes
-  /// the hedge heuristic conservative, never incorrect.
-  void set_budget(QueryBudget* budget) {
-    budget_.store(budget, std::memory_order_relaxed);
-  }
 
   /// Blocks until no primary probe is outstanding on the worker. Callers
   /// that are about to mutate the chain underneath (swap a fault injector,
@@ -308,7 +300,6 @@ class HedgedPageReader : public PageReader {
   CircuitBreaker* health_;
   const HedgeOptions options_;
   uint64_t (*clock_ns_)();
-  std::atomic<QueryBudget*> budget_{nullptr};
 
   uint64_t hedges_ = 0;
   uint64_t hedges_won_ = 0;

@@ -1,11 +1,14 @@
 // Query fan-out over the sharded engine (server/shard.h): the control
 // plane that makes N shards answer exactly like one tree.
 //
-// A sharded session replays the same seed-derived observer trajectory as
-// the single-tree executor, but drives one engine instance per shard
-// (DynamicQuerySession / NonPredictiveDynamicQuery / MovingKnnQuery). Per
-// frame it takes the shared side of every shard's gate, evaluates the
-// relevant shards, and merges the per-shard answers:
+// ShardRouter runs each session through the one frame loop
+// (server/session_runner.h) with every shard as a target; the single-tree
+// executor is that loop's one-target case. A sharded session replays the
+// same seed-derived observer trajectory as the single tree, but drives one
+// engine instance per shard (DynamicQuerySession, NonPredictiveDynamicQuery
+// or a stateless KnnAt). Per frame the loop takes the shared side of every
+// shard's gate, evaluates the relevant shards, and merges the per-shard
+// answers:
 //
 //  * PDQ/NPDQ streams: a k-way heap merge ordered by window entry time
 //    (segment start time, key-tiebroken), duplicate-free. Shards partition
@@ -13,11 +16,13 @@
 //    per-segment and trajectory-driven, so the union of per-shard frame
 //    deliveries equals the single-tree frame delivery — the differential
 //    sweeps in tests/shard_test.cc assert byte-identical checksums.
-//  * kNN candidates: merged by (distance, key) and truncated to k. Every
-//    true global neighbor is in its shard's local top-k, and distances are
-//    computed on identical quantized geometry, so the merged distances are
-//    bit-identical to the single tree's (equal-distance ties may order
-//    differently; the random workloads the tests sweep have none).
+//  * kNN candidates: merged by (distance, key) and truncated to k, at
+//    every shard count. Every true global neighbor is in its shard's local
+//    top-k, and distances are computed on identical quantized geometry, so
+//    the merged distances are bit-identical to the single tree's fenced
+//    MovingKnnQuery (equal-distance ties may order differently; the random
+//    workloads the tests sweep have none). A shard-local fence cache would
+//    be unsound, so every shard runs a stateless search each frame.
 //
 // Overload semantics are preserved: one FrameController arms one
 // QueryBudget per frame and hands the same pointer to every shard's

@@ -1,32 +1,25 @@
-// Shared internals of the session runners (single-tree executor and the
-// sharded router): the deterministic observer model, the FNV-1a result
-// checksum folds, the per-frame budget/governor controller, and the
-// scheduling loop that fans session specs over a ThreadPool.
+// The one frame loop behind every query session, and the scheduling loop
+// that fans session specs over a ThreadPool. Implementation details of
+// src/server — the namespace name says so.
 //
-// Everything here is an implementation detail shared by
-// src/server/executor.cc and src/server/router.cc — the namespace name
-// says so. The pieces were extracted verbatim from executor.cc so the
-// sharded engine reproduces the single-tree engine's checksums bit for
-// bit: equal observer trajectories, equal fold order, equal shed/degrade
-// decisions.
+// The paper (Sect. 4) serves dynamic queries from the server: each
+// client's observer drives one PDQ, NPDQ or kNN evaluation per frame. The
+// work around that evaluation is the same for every query kind and every
+// target count, so RunFrames owns it once; each query kind is a small
+// per-frame evaluator (session_runner.cc). RunSession / SessionScheduler
+// hand the loop one target, ShardRouter the engine's shards.
 #ifndef DQMO_SERVER_SESSION_RUNNER_H_
 #define DQMO_SERVER_SESSION_RUNNER_H_
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstring>
-#include <shared_mutex>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/random.h"
-#include "common/recorder.h"
-#include "geom/vec.h"
-#include "motion/motion_segment.h"
-#include "query/budget.h"
 #include "server/executor.h"
 #include "server/overload.h"
+#include "server/router.h"
 
 namespace dqmo::server_internal {
 
@@ -80,203 +73,54 @@ struct ExecMetrics {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Result checksums. FNV-1a over a canonical byte stream: frame index, then
-// the frame's results sorted by key. Canonicalization makes the checksum a
-// function of *what* was delivered, never of thread scheduling — and never
-// of how many shards delivered it.
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-inline void FoldBytes(uint64_t* h, const void* p, size_t n) {
-  const uint8_t* bytes = static_cast<const uint8_t*>(p);
-  for (size_t i = 0; i < n; ++i) {
-    *h ^= bytes[i];
-    *h *= kFnvPrime;
-  }
-}
-
-inline void FoldU64(uint64_t* h, uint64_t v) { FoldBytes(h, &v, sizeof(v)); }
-
-inline void FoldDouble(uint64_t* h, double v) {
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  FoldU64(h, bits);
-}
-
-inline void FoldSegments(uint64_t* h, std::vector<MotionSegment>* fresh) {
-  SortByKey(fresh);
-  for (const MotionSegment& m : *fresh) {
-    FoldU64(h, m.oid);
-    FoldDouble(h, m.seg.time.lo);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Observer model: the same random-turn flight as bench/abl_session.cc's
-// Pilot, parameterized by the bounce region so tests can confine sessions
-// spatially. Driven entirely by the session's own Rng — deterministic, and
-// independent of the index layout (the sharded engine relies on this: N
-// per-shard sessions all replay the identical trajectory).
-
-struct Observer {
-  Vec pos;
-  Vec vel;
-  double next_turn = 0.0;
-
-  void Advance(Rng* rng, const SessionSpec& spec, double t) {
-    if (t >= next_turn) {
-      const double angle = rng->Uniform(0, 2 * M_PI);
-      const double speed = rng->Uniform(0.5, 2.0);
-      vel = Vec(speed * std::cos(angle), speed * std::sin(angle));
-      next_turn = t + rng->Uniform(0.5 * spec.mean_leg, 1.5 * spec.mean_leg);
-    }
-    for (int d = 0; d < 2; ++d) {
-      pos[d] += vel[d] * spec.frame_dt;
-      if (pos[d] < spec.region_lo || pos[d] > spec.region_hi) {
-        vel[d] = -vel[d];
-        pos[d] = std::clamp(pos[d], spec.region_lo, spec.region_hi);
-      }
-    }
-  }
+/// One tree a session evaluates each frame, and the storage stack its
+/// reads flow through. Nothing is owned; every pointer but `tree` may be
+/// null (read the tree's file / no concurrent writer / no speculation /
+/// no failure domain).
+struct FrameTarget {
+  RTree* tree = nullptr;
+  PageReader* reader = nullptr;
+  TreeGate* gate = nullptr;
+  Prefetcher* prefetcher = nullptr;
+  CircuitBreaker* breaker = nullptr;
 };
 
-inline Observer MakeObserver(Rng* rng, const SessionSpec& spec) {
-  // Start well inside the region so the first frames are not all bounces.
-  const double margin = 0.1 * (spec.region_hi - spec.region_lo);
-  Observer obs;
-  obs.pos = Vec(rng->Uniform(spec.region_lo + margin, spec.region_hi - margin),
-                rng->Uniform(spec.region_lo + margin, spec.region_hi - margin));
-  obs.vel = Vec(1.0, 0.0);
-  return obs;
-}
-
-/// Holds the gate's shared side for one frame (no-op when gate is null).
-inline std::shared_lock<std::shared_mutex> LockFrame(TreeGate* gate) {
-  if (gate == nullptr) return std::shared_lock<std::shared_mutex>();
-  return gate->LockShared();
-}
-
-/// Per-session glue between the spec's budget knobs, the overload
-/// governor, and the engines: arms the budget each frame with
-/// governor-scaled limits, decides shedding, and feeds frame latency back.
-/// Inactive (no budget, no limits, no governor) it hands the engines a
-/// null budget — the bit-identical pre-budget path.
-///
-/// In the sharded engine one controller serves the whole fan-out: every
-/// shard's engine is handed the same budget pointer, so a frame's deadline
-/// and node allowance are charged once across all its shards.
-class FrameController {
- public:
-  FrameController(const SessionSpec& spec, OverloadGovernor* governor)
-      : spec_(spec),
-        governor_(governor),
-        budget_(spec.budget != nullptr ? spec.budget : &local_),
-        active_(spec.budget != nullptr || governor != nullptr ||
-                spec.frame_deadline_us > 0 || spec.frame_node_budget > 0 ||
-                spec.frame_prefetch_budget > 0) {}
-
-  /// What the engines see: null when the session runs unbudgeted.
-  QueryBudget* engine_budget() { return active_ ? budget_ : nullptr; }
-
-  bool cancelled() const { return active_ && budget_->cancel_requested(); }
-
-  /// Arms the budget for the coming frame. True: the governor sheds this
-  /// frame instead — skip it entirely.
-  bool ShedOrArm() {
-    if (!active_) return false;
-    OverloadGovernor::Directive d;
-    d.frame_deadline_ns = spec_.frame_deadline_us * 1000;
-    d.node_budget = spec_.frame_node_budget;
-    if (governor_ != nullptr) {
-      d = governor_->FrameDirective(spec_.priority, d.frame_deadline_ns,
-                                    d.node_budget);
-    }
-    horizon_scale_ = d.horizon_scale;
-    if (d.shed_frame) {
-      ExecMetrics::Get().frames_shed->Add();
-      FlightRecorder::Record(FlightEventKind::kFrameShed, -1,
-                             static_cast<uint64_t>(spec_.priority));
-      return true;
-    }
-    budget_->ArmFrame(QueryBudget::Limits{d.frame_deadline_ns, d.node_budget,
-                                          spec_.frame_prefetch_budget});
-    frame_start_ns_ = governor_ != nullptr ? NowNs() : 0;
-    return false;
-  }
-
-  bool FrameDegraded() const { return active_ && budget_->stopped(); }
-
-  /// Reports the completed frame's wall time to the governor.
-  void EndFrame() {
-    if (governor_ == nullptr) return;
-    const uint64_t frame_ns = NowNs() - frame_start_ns_;
-    ExecMetrics::Get().frame_ns->Record(frame_ns);
-    governor_->OnFrame(frame_ns);
-  }
-
-  double horizon_scale() const { return horizon_scale_; }
-  bool governed() const { return governor_ != nullptr; }
-
- private:
-  const SessionSpec& spec_;
-  OverloadGovernor* governor_;
-  QueryBudget local_;
-  QueryBudget* budget_;
-  bool active_;
-  double horizon_scale_ = 1.0;
-  uint64_t frame_start_ns_ = 0;
-};
-
-/// Shared end-of-session bookkeeping for the runners.
-inline void FinishSession(SessionResult* out, const FrameController& ctl) {
-  if (ctl.cancelled()) {
-    out->outcome = SessionResult::Outcome::kCancelled;
-    ExecMetrics::Get().sessions_cancelled->Add();
-  }
-}
-
-/// Measures one evaluated frame's wall time into
-/// SessionResult::frame_latencies_us when the spec asks for it (the
-/// sharding ablation's p99 source; off by default — no clock reads).
-class FrameLatencyScope {
- public:
-  FrameLatencyScope(const SessionSpec& spec, SessionResult* out)
-      : out_(spec.record_frame_latency ? out : nullptr),
-        start_ns_(out_ != nullptr ? NowNs() : 0) {}
-  ~FrameLatencyScope() {
-    if (out_ != nullptr) {
-      out_->frame_latencies_us.push_back((NowNs() - start_ns_) / 1000);
-    }
-  }
-  FrameLatencyScope(const FrameLatencyScope&) = delete;
-  FrameLatencyScope& operator=(const FrameLatencyScope&) = delete;
-
- private:
-  SessionResult* out_;
-  uint64_t start_ns_;
-};
+/// Runs one session over `targets` on the calling thread. `engine` is the
+/// router's engine, whose shard i is targets[i]; null for the single tree,
+/// which then gets no shard span tags or dqmo_shard_* metrics and keeps
+/// the fence-cached MovingKnnQuery instead of a stateless KnnAt per shard.
+/// Of `options` only governor, frame_hook, spatial_prune and record_frames
+/// are read.
+ShardedSessionResult RunFrames(const SessionSpec& spec,
+                               const std::vector<FrameTarget>& targets,
+                               const ShardRouter::Options& options,
+                               ShardedEngine* engine);
 
 // ---------------------------------------------------------------------------
 // Scheduling loop shared by SessionScheduler (single tree) and ShardRouter
 // (sharded engine): admission, pool fan-out or inline serial execution,
-// and report aggregation. `run` maps one admitted spec to its result.
+// and report aggregation, including the hit/miss deltas of `pools` (null
+// entries are skipped). `options` is either adapter's Options; only
+// num_threads, max_queue, admission and governor are read. `run` maps one
+// admitted spec to its result.
 
-struct ScheduleOptions {
-  int num_threads = 1;
-  size_t max_queue = 0;
-  AdmissionController* admission = nullptr;
-  OverloadGovernor* governor = nullptr;
-};
-
-template <typename RunFn>
+template <typename Options, typename RunFn>
 ExecutorReport RunScheduledSessions(const std::vector<SessionSpec>& specs,
-                                    const ScheduleOptions& options,
+                                    const Options& options,
+                                    const std::vector<BufferPool*>& pools,
                                     const RunFn& run) {
   ExecutorReport report;
   report.sessions.resize(specs.size());
+  auto pool_counts = [&pools] {  // (hits, misses) summed over `pools`.
+    std::pair<uint64_t, uint64_t> counts{0, 0};
+    for (const BufferPool* pool : pools) {
+      if (pool == nullptr) continue;
+      counts.first += pool->hits();
+      counts.second += pool->misses();
+    }
+    return counts;
+  };
+  const auto counts0 = pool_counts();
   const auto start = std::chrono::steady_clock::now();
 
   // Admission decision for one spec; fills the slot on refusal.
@@ -333,6 +177,9 @@ ExecutorReport RunScheduledSessions(const std::vector<SessionSpec>& specs,
   report.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
+  const auto counts1 = pool_counts();
+  report.pool_hits = counts1.first - counts0.first;
+  report.pool_misses = counts1.second - counts0.second;
   for (const SessionResult& s : report.sessions) {
     report.total_stats += s.stats;
     report.total_objects += s.objects_delivered;

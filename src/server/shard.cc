@@ -178,7 +178,6 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
 
   for (int i = 0; i < options.num_shards; ++i) {
     auto s = std::make_unique<Shard>();
-    WalWriter* wal = nullptr;
     if (durable) {
       DurableIndex::Options dopt;
       dopt.tree = options.tree;
@@ -194,7 +193,6 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
                              dopt));
       s->file = s->durable->file();
       s->tree = s->durable->tree();
-      wal = s->durable->wal();
       if (s->durable->disk_file() != nullptr && options.prefetch_depth > 0) {
         // Each shard gets its own Prefetcher over its own fd + async queue;
         // shards share nothing, so speculation in one never steals another's
@@ -211,23 +209,25 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
       s->file = &s->memory_file;
       s->tree = s->memory_tree.get();
     }
-    s->pool = std::make_unique<BufferPool>(s->file, pool_pages,
-                                           options.pool_shards);
-    if (s->prefetcher != nullptr) s->pool->set_source(s->prefetcher.get());
-    if (options.cache_nodes > 0) {
-      s->node_cache = std::make_unique<DecodedNodeCache>(options.cache_nodes);
-      s->tree->AttachNodeCache(s->node_cache.get());
-    }
-    s->gate = std::make_unique<TreeGate>(s->file, s->pool.get(), wal,
-                                         s->node_cache.get());
-    engine->AttachFailureDomain(s.get(), i);
+    engine->BuildReadStack(s.get(), i, pool_pages);
     engine->shards_.push_back(std::move(s));
   }
   ShardMetrics::Get().shard_count->Set(options.num_shards);
   return engine;
 }
 
-void ShardedEngine::AttachFailureDomain(Shard* s, int i) {
+void ShardedEngine::BuildReadStack(Shard* s, int i, size_t pool_pages) {
+  s->pool = std::make_unique<BufferPool>(s->file, pool_pages,
+                                         options_.pool_shards);
+  if (s->prefetcher != nullptr) s->pool->set_source(s->prefetcher.get());
+  if (options_.cache_nodes > 0) {
+    s->node_cache = std::make_unique<DecodedNodeCache>(options_.cache_nodes);
+    s->tree->AttachNodeCache(s->node_cache.get());
+  }
+  s->gate = std::make_unique<TreeGate>(
+      s->file, s->pool.get(),
+      s->durable != nullptr ? s->durable->wal() : nullptr,
+      s->node_cache.get());
   if (!options_.failure_domains) return;
   BreakerOptions bopt = options_.breaker;
   // Distinct, deterministic probe schedule per shard.
@@ -462,15 +462,7 @@ Status ShardedEngine::BulkLoad(std::vector<MotionSegment> data) {
     DQMO_RETURN_IF_ERROR(s->memory_file.Publish());
     s->file = &s->memory_file;
     s->tree = s->memory_tree.get();
-    s->pool = std::make_unique<BufferPool>(s->file, options_.pool_pages,
-                                           options_.pool_shards);
-    if (options_.cache_nodes > 0) {
-      s->node_cache = std::make_unique<DecodedNodeCache>(options_.cache_nodes);
-      s->tree->AttachNodeCache(s->node_cache.get());
-    }
-    s->gate = std::make_unique<TreeGate>(s->file, s->pool.get(), nullptr,
-                                         s->node_cache.get());
-    AttachFailureDomain(s.get(), static_cast<int>(i));
+    BuildReadStack(s.get(), static_cast<int>(i), options_.pool_pages);
     shards_[i] = std::move(s);
   }
   return Status::OK();

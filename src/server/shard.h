@@ -220,7 +220,8 @@ class ShardedEngine {
   /// Routes `data` into per-shard partitions and STR bulk-loads each
   /// shard's tree. Requires empty shards (fresh engine, in-memory mode).
   /// Query-equivalent to inserting every segment through Insert: routing
-  /// uses the same ShardMap and storage the same quantization.
+  /// uses the same ShardMap and storage the same quantization. The rebuilt
+  /// shards' pools hold pool_pages each; page_budget_mb does not apply.
   Status BulkLoad(std::vector<MotionSegment> data);
 
   /// Durable mode: checkpoints every shard (image + WAL reset). A
@@ -267,9 +268,11 @@ class ShardedEngine {
              options.speed_split_threshold) {}
 
   Status InsertIntoShard(Shard* s, const MotionSegment& m);
-  /// Builds the failure-domain read chain + redo queue for shard `i` and
-  /// points its pool at it. No-op unless options_.failure_domains.
-  void AttachFailureDomain(Shard* s, int i);
+  /// Wires shard `i`'s read stack over its file and tree: a BufferPool of
+  /// `pool_pages`, the decoded-node cache, the gate (syncing the shard's
+  /// WAL when durable), and with failure_domains the breaker / retry /
+  /// hedge / fault chain under the pool plus the redo queue.
+  void BuildReadStack(Shard* s, int i, size_t pool_pages);
   /// Caller holds s->gate exclusively.
   Status DrainRedoLocked(Shard* s);
   Status ParkLocked(Shard* s, const MotionSegment& m);

@@ -356,6 +356,27 @@ TEST(ShardDifferentialTest, AllShapesAndShardCountsMatchSingleTree) {
                         "shape " + std::to_string(static_cast<int>(shape)) +
                             " shards " + std::to_string(n));
       EXPECT_GT(got.total_objects, 0u);
+      if (n != 1) continue;
+      // The single tree is the one-shard case: the same nodes loaded and
+      // the same distance work, with the root-bounds prune on or off.
+      // kNN is checksum-only: the single tree's fenced search and the
+      // router's stateless per-shard search differ in cost by design.
+      ShardRouter::Options unpruned;
+      unpruned.spatial_prune = false;
+      for (const ExecutorReport& one :
+           {got, ShardRouter(engine.get(), unpruned).Run(specs)}) {
+        for (size_t i = 0; i < specs.size(); ++i) {
+          if (specs[i].kind == SessionKind::kKnn) continue;
+          const QueryStats& g = one.sessions[i].stats;
+          const QueryStats& w = want.sessions[i].stats;
+          EXPECT_EQ(g.node_reads + g.decoded_hits,
+                    w.node_reads + w.decoded_hits)
+              << "shape " << static_cast<int>(shape) << " session " << i;
+          EXPECT_EQ(g.distance_computations.load(),
+                    w.distance_computations.load())
+              << "shape " << static_cast<int>(shape) << " session " << i;
+        }
+      }
     }
   }
 }
@@ -509,6 +530,41 @@ TEST(ShardConcurrencyTest, RouterHammerEightReadersPerShardWriters) {
 
   const ExecutorReport serial = ShardRouter(engine.get()).Run(specs);
   ExpectSameResults(concurrent, serial, "hammer");
+}
+
+TEST(ShardConcurrencyTest, AlwaysHedgedReadsUnderConcurrentBudgetedSessions) {
+  // Every pool miss hedges (zero threshold) while four budgeted sessions
+  // share four failure-domain shards. A hedged reader serves every session
+  // at once, so it must hold no session's state — a frame budget parked
+  // in it would be read from other sessions' threads after its owner is
+  // gone. Tiny pools and no decoded-node cache keep the misses coming.
+  const std::vector<MotionSegment> data =
+      ShapedData(WorkloadShape::kUniform, 17);
+  ShardedEngineOptions opt;
+  opt.num_shards = 4;
+  opt.failure_domains = true;
+  opt.hedge.enabled = true;
+  opt.hedge.latency_factor = 0.0;
+  opt.hedge.min_latency_us = 0;
+  opt.pool_pages = 4;
+  opt.cache_nodes = 0;
+  auto engine = ShardedEngine::Create(opt);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_TRUE((*engine)->InsertBatch(data).ok());
+  std::vector<SessionSpec> specs = SweepSpecs(4, 20);
+  for (SessionSpec& spec : specs) spec.frame_node_budget = 1 << 30;
+
+  ShardRouter::Options copt;
+  copt.num_threads = 4;
+  const ExecutorReport concurrent = ShardRouter(engine->get(), copt).Run(specs);
+  const ExecutorReport serial = ShardRouter(engine->get()).Run(specs);
+  ExpectSameResults(concurrent, serial, "always-hedged");
+  EXPECT_EQ(concurrent.total_frames_degraded, 0u);
+  uint64_t hedges = 0;
+  for (int s = 0; s < (*engine)->num_shards(); ++s) {
+    hedges += (*engine)->shard(s).hedged->hedges();
+  }
+  EXPECT_GT(hedges, 0u);
 }
 
 // ---------------------------------------------------------------------------

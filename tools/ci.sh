@@ -14,8 +14,8 @@
 #
 #   tools/ci.sh [jobs]
 #
-# Build trees live in build-ci/{release,sanitize,tsan}, leaving the
-# developer's ./build untouched.
+# Build trees live in build-ci/{release,sanitize,tsan,perfbench}, leaving
+# the developer's ./build untouched.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -265,5 +265,16 @@ awk '
     exit bad
   }
 ' "${metrics_tmp}/stats.prom"
+
+# Benchmark smoke: one short seeded run of each BENCHMARK.json workload
+# through the production path (ShardedEngine + ShardRouter, built from
+# this checkout into build-ci/perfbench). run.py exits non-zero when a
+# session checksum disagrees with the 1-shard serial replay or a durable
+# reopen does not match, so the bench's own correctness gate runs here.
+for workload in pdq_flyover_mem npdq_knn_sharded_disk mixed_updates_durable; do
+  echo "==== [perfbench] ${workload} smoke ===="
+  CARGO_TARGET_DIR=build-ci/perfbench python3 perfbench/run.py \
+    --workload "${workload}" --seed 1 --seconds 2 --trace 0
+done
 
 echo "==== ci.sh: all passes green ===="
