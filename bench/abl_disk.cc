@@ -5,7 +5,10 @@
 //
 //   1. Equivalence: memory vs pread vs uring (prefetch on) must produce
 //      byte-identical result checksums and identical node-level read
-//      counts — the backends differ only in where the bytes live.
+//      counts — the backends differ only in where the bytes live. The
+//      pread and uring arms also report frame p50/p99 on the raw OS page
+//      cache (no latency model); their p99 ratio is EXPERIMENTS.md A19's
+//      case for keeping the io_uring backend.
 //   2. Latency: on the pread backend under a deterministic slow-device
 //      model (DiskPageFile::Options::sim_read_delay_us — every pread costs
 //      D extra, served where a real device would serve it: in the caller
@@ -255,15 +258,19 @@ int Run(int argc, char** argv) {
     const bool same = arm->checksum == mem.checksum &&
                       arm->node_reads == mem.node_reads;
     checksums_ok = checksums_ok && same;
-    std::printf("# equivalence %-16s checksum %016llx node reads %-8llu %s\n",
+    std::printf("# equivalence %-16s checksum %016llx node reads %-8llu %s"
+                "  p50 %.1f us  p99 %.1f us\n",
                 arm->label.c_str(),
                 static_cast<unsigned long long>(arm->checksum),
                 static_cast<unsigned long long>(arm->node_reads),
-                same ? "== memory" : "!= memory  <-- MISMATCH");
+                same ? "== memory" : "!= memory  <-- MISMATCH",
+                arm->Quantile(0.5), arm->Quantile(0.99));
     JsonObject& row = json.AddRow();
     row.Str("phase", "equivalence")
         .Str("backend", arm->label)
         .Str("checksum", StrFormat("%016llx", static_cast<unsigned long long>(arm->checksum)))
+        .Num("p50_us", arm->Quantile(0.5))
+        .Num("p99_us", arm->Quantile(0.99))
         .Int("node_reads", arm->node_reads)
         .Int("physical_reads", arm->io.physical_reads.load())
         .Int("prefetch_issued", arm->io.prefetch_issued.load())

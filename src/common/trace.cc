@@ -130,8 +130,6 @@ const char* SpanKindName(SpanKind kind) {
       return "prefetch_read";
     case SpanKind::kPrefetchWaste:
       return "prefetch_waste";
-    case SpanKind::kHedgeProbe:
-      return "hedge_probe";
     case SpanKind::kOther:
       break;
   }
@@ -144,8 +142,6 @@ const char* SpanOriginName(SpanOrigin origin) {
       return "frame";
     case SpanOrigin::kPrefetchWorker:
       return "prefetch";
-    case SpanOrigin::kHedgeWorker:
-      return "hedge";
     case SpanOrigin::kBackground:
       break;
   }

@@ -6,11 +6,10 @@
 // fetches, SoA decodes, kernel prunes, heap maintenance, WAL syncs, or
 // waiting on the TreeGate. Since the engine sharded (PR 7) and storage
 // went async (PR 9), one client frame also fans out across N per-shard
-// sessions, speculative prefetch completions on worker threads, and
-// hedged-read races — so a frame's causal story spans threads. This
-// module records spans into a thread-local buffer while a frame is open,
-// merges in worker-thread spans attributed via a shared per-frame sink,
-// and:
+// sessions and speculative prefetch completions on worker threads — so a
+// frame's causal story spans threads. This module records spans into a
+// thread-local buffer while a frame is open, merges in worker-thread spans
+// attributed via a shared per-frame sink, and:
 //
 //  * feeds per-kind latency histograms in the MetricsRegistry for sampled
 //    frames (every Nth frame per thread, DQMO_TRACE_SAMPLE; 0 disables),
@@ -23,9 +22,9 @@
 //
 // Causality: an armed frame mints a TraceContext (process-unique trace id
 // + frame sequence + current shard) and publishes a refcounted remote-span
-// sink. Worker threads (prefetcher, hedged reads) capture the sink handle
-// at submit time on the frame's own thread and later attribute their spans
-// to it from any thread; spans arriving after the frame closed are counted
+// sink. Worker threads (the prefetcher's) capture the sink handle at
+// submit time on the frame's own thread and later attribute their spans to
+// it from any thread; spans arriving after the frame closed are counted
 // in dqmo_trace_orphan_spans_total instead of being silently dropped.
 // Frame-thread spans carry the shard id set by the innermost ShardTag, so
 // the captured tree splits into per-shard subtrees.
@@ -97,7 +96,6 @@ enum class SpanKind : uint8_t {
   kRedoDrain,     // Draining parked redo writes before a frame.
   kPrefetchRead,  // Speculative read: submit->consume (worker thread).
   kPrefetchWaste, // Speculative read discarded unconsumed (worker thread).
-  kHedgeProbe,    // One leg of a hedged-read race.
   kOther,
 };
 constexpr int kNumSpanKinds = static_cast<int>(SpanKind::kOther) + 1;
@@ -108,7 +106,6 @@ const char* SpanKindName(SpanKind kind);
 enum class SpanOrigin : uint8_t {
   kFrameThread = 0,  // The thread that opened the frame.
   kPrefetchWorker,   // Async-I/O / prefetch completion.
-  kHedgeWorker,      // Hedged-read primary worker.
   kBackground,       // Any other background thread.
 };
 

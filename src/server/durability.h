@@ -88,8 +88,8 @@ class DurableIndex {
     /// always (installed image, synced WAL tail); only where the *live*
     /// pages sit moves.
     IoBackend io_backend = IoBackend::kMemory;
-    /// Disk-mode tuning (o_direct, dirty_frame_budget); `backend` is
-    /// overwritten with io_backend above. Ignored for kMemory.
+    /// Disk-mode tuning (dirty_frame_budget); `backend` is overwritten
+    /// with io_backend above. Ignored for kMemory.
     DiskPageFile::Options disk;
   };
 

@@ -1,7 +1,6 @@
 #include "server/health.h"
 
-#include <algorithm>
-#include <chrono>
+#include <iterator>
 
 #include "common/check.h"
 #include "common/env.h"
@@ -10,16 +9,6 @@
 #include "common/string_util.h"
 
 namespace dqmo {
-namespace {
-
-uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 const char* BreakerStateName(BreakerState s) {
   switch (s) {
@@ -65,12 +54,6 @@ HealthMetrics& HealthMetrics::Get() {
                      "Times a shard breaker opened (trip or failed probe)"),
         r.GetCounter("dqmo_quarantined_frames_total",
                      "Per-shard frames served around a quarantined shard"),
-        r.GetCounter("dqmo_hedged_reads_total",
-                     "Reads that launched a second (hedge) probe"),
-        r.GetCounter("dqmo_hedged_reads_won_total",
-                     "Hedged reads where the second probe won"),
-        r.GetCounter("dqmo_hedged_reads_lost_total",
-                     "Hedged reads where the primary finished first"),
         r.GetCounter("dqmo_scrub_pages_total",
                      "Pages scanned by the shard scrubber"),
         r.GetCounter("dqmo_scrub_pages_rebuilt_total",
@@ -89,7 +72,6 @@ HealthMetrics& HealthMetrics::Get() {
 CircuitBreaker::CircuitBreaker(int shard, const BreakerOptions& options)
     : shard_(shard), options_(options), probe_rng_(options.probe_seed) {
   DQMO_CHECK(options.error_alpha > 0.0 && options.error_alpha <= 1.0);
-  DQMO_CHECK(options.latency_alpha > 0.0 && options.latency_alpha <= 1.0);
   DQMO_CHECK(options.probe_rate >= 0.0 && options.probe_rate <= 1.0);
   DQMO_CHECK(options.probe_successes_to_close >= 1);
 }
@@ -126,23 +108,13 @@ void CircuitBreaker::OpenLocked(const std::string& cause) {
   FlightRecorder::Global().MaybeAutoDump("breaker open");
 }
 
-void CircuitBreaker::OnReadOutcome(bool ok, uint64_t latency_ns) {
+void CircuitBreaker::OnReadOutcome(bool ok) {
   std::lock_guard<std::mutex> lock(mu_);
   ++samples_;
   error_ewma_ = options_.error_alpha * (ok ? 0.0 : 1.0) +
                 (1.0 - options_.error_alpha) * error_ewma_;
   if (ok) {
     consecutive_errors_ = 0;
-    // Failed reads carry no latency signal (a fast failure is not a fast
-    // shard); seed the EWMA with the first observation instead of decaying
-    // up from zero.
-    latency_ewma_ns_d_ =
-        latency_ewma_ns_d_ == 0.0
-            ? static_cast<double>(latency_ns)
-            : options_.latency_alpha * static_cast<double>(latency_ns) +
-                  (1.0 - options_.latency_alpha) * latency_ewma_ns_d_;
-    latency_ewma_ns_.store(static_cast<uint64_t>(latency_ewma_ns_d_),
-                           std::memory_order_relaxed);
     return;
   }
   ++consecutive_errors_;
@@ -235,10 +207,6 @@ double CircuitBreaker::error_rate() const {
   return error_ewma_;
 }
 
-uint64_t CircuitBreaker::latency_ewma_ns() const {
-  return latency_ewma_ns_.load(std::memory_order_relaxed);
-}
-
 uint64_t CircuitBreaker::open_events() const {
   std::lock_guard<std::mutex> lock(mu_);
   return open_events_;
@@ -254,11 +222,8 @@ std::string CircuitBreaker::last_open_cause() const {
   return last_open_cause_;
 }
 
-BreakerGateReader::BreakerGateReader(PageReader* base, CircuitBreaker* breaker,
-                                     uint64_t (*clock_ns)())
-    : base_(base),
-      breaker_(breaker),
-      clock_ns_(clock_ns != nullptr ? clock_ns : &SteadyNowNs) {
+BreakerGateReader::BreakerGateReader(PageReader* base, CircuitBreaker* breaker)
+    : base_(base), breaker_(breaker) {
   DQMO_CHECK(base != nullptr && breaker != nullptr);
 }
 
@@ -274,170 +239,9 @@ Result<PageReader::ReadResult> BreakerGateReader::Read(PageId id) {
                                      BreakerStateName(breaker_->state())));
   }
   std::lock_guard<std::mutex> fetch_lock(fetch_mu_);
-  const uint64_t t0 = clock_ns_();
   Result<ReadResult> r = base_->Read(id);
-  breaker_->OnReadOutcome(r.ok(), clock_ns_() - t0);
+  breaker_->OnReadOutcome(r.ok());
   return r;
-}
-
-HedgeOptions HedgeOptions::FromEnv() {
-  HedgeOptions o;
-  o.enabled = GetEnvBool("DQMO_HEDGE", o.enabled);
-  o.latency_factor = GetEnvDouble("DQMO_HEDGE_FACTOR", o.latency_factor);
-  o.min_latency_us = static_cast<uint64_t>(
-      GetEnvInt("DQMO_HEDGE_MIN_US", static_cast<int64_t>(o.min_latency_us)));
-  return o;
-}
-
-HedgedPageReader::HedgedPageReader(PageReader* primary, PageReader* secondary,
-                                   CircuitBreaker* health,
-                                   const HedgeOptions& options,
-                                   uint64_t (*clock_ns)())
-    : primary_(primary),
-      secondary_(secondary),
-      health_(health),
-      options_(options),
-      clock_ns_(clock_ns != nullptr ? clock_ns : &SteadyNowNs) {
-  DQMO_CHECK(primary != nullptr);
-  DQMO_CHECK(!options.enabled || secondary != nullptr);
-}
-
-HedgedPageReader::~HedgedPageReader() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  if (worker_started_) worker_.join();
-}
-
-void HedgedPageReader::WorkerLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    work_cv_.wait(lock, [&] { return stop_ || job_.pending; });
-    if (stop_) return;
-    const PageId id = job_.id;
-    const Tracer::FrameHandle trace = job_.trace;
-    const int16_t shard = job_.shard;
-    const uint64_t submit_ns = job_.submit_ns;
-    lock.unlock();
-    Result<ReadResult> r = primary_->Read(id);
-    if (trace != nullptr) {
-      // Report the primary leg back to the frame that submitted it —
-      // whether it won or was abandoned to the hedge. This is exactly the
-      // span that used to vanish: the worker has no armed TLS frame.
-      const uint64_t now = NowNs();
-      Tracer::RecordRemote(trace, SpanKind::kHedgeProbe,
-                           SpanOrigin::kHedgeWorker, shard, submit_ns,
-                           now - submit_ns, id);
-    }
-    lock.lock();
-    job_.pending = false;
-    job_.done = true;
-    if (r.ok()) {
-      job_.status = Status::OK();
-      job_.result = *r;
-    } else {
-      job_.status = r.status();
-      job_.result = ReadResult{};
-    }
-    done_cv_.notify_all();
-  }
-}
-
-void HedgedPageReader::DrainWorker(std::unique_lock<std::mutex>& lock) {
-  done_cv_.wait(lock, [&] { return !job_.pending; });
-  job_.done = false;  // Discard any abandoned (hedge-won) result.
-}
-
-PageReader::ReadResult HedgedPageReader::Localize(const ReadResult& r) {
-  if (r.data == nullptr) return r;
-  std::vector<uint8_t>& buf = caller_pages_[std::this_thread::get_id()];
-  buf.assign(r.data, r.data + kPageSize);
-  return ReadResult{buf.data(), r.physical};
-}
-
-void HedgedPageReader::Quiesce() {
-  std::unique_lock<std::mutex> lock(mu_);
-  DrainWorker(lock);
-}
-
-Result<PageReader::ReadResult> HedgedPageReader::Read(PageId id) {
-  if (!options_.enabled) return primary_->Read(id);
-  // Captured on the frame thread, before any blocking: thread-locals are
-  // meaningless once the job crosses to the worker.
-  Tracer::FrameHandle frame_trace;
-  int16_t frame_shard = -1;
-  if (internal::ThreadFrameArmed()) {
-    frame_trace = Tracer::ActiveFrame();
-    frame_shard = internal::ThreadCurrentShard();
-  }
-  const uint64_t ewma = health_ != nullptr ? health_->latency_ewma_ns() : 0;
-  const uint64_t threshold_ns =
-      std::max(options_.min_latency_us * 1000,
-               static_cast<uint64_t>(options_.latency_factor *
-                                     static_cast<double>(ewma)));
-
-  std::unique_lock<std::mutex> lock(mu_);
-  if (!worker_started_) {
-    worker_ = std::thread([this] { WorkerLoop(); });
-    worker_started_ = true;
-  }
-  // A previous hedge-won read may have left the worker mid-read; its result
-  // buffer (the primary chain's) must not be recycled while the previous
-  // caller could still hold a pointer into the *secondary* chain — which it
-  // cannot by now, since this call is the "next read". Join it and discard.
-  DrainWorker(lock);
-  job_ = Job{};
-  job_.id = id;
-  job_.pending = true;
-  job_.trace = std::move(frame_trace);
-  job_.shard = frame_shard;
-  if (job_.trace != nullptr) job_.submit_ns = NowNs();
-  work_cv_.notify_one();
-
-  if (done_cv_.wait_for(lock, std::chrono::nanoseconds(threshold_ns),
-                        [&] { return job_.done; })) {
-    job_.done = false;
-    if (job_.status.ok()) return Localize(job_.result);
-    return job_.status;
-  }
-
-  // Primary is dawdling: fire the hedge on this thread against the
-  // independent secondary chain. First result wins.
-  ++hedges_;
-  HealthMetrics::Get().hedged_reads->Add(1);
-  lock.unlock();
-  // The hedge leg runs on the frame thread itself, so a plain span suffices.
-  Result<ReadResult> second = [&] {
-    Tracer::SpanScope hedge_span(SpanKind::kHedgeProbe, id);
-    return secondary_->Read(id);
-  }();
-  lock.lock();
-  if (job_.done) {
-    // Primary finished while the hedge ran: by arrival order it won.
-    job_.done = false;
-    ++hedges_lost_;
-    HealthMetrics::Get().hedged_reads_lost->Add(1);
-    if (job_.status.ok()) return Localize(job_.result);
-    if (second.ok()) return *second;  // Hedge masked a primary failure.
-    return job_.status;
-  }
-  if (second.ok()) {
-    ++hedges_won_;
-    HealthMetrics::Get().hedged_reads_won->Add(1);
-    // Leave the primary in flight; the next Read joins it.
-    return *second;
-  }
-  // The hedge itself failed and the primary is still out: correctness over
-  // latency — wait for the primary rather than fail a read that may yet
-  // succeed.
-  done_cv_.wait(lock, [&] { return job_.done; });
-  job_.done = false;
-  ++hedges_lost_;
-  HealthMetrics::Get().hedged_reads_lost->Add(1);
-  if (job_.status.ok()) return Localize(job_.result);
-  return job_.status;
 }
 
 void RedoQueue::Park(uint64_t lsn, const MotionSegment& stored) {

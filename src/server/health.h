@@ -1,13 +1,13 @@
-// Per-shard failure domains: health tracking, circuit breaking, hedged
-// reads, and the redo queue that parks writes for quarantined shards.
+// Per-shard failure domains: health tracking, circuit breaking, and the
+// redo queue that parks writes for quarantined shards.
 //
 // PR 7 made the shard the unit of scale; this layer makes it the unit of
-// *failure*. Each shard's read chain gains two decorators and a tracker:
+// *failure*. Each shard's read chain gains one decorator and a tracker:
 //
 //   BufferPool -> BreakerGateReader -> RetryingPageReader
-//              -> HedgedPageReader  -> FaultyPageReader x2 -> PageFile
+//              -> FaultyPageReader -> Prefetcher or PageFile
 //
-//   - CircuitBreaker: error-rate + latency EWMAs fed from post-retry read
+//   - CircuitBreaker: an error-rate EWMA fed from post-retry read
 //     outcomes and WAL acks, driving the classic three-state machine
 //     (closed -> open -> half-open with seeded probe frames). While open,
 //     BreakerGateReader fails every read of that shard *instantly* — the
@@ -15,12 +15,8 @@
 //     existing kSkipSubtree machinery turns quarantine into attributed
 //     kPartial frames with zero special cases in the merge paths, and the
 //     per-shard session control state stays in observer lockstep for a
-//     clean resync at reinstatement.
-//   - HedgedPageReader: for slow-but-alive shards. The primary read runs
-//     on a worker thread; if it has not answered within
-//     max(min_latency, factor x latency EWMA) a second probe is issued on
-//     the caller thread and the first successful result wins. Slow reads
-//     therefore never open the breaker — errors do, latency gets hedged.
+//     clean resync at reinstatement. Slow reads never open the breaker;
+//     only errors do.
 //   - RedoQueue: writes routed to a quarantined shard park instead of
 //     touching a possibly-damaged tree. For durable shards the parked
 //     record is appended to the *shard's own WAL* (synced before the ack),
@@ -36,18 +32,14 @@
 #define DQMO_SERVER_HEALTH_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "common/trace.h"
 #include "common/types.h"
 #include "motion/motion_segment.h"
 #include "storage/page.h"
@@ -84,8 +76,6 @@ struct BreakerOptions {
   /// Consecutive healthy probe frames required to close.
   uint64_t probe_successes_to_close = 3;
   uint64_t probe_seed = 1;
-  /// EWMA smoothing factor for successful-read latency (hedging threshold).
-  double latency_alpha = 0.2;
 
   /// DQMO_BREAKER_ERROR_RATE, DQMO_BREAKER_MIN_SAMPLES,
   /// DQMO_BREAKER_CONSECUTIVE, DQMO_BREAKER_COOLDOWN_FRAMES,
@@ -102,13 +92,12 @@ class CircuitBreaker {
  public:
   CircuitBreaker(int shard, const BreakerOptions& options);
 
-  /// One post-retry read outcome. `latency_ns` is charged to the latency
-  /// EWMA only for successful reads (a fast failure is not a fast shard).
-  /// Error outcomes here mean the retry layer was *exhausted* — transient
-  /// blips that a retry absorbed never reach the breaker.
-  void OnReadOutcome(bool ok, uint64_t latency_ns);
+  /// One post-retry read outcome. Error outcomes here mean the retry
+  /// layer was *exhausted* — transient blips that a retry absorbed never
+  /// reach the breaker.
+  void OnReadOutcome(bool ok);
 
-  /// One WAL append/sync outcome from the write path.
+  /// One write-path outcome: a tree insert or a WAL append/sync ack.
   void OnWalOutcome(bool ok);
 
   /// What the router should do with this shard this frame.
@@ -152,7 +141,6 @@ class CircuitBreaker {
   }
   int shard() const { return shard_; }
   double error_rate() const;
-  uint64_t latency_ewma_ns() const;
   /// Times the breaker entered kOpen (trips + failed probes).
   uint64_t open_events() const;
   uint64_t probe_frames() const;
@@ -169,7 +157,6 @@ class CircuitBreaker {
   // Guarded by mu_.
   Rng probe_rng_;
   double error_ewma_ = 0.0;
-  double latency_ewma_ns_d_ = 0.0;
   uint64_t samples_ = 0;
   uint64_t consecutive_errors_ = 0;
   uint64_t frames_open_ = 0;
@@ -181,7 +168,6 @@ class CircuitBreaker {
   // Mirrors of the mu_-guarded state for the lock-free read-side question.
   std::atomic<uint8_t> state_{static_cast<uint8_t>(BreakerState::kClosed)};
   std::atomic<bool> probe_frame_{false};
-  std::atomic<uint64_t> latency_ewma_ns_{0};
 };
 
 /// Top-of-chain decorator: the quarantine short-circuit plus the breaker's
@@ -190,10 +176,8 @@ class CircuitBreaker {
 /// the breaker are post-retry — only genuinely exhausted reads count.
 class BreakerGateReader : public PageReader {
  public:
-  /// Neither pointer owned. `clock_ns` is injectable for tests; null uses
-  /// steady_clock.
-  BreakerGateReader(PageReader* base, CircuitBreaker* breaker,
-                    uint64_t (*clock_ns)() = nullptr);
+  /// Neither pointer owned.
+  BreakerGateReader(PageReader* base, CircuitBreaker* breaker);
 
   Result<ReadResult> Read(PageId id) override;
 
@@ -204,118 +188,11 @@ class BreakerGateReader : public PageReader {
  private:
   PageReader* base_;
   CircuitBreaker* breaker_;
-  uint64_t (*clock_ns_)();
   std::atomic<uint64_t> blocked_reads_{0};
-  /// The chain below (retry Rng, faulty scratch, single-caller hedging) is
-  /// stateful; concurrent pool misses from different sessions serialize
-  /// here. Blocked reads and pool hits never touch it.
+  /// The chain below (retry Rng, faulty scratch) is stateful; concurrent
+  /// pool misses from different sessions serialize here. Blocked reads and
+  /// pool hits never touch it.
   std::mutex fetch_mu_;
-};
-
-struct HedgeOptions {
-  /// Master switch; off keeps the chain a pure pass-through (and the
-  /// worker thread unspawned).
-  bool enabled = false;
-  /// Hedge once the primary is this many times slower than the shard's
-  /// successful-read latency EWMA...
-  double latency_factor = 4.0;
-  /// ...but never before this floor (a cold EWMA must not cause a hedge
-  /// storm).
-  uint64_t min_latency_us = 200;
-
-  /// DQMO_HEDGE, DQMO_HEDGE_FACTOR, DQMO_HEDGE_MIN_US.
-  static HedgeOptions FromEnv();
-};
-
-/// Tail-latency hedging for slow-but-alive shards: the primary read runs
-/// on a dedicated worker thread; when it dawdles past the threshold a
-/// second probe runs on the caller thread against an independent reader
-/// (separate FaultyPageReader scratch — the two must not share buffers),
-/// and the first result wins. Single caller at a time (it lives under the
-/// per-shard BufferPool miss path, which serializes fetches per page);
-/// the worker only ever touches `primary`.
-///
-/// Budget interaction: hedging is charged once by construction — the
-/// traversal charges the QueryBudget per node *visit*, not per physical
-/// probe, so a hedged node costs exactly what an unhedged one does. A
-/// frame whose budget stopped reads no further node, so it issues no
-/// hedge either. The reader holds no per-session state: many sessions
-/// share it.
-class HedgedPageReader : public PageReader {
- public:
-  /// Pointers not owned. `health` supplies the latency EWMA (may be null:
-  /// the floor alone decides). `clock_ns` injectable for tests.
-  HedgedPageReader(PageReader* primary, PageReader* secondary,
-                   CircuitBreaker* health, const HedgeOptions& options,
-                   uint64_t (*clock_ns)() = nullptr);
-  ~HedgedPageReader() override;
-
-  Result<ReadResult> Read(PageId id) override;
-
-  /// Blocks until no primary probe is outstanding on the worker. Callers
-  /// that are about to mutate the chain underneath (swap a fault injector,
-  /// reload the page file) quiesce first, under the shard's exclusive
-  /// gate.
-  void Quiesce();
-
-  uint64_t hedges() const { return hedges_; }
-  /// Hedges where the secondary probe delivered the winning result.
-  uint64_t hedges_won() const { return hedges_won_; }
-  /// Hedges where the primary finished first after all.
-  uint64_t hedges_lost() const { return hedges_lost_; }
-
- private:
-  struct Job {
-    PageId id = 0;
-    bool pending = false;   // Submitted, worker has not finished it.
-    bool done = false;      // Finished, result not yet consumed.
-    Status status = Status::OK();
-    ReadResult result;
-    // Causal attribution for the worker leg: the armed frame (if any) that
-    // submitted this read, the shard it ran under, and the submit tick. The
-    // worker reports its kHedgeProbe span back into that frame's merged
-    // tree when it finishes — even if the hedge already won the race.
-    Tracer::FrameHandle trace;
-    int16_t shard = -1;
-    uint64_t submit_ns = 0;
-  };
-
-  void WorkerLoop();
-  /// Blocks until no job is outstanding (a previous hedge may have left
-  /// the worker mid-read; its result buffer must not be overwritten while
-  /// a caller still holds it, so we join here, at the *next* read).
-  void DrainWorker(std::unique_lock<std::mutex>& lock);
-  /// Copies a worker-produced page into this caller thread's own buffer.
-  /// The worker's result points into the *worker thread's* per-thread
-  /// scratch (the DiskPageFile contract ties scratch lifetime to the
-  /// reading thread), which is recycled as soon as the worker accepts the
-  /// next job — possibly while this caller is still decoding the page.
-  /// Must be called with mu_ held: that orders the copy before any next
-  /// job submission. Results produced on the caller's own thread (the
-  /// hedge leg) keep the base contract and must NOT be localized.
-  ReadResult Localize(const ReadResult& r);
-
-  PageReader* primary_;
-  PageReader* secondary_;
-  CircuitBreaker* health_;
-  const HedgeOptions options_;
-  uint64_t (*clock_ns_)();
-
-  uint64_t hedges_ = 0;
-  uint64_t hedges_won_ = 0;
-  uint64_t hedges_lost_ = 0;
-
-  std::mutex mu_;
-  std::condition_variable work_cv_;   // Caller -> worker: job submitted.
-  std::condition_variable done_cv_;   // Worker -> caller: job finished.
-  // One page buffer per caller thread (touched only under mu_): holds the
-  // localized copy of a worker-produced result until that caller's next
-  // read through this reader.
-  std::unordered_map<std::thread::id, std::vector<uint8_t>> caller_pages_;
-  Job job_;
-  bool stop_ = false;
-  std::thread worker_;  // Spawned lazily on the first enabled Read.
-  bool worker_started_ = false;
 };
 
 /// Parked writes for a quarantined shard. The queue itself is an in-memory
@@ -355,9 +232,6 @@ struct HealthMetrics {
   class Counter* breaker_transitions;
   class Counter* quarantine_events;
   class Counter* quarantined_frames;
-  class Counter* hedged_reads;
-  class Counter* hedged_reads_won;
-  class Counter* hedged_reads_lost;
   class Counter* scrub_pages;
   class Counter* scrub_pages_rebuilt;
   class Gauge* redo_queue_depth;

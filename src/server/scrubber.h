@@ -79,7 +79,7 @@ struct ScrubOptions {
 /// Walks quarantined shards, verifying, repairing, draining, promoting.
 /// One scrubber per engine; the engine must outlive it. Thread-safe with
 /// concurrent router frames and inserts — every mutation happens under the
-/// affected shard's exclusive gate, with the hedge worker quiesced.
+/// affected shard's exclusive gate, with its prefetcher quiesced.
 class ShardScrubber {
  public:
   /// What one full pass over the engine did.

@@ -17,6 +17,9 @@
 namespace dqmo {
 namespace {
 
+// Lock sharding inside each shard's BufferPool.
+constexpr int kPoolShards = 4;
+
 struct ShardMetrics {
   Gauge* shard_count;
   Counter* inserts;
@@ -129,12 +132,8 @@ ShardedEngineOptions ShardedEngineOptions::FromEnv() {
                                            o.speed_split_threshold);
   }
   o.failure_domains = GetEnvBool("DQMO_FAILURE_DOMAINS", o.failure_domains);
-  if (o.failure_domains) {
-    o.breaker = BreakerOptions::FromEnv();
-    o.hedge = HedgeOptions::FromEnv();
-  }
+  if (o.failure_domains) o.breaker = BreakerOptions::FromEnv();
   o.io_backend = IoBackendFromEnv();
-  o.o_direct = GetEnvBool("DQMO_O_DIRECT", o.o_direct);
   o.prefetch_depth = PrefetchDepthFromEnv();
   o.page_budget_mb = static_cast<size_t>(
       GetEnvInt("DQMO_PAGE_BUDGET_MB",
@@ -184,7 +183,6 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
       // Group commit: the shard gate's write-guard release syncs the batch.
       dopt.sync_each_insert = false;
       dopt.io_backend = options.io_backend;
-      dopt.disk.o_direct = options.o_direct;
       dopt.disk.dirty_frame_budget = dirty_frame_budget;
       DQMO_ASSIGN_OR_RETURN(
           s->durable,
@@ -217,8 +215,7 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
 }
 
 void ShardedEngine::BuildReadStack(Shard* s, int i, size_t pool_pages) {
-  s->pool = std::make_unique<BufferPool>(s->file, pool_pages,
-                                         options_.pool_shards);
+  s->pool = std::make_unique<BufferPool>(s->file, pool_pages, kPoolShards);
   if (s->prefetcher != nullptr) s->pool->set_source(s->prefetcher.get());
   if (options_.cache_nodes > 0) {
     s->node_cache = std::make_unique<DecodedNodeCache>(options_.cache_nodes);
@@ -239,36 +236,29 @@ void ShardedEngine::BuildReadStack(Shard* s, int i, size_t pool_pages) {
   PageReader* bottom =
       s->prefetcher != nullptr ? static_cast<PageReader*>(s->prefetcher.get())
                                : static_cast<PageReader*>(s->file);
-  s->faulty_primary = std::make_unique<FaultyPageReader>(
-      bottom, nullptr, options_.fault_sleeper);
-  s->faulty_secondary = std::make_unique<FaultyPageReader>(
-      bottom, nullptr, options_.fault_sleeper);
-  s->hedged = std::make_unique<HedgedPageReader>(
-      s->faulty_primary.get(), s->faulty_secondary.get(), s->breaker.get(),
-      options_.hedge);
-  RetryingPageReader::RetryPolicy retry = options_.retry;
-  retry.verify_checksums = true;  // The integrity net under the pool.
-  s->retry = std::make_unique<RetryingPageReader>(s->hedged.get(), retry,
-                                                  s->file->mutable_stats());
+  s->faulty = std::make_unique<FaultyPageReader>(bottom, nullptr,
+                                                 options_.fault_sleeper);
+  // The default policy verifies checksums: the integrity net under the pool.
+  s->retry = std::make_unique<RetryingPageReader>(
+      s->faulty.get(), RetryingPageReader::RetryPolicy(),
+      s->file->mutable_stats());
   s->breaker_gate =
       std::make_unique<BreakerGateReader>(s->retry.get(), s->breaker.get());
   s->redo = std::make_unique<RedoQueue>();
   s->pool->set_source(s->breaker_gate.get());
 }
 
-FaultInjector* ShardedEngine::ArmShardFault(int i,
-                                            const FaultInjector::Options& o) {
+FaultInjector* ShardedEngine::SwapInjector(
+    int i, std::unique_ptr<FaultInjector> injector) {
   Shard* s = shards_[static_cast<size_t>(i)].get();
-  DQMO_CHECK(s->faulty_primary != nullptr);  // failure_domains mode only.
+  DQMO_CHECK(s->faulty != nullptr);  // failure_domains mode only.
   auto guard = s->gate->LockExclusive();
-  s->hedged->Quiesce();  // No probe may hold the old injector mid-read.
   // Speculations issued under the old schedule must not land under the
   // new one; quiescing also stops any async read from racing the swap.
   if (s->prefetcher != nullptr) s->prefetcher->Quiesce();
-  s->injector = std::make_unique<FaultInjector>(o);
-  s->faulty_primary->set_injector(s->injector.get());
-  s->faulty_secondary->set_injector(s->injector.get());
-  if (s->prefetcher != nullptr) s->prefetcher->set_injector(s->injector.get());
+  s->faulty->set_injector(injector.get());
+  if (s->prefetcher != nullptr) s->prefetcher->set_injector(injector.get());
+  s->injector = std::move(injector);
   // Drop the shard's caches so the schedule bites on the next read rather
   // than whenever eviction happens to reach the hot pages.
   s->pool->Clear();
@@ -276,19 +266,12 @@ FaultInjector* ShardedEngine::ArmShardFault(int i,
   return s->injector.get();
 }
 
-void ShardedEngine::ClearShardFault(int i) {
-  Shard* s = shards_[static_cast<size_t>(i)].get();
-  DQMO_CHECK(s->faulty_primary != nullptr);
-  auto guard = s->gate->LockExclusive();
-  s->hedged->Quiesce();
-  if (s->prefetcher != nullptr) s->prefetcher->Quiesce();
-  s->faulty_primary->set_injector(nullptr);
-  s->faulty_secondary->set_injector(nullptr);
-  if (s->prefetcher != nullptr) s->prefetcher->set_injector(nullptr);
-  s->injector.reset();
-  s->pool->Clear();
-  if (s->node_cache != nullptr) s->node_cache->Clear();
+FaultInjector* ShardedEngine::ArmShardFault(int i,
+                                            const FaultInjector::Options& o) {
+  return SwapInjector(i, std::make_unique<FaultInjector>(o));
 }
+
+void ShardedEngine::ClearShardFault(int i) { SwapInjector(i, nullptr); }
 
 Status ShardedEngine::DrainRedo(int i) {
   Shard* s = shards_[static_cast<size_t>(i)].get();
@@ -365,39 +348,38 @@ Status ShardedEngine::ParkLocked(Shard* s, const MotionSegment& m) {
   return Status::OK();
 }
 
-Status ShardedEngine::InsertIntoShard(Shard* s, const MotionSegment& m) {
-  const bool durable = s->durable != nullptr;
-  {
+Status ShardedEngine::WriteShard(
+    Shard* s, const std::vector<const MotionSegment*>& group) {
+  Status st = [&]() -> Status {
     auto guard = s->gate->LockExclusive();
     // The quarantine decision and any pending drain happen under the same
-    // guard as the insert itself: a parked entry's LSN is always below any
-    // later normal insert's, so "drain before insert" can never skip one.
-    if (s->breaker != nullptr &&
-        s->breaker->state() == BreakerState::kOpen) {
-      DQMO_RETURN_IF_ERROR(ParkLocked(s, m));
-    } else {
-      if (s->redo != nullptr && s->redo->depth() > 0) {
-        DQMO_RETURN_IF_ERROR(DrainRedoLocked(s));
+    // guard as the writes: a parked entry's LSN is always below any later
+    // normal insert's, so "drain before insert" can never skip one.
+    if (s->breaker != nullptr && s->breaker->state() == BreakerState::kOpen) {
+      for (const MotionSegment* m : group) {
+        DQMO_RETURN_IF_ERROR(ParkLocked(s, *m));
       }
-      Status st = durable ? s->durable->Insert(m) : s->tree->Insert(m);
-      if (!st.ok()) {
-        if (s->breaker != nullptr) s->breaker->OnWalOutcome(false);
-        return st;
-      }
+      return Status::OK();
     }
-  }
-  // The guard's release synced this shard's WAL; an insert (parked or not)
+    if (s->redo != nullptr && s->redo->depth() > 0) {
+      DQMO_RETURN_IF_ERROR(DrainRedoLocked(s));
+    }
+    for (const MotionSegment* m : group) {
+      DQMO_RETURN_IF_ERROR(s->durable != nullptr ? s->durable->Insert(*m)
+                                                 : s->tree->Insert(*m));
+    }
+    return Status::OK();
+  }();
+  // The guard's release synced this shard's WAL; a write (parked or not)
   // is only acknowledged once its redo record is durable.
-  if (!durable) return Status::OK();
-  Status ack = s->gate->wal_status();
-  if (!ack.ok() && s->breaker != nullptr) s->breaker->OnWalOutcome(false);
-  return ack;
+  if (st.ok() && s->durable != nullptr) st = s->gate->wal_status();
+  if (!st.ok() && s->breaker != nullptr) s->breaker->OnWalOutcome(false);
+  return st;
 }
 
 Status ShardedEngine::Insert(const MotionSegment& m) {
   ShardMetrics::Get().inserts->Add();
-  return InsertIntoShard(shards_[static_cast<size_t>(map_.ShardOf(m))].get(),
-                         m);
+  return WriteShard(shards_[static_cast<size_t>(map_.ShardOf(m))].get(), {&m});
 }
 
 Status ShardedEngine::InsertBatch(const std::vector<MotionSegment>& batch) {
@@ -410,23 +392,9 @@ Status ShardedEngine::InsertBatch(const std::vector<MotionSegment>& batch) {
   sm.batches->Add();
   sm.batch_fanout->Record(groups.size());
   sm.inserts->Add(batch.size());
-  for (auto& [shard, group] : groups) {
-    Shard* s = shards_[static_cast<size_t>(shard)].get();
-    const bool durable = s->durable != nullptr;
-    {
-      auto guard = s->gate->LockExclusive();
-      const bool open = s->breaker != nullptr &&
-                        s->breaker->state() == BreakerState::kOpen;
-      if (!open && s->redo != nullptr && s->redo->depth() > 0) {
-        DQMO_RETURN_IF_ERROR(DrainRedoLocked(s));
-      }
-      for (const MotionSegment* m : group) {
-        DQMO_RETURN_IF_ERROR(open ? ParkLocked(s, *m)
-                                  : (durable ? s->durable->Insert(*m)
-                                             : s->tree->Insert(*m)));
-      }
-    }
-    if (durable) DQMO_RETURN_IF_ERROR(s->gate->wal_status());
+  for (const auto& [shard, group] : groups) {
+    DQMO_RETURN_IF_ERROR(
+        WriteShard(shards_[static_cast<size_t>(shard)].get(), group));
   }
   return Status::OK();
 }

@@ -108,9 +108,8 @@ struct ShardedEngineOptions {
   /// Segment speed (length units / time unit) at or above which a segment
   /// routes to the fast-class shards.
   double speed_split_threshold = 1.5;
-  /// Per-shard BufferPool capacity (pages) and internal lock sharding.
+  /// Per-shard BufferPool capacity (pages).
   size_t pool_pages = 1024;
-  int pool_shards = 4;
   /// Per-shard decoded-node cache capacity (nodes); 0 disables the cache.
   size_t cache_nodes = 512;
   RTree::Options tree;
@@ -125,8 +124,6 @@ struct ShardedEngineOptions {
   /// queue) plus a Prefetcher the per-shard query sessions hint. Ignored
   /// for in-memory (non-durable) engines.
   IoBackend io_backend = IoBackend::kMemory;
-  /// O_DIRECT for the disk backends (downgraded when the fs refuses).
-  bool o_direct = false;
   /// Speculative reads outstanding per shard (0 disables prefetch).
   size_t prefetch_depth = 8;
   /// Memory budget (MiB) split across all shards' page caches: each shard
@@ -135,24 +132,20 @@ struct ShardedEngineOptions {
   /// pool_pages and the default dirty budget as given.
   size_t page_budget_mb = 0;
   /// Per-shard failure domains (server/health.h): each shard gains a
-  /// circuit breaker + quarantine gate, a hedged/faulty/retrying read
+  /// circuit breaker + quarantine gate, a retrying, fault-injectable read
   /// chain under its BufferPool, and a redo queue that parks writes while
   /// the breaker is open. Off (the default) leaves the PR 7 chain — and
   /// its byte-for-byte I/O accounting — untouched.
   bool failure_domains = false;
   BreakerOptions breaker;
-  HedgeOptions hedge;
-  /// Retry layer of the failure-domain chain (post-hedge, pre-breaker).
-  RetryingPageReader::RetryPolicy retry;
   /// Serves injected slow-read delays for the per-shard fault planes;
   /// null sleeps for real. Tests inject a counting no-op for sleep-free
   /// slow-storm chaos programs.
   FaultyPageReader::Sleeper fault_sleeper;
   /// Reads DQMO_SHARDS (shard count), DQMO_SPEED_SPLIT (threshold;
   /// "off"/"0" disables the split), DQMO_FAILURE_DOMAINS, the
-  /// DQMO_BREAKER_* / DQMO_HEDGE_* knobs, and the disk knobs —
-  /// DQMO_IO_BACKEND, DQMO_O_DIRECT, DQMO_PREFETCH_DEPTH,
-  /// DQMO_PAGE_BUDGET_MB — over these defaults.
+  /// DQMO_BREAKER_* knobs, and the disk knobs — DQMO_IO_BACKEND,
+  /// DQMO_PREFETCH_DEPTH, DQMO_PAGE_BUDGET_MB — over these defaults.
   static ShardedEngineOptions FromEnv();
 };
 
@@ -183,16 +176,12 @@ class ShardedEngine {
 
     /// Failure-domain chain (options.failure_domains only; otherwise the
     /// pool reads the file directly). Pool misses flow
-    ///   breaker_gate -> retry -> hedged -> faulty_{primary,secondary}
-    /// -> file; the two faulty readers share one per-shard injector (the
-    /// satellite-3 fix: fault config addressable per shard) but never a
-    /// scratch buffer, because the hedge worker reads the primary while
-    /// the caller probes the secondary.
+    ///   breaker_gate -> retry -> faulty -> prefetcher or file;
+    /// the faulty reader and the prefetcher share one per-shard injector,
+    /// so fault schedules are addressable per shard.
     std::unique_ptr<CircuitBreaker> breaker;
     std::unique_ptr<FaultInjector> injector;
-    std::unique_ptr<FaultyPageReader> faulty_primary;
-    std::unique_ptr<FaultyPageReader> faulty_secondary;
-    std::unique_ptr<HedgedPageReader> hedged;
+    std::unique_ptr<FaultyPageReader> faulty;
     std::unique_ptr<RetryingPageReader> retry;
     std::unique_ptr<BreakerGateReader> breaker_gate;
     std::unique_ptr<RedoQueue> redo;
@@ -207,14 +196,12 @@ class ShardedEngine {
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
-  /// Routes one motion update to its shard and inserts it under that
-  /// shard's exclusive gate (durable mode: with its WAL record; the
-  /// guard's release syncs, and the post-release wal_status check makes
-  /// the acknowledgment honest).
+  /// Routes one motion update to its shard and writes it there: a batch
+  /// of one through the same per-shard step as InsertBatch.
   Status Insert(const MotionSegment& m);
 
-  /// Groups `batch` by shard and inserts each group under one exclusive
-  /// gate acquisition per shard — the amortization Insert cannot do.
+  /// Groups `batch` by shard and writes each group under one exclusive
+  /// gate acquisition (and, durable, one WAL sync) per shard.
   Status InsertBatch(const std::vector<MotionSegment>& batch);
 
   /// Routes `data` into per-shard partitions and STR bulk-loads each
@@ -230,12 +217,12 @@ class ShardedEngine {
   /// resumes after reinstatement. Reinstated shards drain first.
   Status Checkpoint();
 
-  /// Satellite 3: per-shard fault addressing. Swaps shard `i`'s fault
-  /// injector (under its exclusive gate, with the hedge worker quiesced
-  /// and that shard's caches dropped, so the new schedule bites on the
-  /// very next read). failure_domains mode only. The injector stays owned
-  /// by the engine; the returned pointer is valid until the next
-  /// Arm/Clear on the same shard.
+  /// Per-shard fault addressing. Swaps shard `i`'s fault injector (under
+  /// its exclusive gate, with its prefetcher quiesced and its caches
+  /// dropped, so the new schedule bites on the very next read).
+  /// failure_domains mode only. The injector stays owned by the engine;
+  /// the returned pointer is valid until the next Arm/Clear on the same
+  /// shard.
   FaultInjector* ArmShardFault(int i, const FaultInjector::Options& o);
   void ClearShardFault(int i);
 
@@ -267,11 +254,19 @@ class ShardedEngine {
         map_(options.num_shards, options.space_size, options.speed_split,
              options.speed_split_threshold) {}
 
-  Status InsertIntoShard(Shard* s, const MotionSegment& m);
+  /// The one shard write path, for Insert and each InsertBatch group.
+  /// Takes the exclusive gate once: parks `group` while the breaker is
+  /// open, otherwise drains parked writes and then inserts. Durable shards
+  /// acknowledge only after the guard's release synced the WAL. Every
+  /// failed insert or ack is reported to the breaker.
+  Status WriteShard(Shard* s, const std::vector<const MotionSegment*>& group);
+  /// Installs `injector` (null clears) in shard `i`'s fault plane; returns
+  /// the installed injector.
+  FaultInjector* SwapInjector(int i, std::unique_ptr<FaultInjector> injector);
   /// Wires shard `i`'s read stack over its file and tree: a BufferPool of
   /// `pool_pages`, the decoded-node cache, the gate (syncing the shard's
   /// WAL when durable), and with failure_domains the breaker / retry /
-  /// hedge / fault chain under the pool plus the redo queue.
+  /// fault chain under the pool plus the redo queue.
   void BuildReadStack(Shard* s, int i, size_t pool_pages);
   /// Caller holds s->gate exclusively.
   Status DrainRedoLocked(Shard* s);

@@ -102,19 +102,6 @@ Status FullPwrite(int fd, const uint8_t* buf, size_t len, uint64_t offset,
   return Status::OK();
 }
 
-/// open(2) for the store's file, trying O_DIRECT when asked and degrading
-/// (with the flag reported back) when the filesystem refuses it.
-int OpenStoreFd(const std::string& path, int base_flags, bool* o_direct) {
-  if (*o_direct) {
-#ifdef O_DIRECT
-    const int fd = ::open(path.c_str(), base_flags | O_DIRECT, 0644);
-    if (fd >= 0) return fd;
-#endif
-    *o_direct = false;  // Refused (or not a Linux build): plain buffered IO.
-  }
-  return ::open(path.c_str(), base_flags, 0644);
-}
-
 }  // namespace
 
 AlignedPageBuf::AlignedPageBuf() : data_(nullptr) {
@@ -147,12 +134,11 @@ Result<std::unique_ptr<DiskPageFile>> DiskPageFile::Create(
   file->path_ = path;
   file->backend_ = options.backend == IoBackend::kMemory ? IoBackend::kPread
                                                          : options.backend;
-  file->o_direct_ = options.o_direct;
   file->dirty_frame_budget_ = options.dirty_frame_budget;
   file->sim_read_delay_us_ = options.sim_read_delay_us;
   file->version_ = kPgfVersionAligned;
   file->data_offset_ = PgfDataOffset(kPgfVersionAligned);
-  file->fd_ = OpenStoreFd(path, O_RDWR | O_CREAT | O_TRUNC, &file->o_direct_);
+  file->fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (file->fd_ < 0) {
     return Status::IOError("cannot create " + path);
   }
@@ -179,17 +165,13 @@ Result<std::unique_ptr<DiskPageFile>> DiskPageFile::Open(
   file->path_ = path;
   file->backend_ = options.backend == IoBackend::kMemory ? IoBackend::kPread
                                                          : options.backend;
-  // v2 images put page 0 at byte 24: every page offset is misaligned, so
-  // O_DIRECT (which requires block-aligned offsets) is impossible.
-  file->o_direct_ =
-      options.o_direct && header.version == kPgfVersionAligned;
   file->dirty_frame_budget_ = options.dirty_frame_budget;
   file->sim_read_delay_us_ = options.sim_read_delay_us;
   file->version_ = header.version;
   file->data_offset_ = PgfDataOffset(header.version);
   file->num_pages_ = header.num_pages;
   file->verified_.assign(header.num_pages, 1);  // Verified by the stream.
-  file->fd_ = OpenStoreFd(path, O_RDWR, &file->o_direct_);
+  file->fd_ = ::open(path.c_str(), O_RDWR, 0644);
   if (file->fd_ < 0) {
     return Status::IOError("cannot open " + path + " for read-write");
   }

@@ -4,9 +4,9 @@
 //
 // File layout (image format v3, storage/image_format.h): a PgfHeader padded
 // to one full 4 KiB block, then the pages. Every page therefore sits at a
-// 4 KiB-aligned file offset — the alignment O_DIRECT demands and io_uring
-// reads prefer. v2 images (24-byte header) open too, for compatibility with
-// PageFile::SaveTo checkpoints; their unaligned layout disables O_DIRECT.
+// 4 KiB-aligned file offset, the alignment io_uring reads prefer. v2 images
+// (24-byte header) open too, for compatibility with PageFile::SaveTo
+// checkpoints.
 //
 // Memory model: reads are served from a small per-thread aligned scratch
 // buffer (no page cache of its own — the BufferPool above provides caching,
@@ -44,8 +44,8 @@
 
 namespace dqmo {
 
-/// 4 KiB-aligned heap buffer (posix_memalign), the shape O_DIRECT and
-/// io_uring transfers require. Move-only.
+/// 4 KiB-aligned heap buffer (posix_memalign): one page, block-aligned
+/// for device transfers. Move-only.
 class AlignedPageBuf {
  public:
   AlignedPageBuf();
@@ -71,10 +71,6 @@ class DiskPageFile : public PageStore {
     /// kMemory is treated as kPread — a DiskPageFile is disk by
     /// definition).
     IoBackend backend = IoBackend::kPread;
-    /// Open the file O_DIRECT (v3 images only; silently ignored for v2,
-    /// whose 24-byte header misaligns every page, and downgraded when the
-    /// filesystem refuses the flag).
-    bool o_direct = false;
     /// Dirty frames resident before the oldest is written back (FIFO).
     /// This is the store's share of DQMO_PAGE_BUDGET_MB; 0 means a
     /// minimal working set of one frame.
@@ -144,7 +140,6 @@ class DiskPageFile : public PageStore {
   const std::string& path() const { return path_; }
   int fd() const { return fd_; }
   IoBackend backend() const { return backend_; }
-  bool o_direct() const { return o_direct_; }
 
   /// File offset of page `id`'s first byte.
   uint64_t PageOffset(PageId id) const {
@@ -199,7 +194,6 @@ class DiskPageFile : public PageStore {
   std::string path_;
   int fd_ = -1;
   IoBackend backend_ = IoBackend::kPread;
-  bool o_direct_ = false;
   uint64_t data_offset_ = 0;
   uint32_t version_ = 0;
   size_t num_pages_ = 0;

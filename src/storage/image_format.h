@@ -6,8 +6,8 @@
 //   v1  24-byte header, pages carry no checksums (legacy, read-only);
 //   v2  24-byte header, CRC32C trailer per page (PageFile::SaveTo);
 //   v3  header padded to one full 4 KiB block, CRC32C per page — every
-//       page sits at a 4 KiB-aligned file offset, the layout O_DIRECT and
-//       io_uring reads want (DiskPageFile's native format).
+//       page sits at a 4 KiB-aligned file offset, the layout io_uring
+//       reads want (DiskPageFile's native format).
 //
 // The streaming loader reads and verifies ONE page at a time, so callers
 // can verify arbitrarily large images with constant memory — the fix for

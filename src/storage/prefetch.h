@@ -9,7 +9,7 @@
 // Position in the read chain — at the BOTTOM, directly over the
 // DiskPageFile:
 //
-//   BufferPool -> [breaker -> retry -> hedge -> faulty] -> Prefetcher -> disk
+//   BufferPool -> [breaker -> retry -> faulty] -> Prefetcher -> disk
 //
 // Everything above sees one PageReader and stays byte-identical: the
 // FaultyPageReader still draws its synchronous fault stream in consumption

@@ -14,7 +14,7 @@
 //      compared frame by frame against the twin).
 //
 // Programs: shard death (every read fails), at-rest corruption bursts
-// (repaired online from checkpoint + WAL), slow-I/O storms (hedged, never
+// (repaired online from checkpoint + WAL), slow-I/O storms (never
 // quarantined), and crash-restart mid-repair (fork-based, one child per
 // scrub crash point). Every schedule is seed-deterministic.
 #include <gtest/gtest.h>
@@ -352,7 +352,6 @@ TEST(ChaosCorruptionBurstTest, ScrubRebuildsDamagedPagesAndReinstates) {
             // that is what repair rebuilds from.
             ShardedEngine::Shard& s = engine->shard(sick);
             auto guard = s.gate->LockExclusive();
-            s.hedged->Quiesce();
             const size_t n = std::min<size_t>(s.file->num_pages(), 4);
             for (PageId p = 0; p < n; ++p) {
               EXPECT_TRUE(s.file->CorruptPageForTest(p, 64, 0x5A).ok());
@@ -390,11 +389,10 @@ TEST(ChaosCorruptionBurstTest, ScrubRebuildsDamagedPagesAndReinstates) {
 }
 
 // ---------------------------------------------------------------------------
-// Program 3: slow-I/O storm. The shard is slow but alive: hedged reads
-// keep latency bounded, the breaker must NOT open, and every delivered
-// byte matches the twin on every frame.
+// Program 3: slow-I/O storm. The shard is slow but alive: the breaker must
+// NOT open, and every delivered byte matches the twin on every frame.
 
-TEST(ChaosSlowStormTest, HedgedReadsAbsorbLatencyWithoutQuarantine) {
+TEST(ChaosSlowStormTest, SlowReadsNeverQuarantine) {
   for (uint64_t seed = 0; seed < kChaosSeeds; ++seed) {
     const std::vector<MotionSegment> data =
         ShapedData(WorkloadShape::kUniform, seed + 61);
@@ -405,9 +403,6 @@ TEST(ChaosSlowStormTest, HedgedReadsAbsorbLatencyWithoutQuarantine) {
     // A tiny pool keeps reads flowing through the (slow) chain instead of
     // being absorbed by cache hits after the first frame.
     opt.pool_pages = 4;
-    opt.hedge.enabled = true;
-    opt.hedge.latency_factor = 0.5;
-    opt.hedge.min_latency_us = 50;
     std::unique_ptr<ShardedEngine> engine = MakeEngine(opt, data);
     std::unique_ptr<ShardedEngine> twin = MakeEngine(opt, data);
     ASSERT_NE(engine, nullptr);
@@ -450,10 +445,6 @@ TEST(ChaosSlowStormTest, HedgedReadsAbsorbLatencyWithoutQuarantine) {
       EXPECT_EQ(got.frames[f].merged_checksum, want.frames[f].merged_checksum)
           << label << " frame " << f;
     }
-    // The storm actually engaged the hedging machinery somewhere.
-    uint64_t hedges = 0;
-    for (int i = 0; i < kShards; ++i) hedges += engine->shard(i).hedged->hedges();
-    EXPECT_GT(hedges, 0u) << label;
   }
 }
 
@@ -534,7 +525,6 @@ std::unique_ptr<ShardedEngine> BuildCrashTwin(const std::string& dir,
       {
         ShardedEngine::Shard& s = engine->shard(sick);
         auto guard = s.gate->LockExclusive();
-        s.hedged->Quiesce();
         const size_t n = std::min<size_t>(s.file->num_pages(), 3);
         for (PageId p = 0; p < n; ++p) {
           if (!s.file->CorruptPageForTest(p, 64, 0x5A).ok()) ::_exit(7);

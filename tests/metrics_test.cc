@@ -452,9 +452,6 @@ TEST_F(MetricsTest, HealthMetricFamiliesExposedWithTypes) {
   ExpectContains(text, "# TYPE dqmo_breaker_transitions_total counter");
   ExpectContains(text, "# TYPE dqmo_quarantine_events_total counter");
   ExpectContains(text, "# TYPE dqmo_quarantined_frames_total counter");
-  ExpectContains(text, "# TYPE dqmo_hedged_reads_total counter");
-  ExpectContains(text, "# TYPE dqmo_hedged_reads_won_total counter");
-  ExpectContains(text, "# TYPE dqmo_hedged_reads_lost_total counter");
   ExpectContains(text, "# TYPE dqmo_scrub_pages_total counter");
   ExpectContains(text, "# TYPE dqmo_scrub_pages_rebuilt_total counter");
   ExpectContains(text, "# TYPE dqmo_redo_queue_depth gauge");
@@ -471,7 +468,7 @@ TEST_F(MetricsTest, BreakerLifecycleMovesHealthSeries) {
   opt.probe_rate = 1.0;
   opt.probe_successes_to_close = 2;
   CircuitBreaker breaker(/*shard=*/0, opt);
-  for (int i = 0; i < 4; ++i) breaker.OnReadOutcome(false, 1000);
+  for (int i = 0; i < 4; ++i) breaker.OnReadOutcome(false);
   ASSERT_EQ(breaker.state(), BreakerState::kOpen);
   std::string text = MetricsRegistry::Global().PrometheusText();
   ExpectContains(text, "dqmo_breaker_state 1\n");

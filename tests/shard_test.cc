@@ -532,20 +532,17 @@ TEST(ShardConcurrencyTest, RouterHammerEightReadersPerShardWriters) {
   ExpectSameResults(concurrent, serial, "hammer");
 }
 
-TEST(ShardConcurrencyTest, AlwaysHedgedReadsUnderConcurrentBudgetedSessions) {
-  // Every pool miss hedges (zero threshold) while four budgeted sessions
-  // share four failure-domain shards. A hedged reader serves every session
-  // at once, so it must hold no session's state — a frame budget parked
-  // in it would be read from other sessions' threads after its owner is
-  // gone. Tiny pools and no decoded-node cache keep the misses coming.
+TEST(ShardConcurrencyTest, FailureDomainReadsUnderConcurrentBudgetedSessions) {
+  // Four budgeted sessions share four failure-domain shards. Each shard's
+  // breaker / retry / fault chain serves every session at once, so it must
+  // hold no session's state — a frame budget parked in it would be read
+  // from other sessions' threads after its owner is gone. Tiny pools and
+  // no decoded-node cache keep the misses coming.
   const std::vector<MotionSegment> data =
       ShapedData(WorkloadShape::kUniform, 17);
   ShardedEngineOptions opt;
   opt.num_shards = 4;
   opt.failure_domains = true;
-  opt.hedge.enabled = true;
-  opt.hedge.latency_factor = 0.0;
-  opt.hedge.min_latency_us = 0;
   opt.pool_pages = 4;
   opt.cache_nodes = 0;
   auto engine = ShardedEngine::Create(opt);
@@ -558,13 +555,8 @@ TEST(ShardConcurrencyTest, AlwaysHedgedReadsUnderConcurrentBudgetedSessions) {
   copt.num_threads = 4;
   const ExecutorReport concurrent = ShardRouter(engine->get(), copt).Run(specs);
   const ExecutorReport serial = ShardRouter(engine->get()).Run(specs);
-  ExpectSameResults(concurrent, serial, "always-hedged");
+  ExpectSameResults(concurrent, serial, "failure-domain reads");
   EXPECT_EQ(concurrent.total_frames_degraded, 0u);
-  uint64_t hedges = 0;
-  for (int s = 0; s < (*engine)->num_shards(); ++s) {
-    hedges += (*engine)->shard(s).hedged->hedges();
-  }
-  EXPECT_GT(hedges, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -670,6 +662,46 @@ TEST(ShardFaultTest, SlowReaderInOneShardKeepsResultsByteIdentical) {
   slow.pool->set_source(slow.file);
   ExpectSameResults(delayed, clean, "slow shard");
   EXPECT_GT(sleeps.load(), 0u);
+}
+
+TEST(ShardFaultTest, FailedWriteTripsBreakerThroughBothInsertPaths) {
+  // Insert and InsertBatch share one per-shard write step, so a write that
+  // fails on a damaged shard must quarantine it through either path, and
+  // the next write must park instead of failing again.
+  const std::vector<MotionSegment> data =
+      ShapedData(WorkloadShape::kUniform, 29);
+  for (const bool batched : {false, true}) {
+    const std::string label = batched ? "InsertBatch" : "Insert";
+    ShardedEngineOptions opt;
+    opt.num_shards = 4;
+    opt.cache_nodes = 0;
+    opt.failure_domains = true;
+    auto engine = ShardedEngine::Create(opt);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_TRUE((*engine)->InsertBatch(data).ok());
+    const int sick = (*engine)->map().ShardOf(data[0]);
+    ShardedEngine::Shard& s = (*engine)->shard(sick);
+    {
+      auto guard = s.gate->LockExclusive();
+      for (PageId p = 0; p < s.file->num_pages(); ++p) {
+        ASSERT_TRUE(s.file->CorruptPageForTest(p, 64, 0x5A).ok());
+      }
+      s.pool->Clear();
+    }
+    const auto write = [&](ObjectId oid) {
+      // Same geometry as data[0], so the same (sick) shard owns it.
+      const MotionSegment m(oid, data[0].seg);
+      return batched ? (*engine)->InsertBatch({m}) : (*engine)->Insert(m);
+    };
+
+    const Status failed = write(900001);
+    EXPECT_TRUE(failed.IsCorruption()) << label << ": " << failed.ToString();
+    EXPECT_EQ((*engine)->breaker(sick)->state(), BreakerState::kOpen)
+        << label;
+    const Status parked = write(900002);
+    EXPECT_TRUE(parked.ok()) << label << ": " << parked.ToString();
+    EXPECT_EQ(s.redo->depth(), 1u) << label;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,7 @@
 // The tentpole claim: when a frame on an N-shard disk-backed engine is
 // slow, the tracer captures ONE merged span tree for that client frame —
 // per-shard subtrees from the frame thread plus worker-thread spans
-// (prefetch completions, hedged-read probes) attributed causally via the
-// frame's remote sink — and arming the tracer never changes query
+// (prefetch completions) attributed causally via the frame's remote sink — and arming the tracer never changes query
 // results. The tests here prove shard/worker attribution on a 16-shard
 // pread engine, byte-identical checksums armed vs unarmed, that shed
 // frames never leave a half-captured tree, that sticky cancellation on an
@@ -70,12 +69,10 @@ std::string ScratchDir(const std::string& name) {
   return dir;
 }
 
-/// A durable pread engine whose read path exercises every worker-thread
+/// A durable pread engine whose read path exercises the worker-thread
 /// span source: no decoded-node cache (every node visit reaches the
 /// pool), a pool too small to absorb the working set (misses flow down
-/// the chain), speculative prefetch, and hedging forced on every miss
-/// (threshold floor 0 with a zero latency factor) so the hedge worker's
-/// primary probes — and their remote spans — fire deterministically.
+/// the failure-domain chain), and speculative prefetch.
 ShardedEngineOptions DiskEngineOptions(const std::string& dir,
                                        int shards = 16) {
   ShardedEngineOptions opt;
@@ -86,9 +83,6 @@ ShardedEngineOptions DiskEngineOptions(const std::string& dir,
   opt.io_backend = IoBackend::kPread;
   opt.prefetch_depth = 8;
   opt.failure_domains = true;
-  opt.hedge.enabled = true;
-  opt.hedge.latency_factor = 0.0;
-  opt.hedge.min_latency_us = 0;
   return opt;
 }
 
@@ -209,8 +203,8 @@ TEST(TracerBasicsTest, LateWorkerSpanCountsAsOrphan) {
                        SpanOrigin::kPrefetchWorker, 2, NowNs(), 10, 1);
   EXPECT_EQ(orphans->value(), before + 1);
   // As must a span whose submit-time capture found no armed frame.
-  Tracer::RecordRemote(nullptr, SpanKind::kHedgeProbe,
-                       SpanOrigin::kHedgeWorker, 0, NowNs(), 10, 1);
+  Tracer::RecordRemote(nullptr, SpanKind::kPrefetchRead,
+                       SpanOrigin::kPrefetchWorker, 0, NowNs(), 10, 1);
   EXPECT_EQ(orphans->value(), before + 2);
   const FrameTrace slowest = Tracer::Global().SlowestFrame();
   EXPECT_EQ(slowest.remote_spans, 1u);
@@ -261,7 +255,6 @@ TEST(TracerShardedTest, MergedTreeAttributesAllShardsAndWorkers) {
 
   bool merged_cross_shard_tree = false;
   bool any_prefetch_worker = false;
-  bool any_hedge_worker = false;
   for (const FrameTrace& trace : frames) {
     ExpectWellFormedTree(trace, "frame " + std::to_string(trace.frame_index));
     EXPECT_NE(trace.trace_id, 0u);
@@ -278,11 +271,6 @@ TEST(TracerShardedTest, MergedTreeAttributesAllShardsAndWorkers) {
         any_prefetch_worker = true;
         EXPECT_GE(span.shard, 0) << "prefetch span without shard attribution";
       }
-      if (span.kind == SpanKind::kHedgeProbe &&
-          span.origin == SpanOrigin::kHedgeWorker) {
-        any_hedge_worker = true;
-        EXPECT_GE(span.shard, 0) << "hedge span without shard attribution";
-      }
       if (span.origin != SpanOrigin::kFrameThread) ++workers;
     }
     EXPECT_EQ(trace.remote_spans, workers);
@@ -293,7 +281,6 @@ TEST(TracerShardedTest, MergedTreeAttributesAllShardsAndWorkers) {
   EXPECT_TRUE(merged_cross_shard_tree)
       << "no captured frame merged all 16 shard subtrees with worker spans";
   EXPECT_TRUE(any_prefetch_worker) << "no prefetch-worker span captured";
-  EXPECT_TRUE(any_hedge_worker) << "no hedged-read span captured";
 
   // The rendering carries the attribution a human debugs with.
   const FrameTrace slowest = [&] {
@@ -425,8 +412,8 @@ TEST(TracerCancelTest, StickyCancellationOnArmedFrameNoDeadlock) {
 
 // ---------------------------------------------------------------------------
 // Concurrency hammer (run under TSan by tools/ci.sh): concurrent armed
-// sessions on one disk engine — hedge workers and prefetch completions
-// attribute spans to racing frames while another thread cancels budgets.
+// sessions on one disk engine — prefetch completions attribute spans to
+// racing frames while another thread cancels budgets.
 // Late completions after a frame closes must count as orphans, never
 // tear a sink.
 

@@ -230,7 +230,7 @@ assert on <= off * 1.03, (
 # Metrics stage, part 2: `dqmo_tool stats` must emit parseable Prometheus
 # text exposition covering at least 40 distinct metric families across the
 # storage / WAL / gate / cache / query layers, plus the resilience and
-# observability layers added since: breaker / hedged / scrub / redo (shard
+# observability layers added since: breaker / scrub / redo (shard
 # failure domains), disk / prefetch (disk-resident store), trace / span /
 # recorder (causal tracing + flight recorder).
 echo "==== [metrics] dqmo_tool stats Prometheus exposition ===="
@@ -249,7 +249,7 @@ awk '
   END {
     layers["storage"]; layers["wal"]; layers["gate"]
     layers["pool"]; layers["node_cache"]; layers["pdq"]
-    layers["breaker"]; layers["hedged"]; layers["scrub"]; layers["redo"]
+    layers["breaker"]; layers["scrub"]; layers["redo"]
     layers["disk"]; layers["prefetch"]
     layers["trace"]; layers["span"]; layers["recorder"]
     n = 0

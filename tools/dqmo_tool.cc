@@ -61,7 +61,7 @@
 //       (durable, pread-backed, prefetching — unless --memory) and render
 //       the slowest frame's merged cross-shard span tree: per-shard
 //       subtrees with gate waits, redo drains, the k-way merge, and
-//       worker-thread prefetch/hedge spans, followed by per-shard
+//       worker-thread prefetch spans, followed by per-shard
 //       nodes-visited / prune-effectiveness / prefetch attribution.
 //
 //   dqmo_tool blackbox <dump.dqbb> [--since=US] [--frame=TRACE]
@@ -1011,10 +1011,9 @@ int CmdExplain(const std::string& path, int argc, char** argv) {
   }
 
   // Worker-thread attribution inside the slowest frame: how much of the
-  // speculation landed usefully, and what the hedged reads cost.
+  // speculation landed usefully.
   uint64_t prefetch_spans = 0, prefetch_ns = 0;
   uint64_t waste_spans = 0, waste_ns = 0;
-  uint64_t hedge_spans = 0, hedge_ns = 0;
   for (const SpanRecord& span : slowest.spans) {
     if (span.kind == SpanKind::kPrefetchRead) {
       ++prefetch_spans;
@@ -1022,21 +1021,15 @@ int CmdExplain(const std::string& path, int argc, char** argv) {
     } else if (span.kind == SpanKind::kPrefetchWaste) {
       ++waste_spans;
       waste_ns += span.duration_ns;
-    } else if (span.kind == SpanKind::kHedgeProbe) {
-      ++hedge_spans;
-      hedge_ns += span.duration_ns;
     }
   }
   std::printf(
       "prefetch attribution (slowest frame): %llu consumed (%llu us), "
-      "%llu wasted (%llu us), %llu hedge probes (%llu us), "
-      "%llu worker spans total\n",
+      "%llu wasted (%llu us), %llu worker spans total\n",
       static_cast<unsigned long long>(prefetch_spans),
       static_cast<unsigned long long>(prefetch_ns / 1000),
       static_cast<unsigned long long>(waste_spans),
       static_cast<unsigned long long>(waste_ns / 1000),
-      static_cast<unsigned long long>(hedge_spans),
-      static_cast<unsigned long long>(hedge_ns / 1000),
       static_cast<unsigned long long>(slowest.remote_spans));
   cleanup();
   return 0;
