@@ -1,6 +1,7 @@
 #include "server/durability.h"
 
 #include <cstdio>
+#include <vector>
 
 #include "common/string_util.h"
 #include "storage/fault.h"
@@ -70,36 +71,40 @@ Result<std::unique_ptr<DurableIndex>> DurableIndex::Open(
                           RTree::Create(index->store_, options.tree));
   }
 
-  // 2. Scan the log: torn tails are tolerated (nothing past the tear was
-  // acknowledged), mid-log corruption propagates as the scan's typed error.
-  DQMO_ASSIGN_OR_RETURN(WalScan scan, ScanWal(wal_path));
-  index->report_.wal_records_scanned = scan.records.size();
-  index->report_.torn_bytes_dropped = scan.torn_bytes;
-  index->report_.torn_tail = scan.torn_tail;
-
-  // 3. Redo the tail. The WAL is not attached yet, so replayed inserts are
-  // not re-logged; the stored form is already quantized, so Insert
-  // reproduces the pre-crash tree bit-for-bit.
-  const uint64_t base_lsn = index->tree_->applied_lsn();
-  for (const WalRecord& rec : scan.records) {
-    if (rec.type != WalRecordType::kInsert || rec.lsn <= base_lsn) {
-      ++index->report_.skipped;
-      continue;
-    }
-    DQMO_RETURN_IF_ERROR(index->tree_->Insert(rec.motion));
-    index->tree_->set_applied_lsn(rec.lsn);
-    ++index->report_.replayed;
-  }
-  index->report_.recovered_lsn = index->tree_->applied_lsn();
-
-  // 4. Open the writer (truncating any torn tail in place) and attach it.
-  // min_next_lsn guards the reset-log case: an empty post-checkpoint WAL
-  // must not restart LSNs below what the image already claims to contain.
+  // 2-4. One pass over the log: WalWriter::Open scans it (torn tails
+  // tolerated — nothing past the tear was acknowledged; mid-log corruption
+  // fails with the scan's typed error before anything is truncated),
+  // redoes the tail into the tree as records stream by, then truncates any
+  // torn tail in place and opens for append. The WAL is not attached to
+  // the tree yet, so replayed inserts are not re-logged; the stored form is
+  // already quantized, so Insert reproduces the pre-crash tree
+  // bit-for-bit. min_next_lsn guards the reset-log case: an empty
+  // post-checkpoint WAL must not restart LSNs below what the image already
+  // claims to contain.
+  RTree* tree = index->tree_.get();
+  RecoveryReport* report = &index->report_;
+  const uint64_t base_lsn = tree->applied_lsn();
   WalWriter::Options wal_options = options.wal;
-  wal_options.min_next_lsn = index->tree_->applied_lsn() + 1;
+  wal_options.min_next_lsn = base_lsn + 1;
+  WalScan scan;
   DQMO_RETURN_IF_ERROR(index->wal_.Open(
-      wal_path, index->store_->mutable_stats(), wal_options));
-  index->tree_->AttachWal(&index->wal_);
+      wal_path, index->store_->mutable_stats(), wal_options,
+      [tree, report, base_lsn](const WalRecord& rec) {
+        if (rec.type != WalRecordType::kInsert || rec.lsn <= base_lsn) {
+          ++report->skipped;
+          return Status::OK();
+        }
+        DQMO_RETURN_IF_ERROR(tree->Insert(rec.motion));
+        tree->set_applied_lsn(rec.lsn);
+        ++report->replayed;
+        return Status::OK();
+      },
+      &scan));
+  report->wal_records_scanned = scan.records;
+  report->torn_bytes_dropped = scan.torn_bytes;
+  report->torn_tail = scan.torn_tail;
+  report->recovered_lsn = tree->applied_lsn();
+  tree->AttachWal(&index->wal_);
   return index;
 }
 
@@ -150,14 +155,23 @@ Status DurableIndex::ReloadFromDisk() {
     DQMO_RETURN_IF_ERROR(file_.LoadFrom(pgf_path_));
   }
   DQMO_RETURN_IF_ERROR(tree_->Reopen());
-  DQMO_ASSIGN_OR_RETURN(WalScan scan, ScanWal(wal_path_));
+  // The live tree is shared with sessions, so nothing from a log the scan
+  // rejects may reach it: hold the redo records until the whole log has
+  // scanned clean, and leave the tree at exactly the image otherwise.
+  const uint64_t base_lsn = tree_->applied_lsn();
+  std::vector<WalRecord> redo;
+  DQMO_RETURN_IF_ERROR(
+      ScanWal(wal_path_, [&redo, base_lsn](const WalRecord& rec) {
+        if (rec.type == WalRecordType::kInsert && rec.lsn > base_lsn) {
+          redo.push_back(rec);
+        }
+        return Status::OK();
+      }).status());
   // Replay without the WAL attached, exactly like Open(): redone inserts
   // must not be re-logged.
   tree_->AttachWal(nullptr);
   Status st = Status::OK();
-  const uint64_t base_lsn = tree_->applied_lsn();
-  for (const WalRecord& rec : scan.records) {
-    if (rec.type != WalRecordType::kInsert || rec.lsn <= base_lsn) continue;
+  for (const WalRecord& rec : redo) {
     st = tree_->Insert(rec.motion);
     if (!st.ok()) break;
     tree_->set_applied_lsn(rec.lsn);

@@ -1,21 +1,23 @@
 // Durable index orchestration: checkpoint + WAL = a restartable service.
 //
 // Ties the storage-layer pieces together (DESIGN.md "Durability &
-// recovery"): the page-file checkpoint image (atomic SaveTo), the
-// write-ahead log of motion insertions (storage/wal.h), and the ARIES-style
-// redo recovery that makes the pair crash-safe. The durable state of the
-// index at any instant is exactly
+// recovery"): the checkpoint image (one layout and one atomic writer,
+// storage/image_format.h), the write-ahead log of motion insertions
+// (storage/wal.h, read only through ScanWal), and the ARIES-style redo
+// recovery that makes the pair crash-safe. The durable state of the index
+// at any instant is exactly
 //
 //   (last renamed checkpoint image, WAL records synced since then)
 //
 // and Open() reconstructs the tree from it:
 //
 //   1. load the checkpoint image if present (else start a fresh tree);
-//   2. scan the WAL — truncating a torn tail, rejecting mid-log corruption;
-//   3. replay every insert record whose LSN exceeds the image's applied
-//      LSN (the meta page records it, so a crash between the checkpoint
-//      rename and the WAL reset never replays a record twice);
-//   4. attach the WAL for new inserts, continuing the LSN sequence.
+//   2. scan the WAL once, in WalWriter::Open, replaying every insert record
+//      whose LSN exceeds the image's applied LSN as it streams by (the
+//      meta page records that LSN, so a crash between the checkpoint
+//      rename and the WAL reset never replays a record twice); mid-log
+//      corruption fails the open, a torn tail is truncated;
+//   3. attach the WAL for new inserts, continuing the LSN sequence.
 //
 // Checkpoint() runs the protocol whose crash points (storage/fault.h) the
 // fork-based kill tests in tests/recovery_test.cc enumerate:
@@ -130,7 +132,9 @@ class DurableIndex {
   /// the single-writer side of the gate to be held. The WAL is left open,
   /// un-reset, with its LSN sequence intact — records parked for a
   /// quarantined shard replay into the rebuilt tree here, which is exactly
-  /// how the redo queue drains through a repair.
+  /// how the redo queue drains through a repair. A log the scan rejects
+  /// (a mid-log hole) fails with Corruption and applies nothing: the tree
+  /// is left holding exactly the checkpoint image.
   Status ReloadFromDisk();
 
   RTree* tree() { return tree_.get(); }

@@ -12,6 +12,7 @@
 #include "server/durability.h"
 #include "server/health.h"
 #include "storage/fault.h"
+#include "storage/image_format.h"
 #include "storage/wal.h"
 
 namespace dqmo {
@@ -150,16 +151,15 @@ Result<OfflineRepair> RepairDurableShard(const std::string& pgf_path,
   OfflineRepair rep;
   if (FileExists(pgf_path)) {
     // Forensic pass first: count the damage before deciding how to heal.
-    PageFile probe;
-    PageFile::LoadOptions lo;
-    lo.verify_checksums = false;
-    Status st = probe.LoadFrom(pgf_path, lo);
-    if (st.ok()) {
-      std::vector<PageId> bad;
-      rep.pages_bad = probe.VerifyAllPages(&bad);
-    } else {
-      rep.pages_bad = 1;  // Structurally damaged beyond even loading.
-    }
+    // The streaming loader's own verify is off so one pass sees every page.
+    StreamPgfOptions forensic;
+    forensic.verify_checksums = false;
+    auto swept = StreamPgfPages(
+        pgf_path, forensic, [&rep](uint64_t, const uint8_t* page) {
+          if (!PageChecksumOk(page)) ++rep.pages_bad;
+          return Status::OK();
+        });
+    if (!swept.ok()) rep.pages_bad = 1;  // Damaged beyond even loading.
   }
 
   DurableIndex::Options opt;
@@ -185,14 +185,14 @@ Result<OfflineRepair> RepairDurableShard(const std::string& pgf_path,
   // lost acknowledged data). Image damage is repairable exactly when the
   // WAL still covers the full insert history, i.e. was never reset by a
   // checkpoint: its first insert record carries LSN 1.
-  DQMO_ASSIGN_OR_RETURN(WalScan scan, ScanWal(wal_path));
   uint64_t first_insert_lsn = 0;
-  for (const WalRecord& r : scan.records) {
-    if (r.type == WalRecordType::kInsert) {
-      first_insert_lsn = r.lsn;
-      break;
-    }
-  }
+  DQMO_RETURN_IF_ERROR(
+      ScanWal(wal_path, [&first_insert_lsn](const WalRecord& r) {
+        if (first_insert_lsn == 0 && r.type == WalRecordType::kInsert) {
+          first_insert_lsn = r.lsn;
+        }
+        return Status::OK();
+      }).status());
   if (first_insert_lsn != 1) {
     return Status::Corruption(
         "unrepairable: checkpoint image damaged and the WAL does not cover "

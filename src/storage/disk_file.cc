@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <thread>
 
@@ -17,8 +16,6 @@
 #include "common/metrics.h"
 #include "common/recorder.h"
 #include "common/string_util.h"
-#include "storage/fault.h"
-#include "storage/image_format.h"
 
 namespace dqmo {
 namespace {
@@ -136,45 +133,11 @@ Result<std::unique_ptr<DiskPageFile>> DiskPageFile::Create(
                                                          : options.backend;
   file->dirty_frame_budget_ = options.dirty_frame_budget;
   file->sim_read_delay_us_ = options.sim_read_delay_us;
-  file->version_ = kPgfVersionAligned;
-  file->data_offset_ = PgfDataOffset(kPgfVersionAligned);
   file->fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (file->fd_ < 0) {
     return Status::IOError("cannot create " + path);
   }
   DQMO_RETURN_IF_ERROR(file->WriteHeader());
-  return file;
-}
-
-Result<std::unique_ptr<DiskPageFile>> DiskPageFile::Open(
-    const std::string& path, const Options& options) {
-  // Stream-verify the image before trusting any page: the shared loader
-  // checks the header against the file's actual size and every checksum
-  // with O(1) memory, so a multi-GiB image never has to be resident.
-  StreamPgfOptions stream;
-  stream.verify_checksums = true;
-  auto streamed = StreamPgfPages(path, stream, nullptr);
-  if (!streamed.ok()) return streamed.status();
-  const PgfHeader header = streamed.value().header;
-  if (header.version == kPgfVersionLegacy) {
-    return Status::NotSupported(
-        path + ": legacy (v1) images have no checksums; load them through "
-               "PageFile and re-save to upgrade");
-  }
-  auto file = std::unique_ptr<DiskPageFile>(new DiskPageFile());
-  file->path_ = path;
-  file->backend_ = options.backend == IoBackend::kMemory ? IoBackend::kPread
-                                                         : options.backend;
-  file->dirty_frame_budget_ = options.dirty_frame_budget;
-  file->sim_read_delay_us_ = options.sim_read_delay_us;
-  file->version_ = header.version;
-  file->data_offset_ = PgfDataOffset(header.version);
-  file->num_pages_ = header.num_pages;
-  file->verified_.assign(header.num_pages, 1);  // Verified by the stream.
-  file->fd_ = ::open(path.c_str(), O_RDWR, 0644);
-  if (file->fd_ < 0) {
-    return Status::IOError("cannot open " + path + " for read-write");
-  }
   return file;
 }
 
@@ -193,7 +156,7 @@ Status DiskPageFile::ReloadFromImage(const std::string& image_path) {
   frames_.clear();
   frame_fifo_.clear();
   dirty_pages_.clear();
-  if (::ftruncate(fd_, static_cast<off_t>(data_offset_)) != 0) {
+  if (::ftruncate(fd_, static_cast<off_t>(kPgfDataOffset)) != 0) {
     return Status::IOError("cannot truncate " + path_);
   }
   AlignedPageBuf copy;
@@ -206,7 +169,7 @@ Status DiskPageFile::ReloadFromImage(const std::string& image_path) {
                           PageOffset(static_cast<PageId>(id)), path_);
       });
   if (!streamed.ok()) return streamed.status();
-  num_pages_ = streamed.value().header.num_pages;
+  num_pages_ = streamed->num_pages;
   verified_.assign(num_pages_, 1);
   DQMO_RETURN_IF_ERROR(WriteHeader());
   if (::fsync(fd_) != 0) return Status::IOError("fsync failed on " + path_);
@@ -223,14 +186,9 @@ Status DiskPageFile::CheckId(PageId id) const {
 }
 
 Status DiskPageFile::WriteHeader() {
-  PgfHeader header{kPgfMagic, version_, 0, num_pages_};
-  if (version_ == kPgfVersionAligned) {
-    AlignedPageBuf block;  // Zero-padded to the full aligned header block.
-    std::memcpy(block.data(), &header, sizeof(header));
-    return FullPwrite(fd_, block.data(), kPageSize, 0, path_);
-  }
-  return FullPwrite(fd_, reinterpret_cast<const uint8_t*>(&header),
-                    sizeof(header), 0, path_);
+  AlignedPageBuf block;
+  EncodePgfHeaderBlock(num_pages_, block.data());
+  return FullPwrite(fd_, block.data(), kPageSize, 0, path_);
 }
 
 Status DiskPageFile::RawRead(PageId id, uint8_t* buf) const {
@@ -493,44 +451,15 @@ Status DiskPageFile::SaveTo(const std::string& path) {
     if (::fsync(fd_) != 0) return Status::IOError("fsync failed on " + path_);
     return Status::OK();
   }
-  // Checkpointing elsewhere: stream page-at-a-time into a temp file, then
-  // the same fsync + crash-point + rename protocol as PageFile::SaveTo.
-  const std::string tmp = path + ".tmp";
-  {
-    std::FILE* out = std::fopen(tmp.c_str(), "wb");
-    if (out == nullptr) {
-      return Status::IOError("cannot open " + tmp + " for write");
-    }
-    auto fail = [&](const std::string& msg) {
-      std::fclose(out);
-      return Status::IOError(msg);
-    };
-    AlignedPageBuf header_block;
-    PgfHeader header{kPgfMagic, kPgfVersionAligned, 0, num_pages_};
-    std::memcpy(header_block.data(), &header, sizeof(header));
-    if (std::fwrite(header_block.data(), kPageSize, 1, out) != 1) {
-      return fail("short header write to " + tmp);
-    }
-    AlignedPageBuf page;
-    for (PageId id = 0; id < num_pages_; ++id) {
-      Status s = RawRead(id, page.data());
-      if (!s.ok()) {
-        std::fclose(out);
-        return s;
-      }
-      if (std::fwrite(page.data(), kPageSize, 1, out) != 1) {
-        return fail("short page write to " + tmp);
-      }
-    }
-    if (std::fflush(out) != 0) return fail("fflush failed on " + tmp);
-    if (::fsync(::fileno(out)) != 0) return fail("fsync failed on " + tmp);
-    std::fclose(out);
-  }
-  CrashPoints::Hit(crash_points::kSaveBeforeRename);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IOError("cannot rename " + tmp + " over " + path);
-  }
-  return Status::OK();
+  // Checkpointing elsewhere: the one image writer, fed page-at-a-time
+  // from the (now fully flushed) live file.
+  AlignedPageBuf page;
+  return WritePgfImage(path, num_pages_,
+                       [&](uint64_t id) -> Result<PgfPageRun> {
+                         DQMO_RETURN_IF_ERROR(
+                             RawRead(static_cast<PageId>(id), page.data()));
+                         return PgfPageRun{page.data(), 1};
+                       });
 }
 
 Status DiskPageFile::CorruptPageForTest(PageId id, size_t offset,

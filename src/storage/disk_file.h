@@ -2,11 +2,11 @@
 // reads are real pread(2) calls, so the paper's I/O counts finally have
 // milliseconds attached (bench/abl_disk.cc).
 //
-// File layout (image format v3, storage/image_format.h): a PgfHeader padded
-// to one full 4 KiB block, then the pages. Every page therefore sits at a
-// 4 KiB-aligned file offset, the alignment io_uring reads prefer. v2 images
-// (24-byte header) open too, for compatibility with PageFile::SaveTo
-// checkpoints.
+// File layout: the one image layout of storage/image_format.h — a PgfHeader
+// padded to one full 4 KiB block, then the pages, each at a 4 KiB-aligned
+// file offset, the alignment io_uring reads prefer. The live file, the
+// checkpoint images SaveTo writes, and PageFile's images share it byte for
+// byte.
 //
 // Memory model: reads are served from a small per-thread aligned scratch
 // buffer (no page cache of its own — the BufferPool above provides caching,
@@ -38,6 +38,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "storage/async_io.h"
+#include "storage/image_format.h"
 #include "storage/io_stats.h"
 #include "storage/page.h"
 #include "storage/page_store.h"
@@ -88,18 +89,12 @@ class DiskPageFile : public PageStore {
   DiskPageFile(const DiskPageFile&) = delete;
   DiskPageFile& operator=(const DiskPageFile&) = delete;
 
-  /// Creates a fresh, empty v3 file at `path` (truncating any existing
-  /// file) and opens it.
+  /// Creates a fresh, empty file at `path` (truncating any existing file)
+  /// and opens it.
   static Result<std::unique_ptr<DiskPageFile>> Create(
       const std::string& path, const Options& options);
 
-  /// Opens an existing v2/v3 image at `path` read-write. Pages are
-  /// stream-verified during open (the shared image_format loader), so a
-  /// corrupt image fails here, not mid-query.
-  static Result<std::unique_ptr<DiskPageFile>> Open(
-      const std::string& path, const Options& options);
-
-  /// Builds a live v3 file at `live_path` from the checkpoint image at
+  /// Builds a live file at `live_path` from the checkpoint image at
   /// `image_path` (stream-verified, O(1) memory) and opens it. The live
   /// file is a disposable working copy: DurableIndex rebuilds it from the
   /// durable image on every open, so a crash mid-build costs nothing.
@@ -142,9 +137,7 @@ class DiskPageFile : public PageStore {
   IoBackend backend() const { return backend_; }
 
   /// File offset of page `id`'s first byte.
-  uint64_t PageOffset(PageId id) const {
-    return data_offset_ + static_cast<uint64_t>(id) * kPageSize;
-  }
+  static uint64_t PageOffset(PageId id) { return PgfPageOffset(id); }
 
   /// Builds an AsyncReadQueue over this store's fd for `depth` in-flight
   /// reads, using the store's configured backend (uring degrades to the
@@ -175,7 +168,7 @@ class DiskPageFile : public PageStore {
   DiskPageFile() = default;
 
   Status CheckId(PageId id) const;
-  /// Writes `header` + current num_pages_ at offset 0 (v3 pads the block).
+  /// Writes the header block for the current num_pages_ at offset 0.
   Status WriteHeader();
   /// pread of page `id` into `buf`, no verification, no accounting.
   Status RawRead(PageId id, uint8_t* buf) const;
@@ -194,8 +187,6 @@ class DiskPageFile : public PageStore {
   std::string path_;
   int fd_ = -1;
   IoBackend backend_ = IoBackend::kPread;
-  uint64_t data_offset_ = 0;
-  uint32_t version_ = 0;
   size_t num_pages_ = 0;
   size_t dirty_frame_budget_ = 256;
   uint64_t sim_read_delay_us_ = 0;

@@ -1,23 +1,20 @@
-// On-disk page-image format shared by PageFile (SaveTo/LoadFrom), the
-// disk-resident DiskPageFile, and the streaming verifiers behind
-// `dqmo_tool scrub --backend=pread`.
+// On-disk page-image format: one layout, one writer, one reader, shared by
+// PageFile (SaveTo/LoadFrom), the disk-resident DiskPageFile, and the
+// forensic sweeps behind `dqmo_tool scrub` and RepairDurableShard.
 //
-// Three versions share one magic:
-//   v1  24-byte header, pages carry no checksums (legacy, read-only);
-//   v2  24-byte header, CRC32C trailer per page (PageFile::SaveTo);
-//   v3  header padded to one full 4 KiB block, CRC32C per page — every
-//       page sits at a 4 KiB-aligned file offset, the layout io_uring
-//       reads want (DiskPageFile's native format).
+// Layout (format v3, the only one): a PgfHeader zero-padded to one full
+// 4 KiB block, then the pages, each carrying a CRC32C trailer
+// (storage/page.h). Every page therefore sits at a 4 KiB-aligned file
+// offset — page N at 4096 + N * 4096 — the layout io_uring reads want.
+// Images with any other version fail to load with NotSupported.
 //
-// The streaming loader reads and verifies ONE page at a time, so callers
-// can verify arbitrarily large images with constant memory — the fix for
-// the old LoadFrom, which required the whole image resident before the
-// first checksum was checked.
+// WritePgfImage installs an image atomically (temp file + fsync + rename);
+// StreamPgfPages reads and verifies ONE page at a time, so callers can
+// verify arbitrarily large images with constant memory.
 #ifndef DQMO_STORAGE_IMAGE_FORMAT_H_
 #define DQMO_STORAGE_IMAGE_FORMAT_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <string>
 
@@ -28,14 +25,10 @@
 namespace dqmo {
 
 inline constexpr uint64_t kPgfMagic = 0x4451'4d4f'5047'4631ULL;  // DQMOPGF1
-inline constexpr uint32_t kPgfVersionLegacy = 1;   // No page checksums.
-inline constexpr uint32_t kPgfVersion = 2;         // CRC32C trailer/page.
-inline constexpr uint32_t kPgfVersionAligned = 3;  // v2 + 4 KiB header pad.
+inline constexpr uint32_t kPgfVersion = 3;  // Header block + CRC32C/page.
 
-/// Upper bound on a plausible page count (256 GiB of pages). Headers
-/// claiming more are rejected as corrupt before any allocation is sized
-/// from them.
-inline constexpr uint64_t kMaxLoadablePages = 1ULL << 26;
+/// Byte offset of page 0: the header owns the whole first block.
+inline constexpr uint64_t kPgfDataOffset = kPageSize;
 
 struct PgfHeader {
   uint64_t magic = kPgfMagic;
@@ -45,18 +38,35 @@ struct PgfHeader {
 };
 static_assert(sizeof(PgfHeader) == 24);
 
-/// Byte offset of page 0 for a given format version (24 for v1/v2, one
-/// full page for the aligned v3 layout).
-inline uint64_t PgfDataOffset(uint32_t version) {
-  return version == kPgfVersionAligned ? static_cast<uint64_t>(kPageSize)
-                                       : sizeof(PgfHeader);
+/// File offset of page `id`'s first byte in an image.
+inline uint64_t PgfPageOffset(uint64_t id) {
+  return kPgfDataOffset + id * kPageSize;
 }
 
-/// Reads and sanity-checks an image header against the file's actual size:
-/// unknown magic/version, absurd page counts, truncation, and trailing
-/// garbage all fail with a typed Status before anything is sized from the
-/// header. Leaves `f` positioned at page 0.
-Result<PgfHeader> ReadPgfHeader(std::FILE* f, const std::string& path);
+/// Fills `block` (kPageSize bytes) with the header of a `num_pages`-page
+/// image, zero-padded to the full block.
+void EncodePgfHeaderBlock(uint64_t num_pages, uint8_t* block);
+
+/// A run of consecutive sealed pages, `pages` * kPageSize bytes at `data`.
+struct PgfPageRun {
+  const uint8_t* data = nullptr;
+  uint64_t pages = 0;
+};
+
+/// Supplies the pages of an image being written, in id order: returns a
+/// run of one or more pages starting at page `first` (a store that holds
+/// its pages contiguously hands over all the rest at once), valid until
+/// the next call.
+using PgfPageSource = std::function<Result<PgfPageRun>(uint64_t first)>;
+
+/// Installs a `num_pages`-page image at `path` atomically: writes
+/// `<path>.tmp` (header block, then every page from `source`), fflush +
+/// fsync, hits the kSaveBeforeRename crash point, then rename(2) over
+/// `path`. A crash or error anywhere before the rename leaves the previous
+/// image at `path` intact and loadable. The one save protocol behind both
+/// stores' SaveTo.
+Status WritePgfImage(const std::string& path, uint64_t num_pages,
+                     const PgfPageSource& source);
 
 /// Per-page sink for StreamPgfPages. `page` holds the raw kPageSize bytes
 /// of page `id` and is only valid during the call.
@@ -64,32 +74,28 @@ using PgfPageSink =
     std::function<Status(uint64_t id, const uint8_t* page)>;
 
 struct StreamPgfOptions {
-  /// Verify each page's CRC32C trailer before handing it to the sink
-  /// (ignored for v1 images, which carry no checksums); the first mismatch
-  /// aborts the stream with Corruption carrying the page id and offset.
+  /// Verify each page's CRC32C trailer before handing it to the sink; the
+  /// first mismatch aborts the stream with Corruption carrying the page id
+  /// and file offset. Forensic sweeps turn it off and judge each page in
+  /// their sink, so one pass reports every damaged page.
   bool verify_checksums = true;
-  /// Keep streaming past corrupt pages instead of aborting; each bad page
-  /// is counted (and still delivered to the sink) — scrub semantics.
-  bool continue_on_corruption = false;
   /// Called once with the validated header before the first page, so sinks
-  /// can pre-size their destination (PageFile::LoadFrom) or open their
-  /// output file (DiskPageFile::CreateFromImage). A non-OK return aborts.
+  /// can pre-size their destination (PageFile::LoadFrom). A non-OK return
+  /// aborts.
   std::function<Status(const PgfHeader&)> on_header;
 };
 
-struct StreamPgfResult {
-  PgfHeader header;
-  uint64_t pages_streamed = 0;
-  uint64_t corrupt_pages = 0;
-};
-
 /// Streams every page of the image at `path` through `sink` with O(1)
-/// memory (one page buffer), verifying checksums page-at-a-time per
-/// `options`. This is the shared loader behind PageFile::LoadFrom,
-/// DiskPageFile::Open/CreateFromImage, and the tool's pread-backend scrub.
-Result<StreamPgfResult> StreamPgfPages(const std::string& path,
-                                       const StreamPgfOptions& options,
-                                       const PgfPageSink& sink);
+/// memory (one page buffer) and returns the image's header. The
+/// header is checked against the file's actual size first: unknown magic,
+/// another version, absurd page counts, truncation, and trailing garbage
+/// all fail with a typed Status before anything is sized from the header.
+/// The one loader behind PageFile::LoadFrom,
+/// DiskPageFile::CreateFromImage/ReloadFromImage, the tool's scrub and
+/// RepairDurableShard's probe.
+Result<PgfHeader> StreamPgfPages(const std::string& path,
+                                 const StreamPgfOptions& options,
+                                 const PgfPageSink& sink);
 
 }  // namespace dqmo
 

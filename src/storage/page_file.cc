@@ -1,14 +1,10 @@
 #include "storage/page_file.h"
 
-#include <unistd.h>
-
 #include <atomic>
-#include <cstdio>
 #include <cstring>
 
 #include "common/metrics.h"
 #include "common/string_util.h"
-#include "storage/fault.h"
 #include "storage/image_format.h"
 
 namespace dqmo {
@@ -43,23 +39,6 @@ struct StorageMetrics {
   }
 };
 
-/// RAII wrapper over std::FILE.
-class File {
- public:
-  File(const char* path, const char* mode) : f_(std::fopen(path, mode)) {}
-  ~File() {
-    if (f_ != nullptr) std::fclose(f_);
-  }
-  File(const File&) = delete;
-  File& operator=(const File&) = delete;
-
-  bool ok() const { return f_ != nullptr; }
-  std::FILE* get() { return f_; }
-
- private:
-  std::FILE* f_;
-};
-
 /// Atomic view of one per-page flag byte. The flag vectors are plain
 /// uint8_t storage; the read path touches them only through these helpers
 /// so concurrent readers are race-free (std::atomic_ref, C++20).
@@ -83,7 +62,6 @@ void PageFile::MoveFrom(PageFile& other) {
   dirty_pages_ = std::move(other.dirty_pages_);
   num_pages_ = other.num_pages_;
   verify_on_read_ = other.verify_on_read_;
-  legacy_read_only_ = other.legacy_read_only_;
   stats_ = other.stats_;
   other.num_pages_ = 0;
 }
@@ -93,14 +71,6 @@ Status PageFile::CheckId(PageId id) const {
     return Status::OutOfRange(
         StrFormat("page %u out of range (file has %zu pages)", id,
                   num_pages_));
-  }
-  return Status::OK();
-}
-
-Status PageFile::CheckWritable() const {
-  if (legacy_read_only_) {
-    return Status::FailedPrecondition(
-        "legacy (v1) page file is read-only; re-save to upgrade to v2");
   }
   return Status::OK();
 }
@@ -171,7 +141,6 @@ Result<PageReader::ReadResult> PageFile::Read(PageId id) {
 }
 
 Status PageFile::Write(PageId id, const uint8_t* data) {
-  DQMO_RETURN_IF_ERROR(CheckWritable());
   DQMO_RETURN_IF_ERROR(CheckId(id));
   std::memcpy(PageData(id), data, kPageSize);
   SealPage(PageData(id));
@@ -183,7 +152,6 @@ Status PageFile::Write(PageId id, const uint8_t* data) {
 }
 
 Result<PageView> PageFile::WritableView(PageId id) {
-  DQMO_RETURN_IF_ERROR(CheckWritable());
   DQMO_RETURN_IF_ERROR(CheckId(id));
   stats_.physical_writes.fetch_add(1, std::memory_order_relaxed);
   StorageMetrics::Get().writes->Add();
@@ -239,66 +207,30 @@ Status PageFile::SaveTo(const std::string& path) {
   ScopedLatencyTimer timer(StorageMetrics::Get().save_ns);
   for (PageId id = 0; id < num_pages_; ++id) SealIfDirty(id);
   dirty_pages_.clear();
-  // Write-to-temp + fsync + rename: the previous image at `path` stays
-  // intact (and loadable) until the new one is complete and durable. A
-  // crash anywhere in between leaves at worst a stale .tmp to ignore;
-  // writing `path` directly would truncate the old checkpoint before the
-  // new one exists.
-  const std::string tmp = path + ".tmp";
-  {
-    File f(tmp.c_str(), "wb");
-    if (!f.ok()) {
-      return Status::IOError("cannot open " + tmp + " for write");
-    }
-    PgfHeader header{kPgfMagic, kPgfVersion, 0, num_pages_};
-    if (std::fwrite(&header, sizeof(header), 1, f.get()) != 1) {
-      return Status::IOError("short header write to " + tmp);
-    }
-    if (num_pages_ > 0 &&
-        std::fwrite(bytes_.data(), kPageSize, num_pages_, f.get()) !=
-            num_pages_) {
-      return Status::IOError("short page write to " + tmp);
-    }
-    if (std::fflush(f.get()) != 0) {
-      return Status::IOError("fflush failed on " + tmp);
-    }
-    if (::fsync(::fileno(f.get())) != 0) {
-      return Status::IOError("fsync failed on " + tmp);
-    }
-  }
-  CrashPoints::Hit(crash_points::kSaveBeforeRename);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::IOError("cannot rename " + tmp + " over " + path);
-  }
-  return Status::OK();
+  return WritePgfImage(path, num_pages_,
+                       [this](uint64_t first) -> Result<PgfPageRun> {
+                         return PgfPageRun{PageData(static_cast<PageId>(first)),
+                                           num_pages_ - first};
+                       });
 }
 
-Status PageFile::LoadFrom(const std::string& path,
-                          const LoadOptions& options) {
+Status PageFile::LoadFrom(const std::string& path) {
   ScopedLatencyTimer timer(StorageMetrics::Get().load_ns);
   // Stream the image through the shared loader: checksums are verified
   // page-at-a-time as pages arrive, so a corrupt page fails the load after
   // O(1) extra memory (the loader's single page buffer), not after the
   // whole image has been materialized. The destination vector is still
   // sized up front from the validated header — PageFile is the in-memory
-  // backend — but verification no longer depends on that residency; the
-  // same loader backs DiskPageFile and the tool's bounded-memory scrub.
+  // backend.
   std::vector<uint8_t> bytes;
-  bool legacy = false;
   StreamPgfOptions stream;
-  stream.verify_checksums = options.verify_checksums;
   stream.on_header = [&](const PgfHeader& header) {
-    legacy = header.version == kPgfVersionLegacy;
     bytes.resize(header.num_pages * kPageSize);
     return Status::OK();
   };
   auto streamed = StreamPgfPages(
       path, stream, [&](uint64_t id, const uint8_t* page) {
-        uint8_t* dst = bytes.data() + id * kPageSize;
-        std::memcpy(dst, page, kPageSize);
-        // v1 pages carry no checksum; their trailer bytes were zeroed
-        // slack. Seal them in memory so subsequent reads verify uniformly.
-        if (legacy) SealPage(dst);
+        std::memcpy(bytes.data() + id * kPageSize, page, kPageSize);
         return Status::OK();
       });
   if (!streamed.ok()) {
@@ -306,16 +238,10 @@ Status PageFile::LoadFrom(const std::string& path,
     return streamed.status();
   }
   bytes_ = std::move(bytes);
-  num_pages_ = streamed.value().header.num_pages;
+  num_pages_ = streamed->num_pages;
   dirty_.assign(num_pages_, 0);
   dirty_pages_.clear();
-  // Legacy pages were sealed during the stream (consistent by
-  // construction) and v2/v3 pages were verified unless the caller opted
-  // out — only the opt-out leaves pages untrusted, to be verified on
-  // first read.
-  verified_.assign(num_pages_,
-                   (legacy || options.verify_checksums) ? 1 : 0);
-  legacy_read_only_ = legacy;
+  verified_.assign(num_pages_, 1);  // Every page verified by the stream.
   stats_.Reset();
   return Status::OK();
 }

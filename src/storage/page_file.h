@@ -2,12 +2,13 @@
 // read/write accounting, plus persistence to an OS file so that an index can
 // be built once and reused across benchmark binaries.
 //
-// Integrity (page format v2): every page carries a CRC32C trailer over its
-// payload (storage/page.h). Pages are sealed when written, verified on load
-// and on the first read after entering memory untrusted, then trusted until
-// their bytes change (verify-once, the block-cache model), so corruption
-// surfaces as Status::Corruption carrying the page id instead of garbage
-// geometry.
+// Integrity: every page carries a CRC32C trailer over its payload
+// (storage/page.h). Pages are sealed when written and verified on load; a
+// verified page is trusted until its bytes change (verify-once, the
+// block-cache model), and a page damaged at rest is re-verified on its next
+// read, so corruption surfaces as Status::Corruption carrying the page id
+// instead of garbage geometry. Images on disk use the one layout of
+// storage/image_format.h, byte-identical to what DiskPageFile writes.
 //
 // Threading model (see DESIGN.md "Threading model"): concurrent Read calls
 // are safe with each other — the I/O counters are atomic, the verify-once /
@@ -44,14 +45,6 @@ namespace dqmo {
 /// PageStore interface.
 class PageFile : public PageStore {
  public:
-  /// Options for LoadFrom.
-  struct LoadOptions {
-    /// Verify every page's checksum while loading (v2 files); the first
-    /// mismatch fails the load with Corruption carrying the page id and
-    /// file offset. Disable only for forensic access (dqmo_tool scrub).
-    bool verify_checksums = true;
-  };
-
   PageFile() = default;
 
   PageFile(const PageFile&) = delete;
@@ -70,8 +63,8 @@ class PageFile : public PageStore {
   size_t num_pages() const override { return num_pages_; }
 
   /// Reads page `id`, charging one physical read. Verifies the page's
-  /// checksum on the first read after the page entered memory untrusted
-  /// (a LoadFrom with verify_checksums=false); once verified, a page is
+  /// checksum on the first read after its bytes changed unsealed
+  /// (CorruptPageForTest); once verified, a page is
   /// trusted until its bytes change — the block-cache model, so
   /// steady-state reads pay only a flag check. A mismatch returns
   /// Corruption naming the page and increments stats().checksum_failures.
@@ -120,12 +113,6 @@ class PageFile : public PageStore {
   void set_verify_on_read(bool verify) override { verify_on_read_ = verify; }
   bool verify_on_read() const override { return verify_on_read_; }
 
-  /// True when this file was loaded from a legacy (v1) image; such files
-  /// are readable but immutable (Write/WritableView fail with
-  /// FailedPrecondition). Allocate still appends fresh pages, and SaveTo
-  /// persists the whole file as v2 — the upgrade path.
-  bool legacy_read_only() const { return legacy_read_only_; }
-
   /// Verifies one page's checksum (sealing it first if it has pending
   /// in-place writes). Always recomputes — scrub semantics, no trust
   /// cache. Corruption carries the page id.
@@ -142,29 +129,25 @@ class PageFile : public PageStore {
 
   /// Verifies every page, appending the ids of all corrupt pages to `bad`
   /// (unlike Read/LoadFrom it does not stop at the first). Returns the
-  /// number of corrupt pages found. Used by `dqmo_tool scrub`.
+  /// number of corrupt pages found. Used by the ShardScrubber.
   size_t VerifyAllPages(std::vector<PageId>* bad) override;
 
-  /// Persists all pages atomically: writes `<path>.tmp`, fflush+fsync,
-  /// then rename(2) over `path` — a crash mid-save (including at the
+  /// Persists all pages atomically through WritePgfImage
+  /// (storage/image_format.h): a crash mid-save (including at the
   /// kSaveBeforeRename crash point) leaves the previous file at `path`
-  /// intact and loadable. Format: magic, version 2, page count, then raw
-  /// sealed pages.
+  /// intact and loadable.
   Status SaveTo(const std::string& path) override;
 
-  /// Loads a file written by SaveTo, replacing current contents. The byte
-  /// count is validated against the header before anything is trusted:
-  /// truncated, oversized, or absurdly-sized files fail with Corruption
-  /// carrying the offending offset. Version 1 files (no checksums) load
-  /// read-only; their pages are sealed in memory so reads verify.
-  Status LoadFrom(const std::string& path, const LoadOptions& options);
-  Status LoadFrom(const std::string& path) {
-    return LoadFrom(path, LoadOptions());
-  }
+  /// Loads an image written by either store's SaveTo, replacing current
+  /// contents. The byte count is validated against the header before
+  /// anything is trusted, and every page's checksum is verified as it
+  /// streams in: truncated, oversized, absurdly-sized, or damaged files
+  /// fail with Corruption carrying the offending offset, and images of any
+  /// other format version with NotSupported.
+  Status LoadFrom(const std::string& path);
 
  private:
   Status CheckId(PageId id) const;
-  Status CheckWritable() const;
 
   uint8_t* PageData(PageId id) {
     return bytes_.data() + static_cast<size_t>(id) * kPageSize;
@@ -191,7 +174,6 @@ class PageFile : public PageStore {
   std::mutex seal_mu_;
   size_t num_pages_ = 0;
   bool verify_on_read_ = true;
-  bool legacy_read_only_ = false;
   IoStats stats_;
 };
 

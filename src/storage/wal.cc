@@ -116,11 +116,12 @@ void EncodeRecord(uint64_t lsn, WalRecordType type,
   out->insert(out->end(), body.begin(), body.end());
 }
 
-/// Returns true when any CRC-valid record starts in (from, size): the
-/// discriminator between a torn tail (nothing well-formed follows the
-/// damage) and mid-log corruption (acknowledged data follows a hole).
-bool AnyValidRecordAfter(const uint8_t* data, size_t size, size_t from) {
-  for (size_t c = from + 1; c + kRecordHeaderSize <= size; ++c) {
+/// Returns true when any CRC-valid record starts in (0, size) of `data`,
+/// the bytes from a bad frame to EOF: the discriminator between a torn
+/// tail (nothing well-formed follows the damage) and mid-log corruption
+/// (acknowledged data follows a hole).
+bool AnyValidRecordAfter(const uint8_t* data, size_t size) {
+  for (size_t c = 1; c + kRecordHeaderSize <= size; ++c) {
     const uint32_t len = GetU32(data + c + 4);
     if (len > kMaxWalPayload) continue;
     if (c + kRecordHeaderSize + len > size) continue;
@@ -180,7 +181,7 @@ Status DecodePayload(const uint8_t* payload, uint32_t len, uint64_t offset,
       static_cast<unsigned>(rec->type)));
 }
 
-/// RAII wrapper over std::FILE (mirrors page_file.cc's).
+/// RAII wrapper over std::FILE.
 class File {
  public:
   File(const char* path, const char* mode) : f_(std::fopen(path, mode)) {}
@@ -241,90 +242,19 @@ Status WriteFreshLog(const std::string& path, bool fsync) {
 
 }  // namespace
 
-Result<WalScan> ScanWal(const std::string& path) {
+Result<WalScan> ScanWal(const std::string& path, const WalRecordSink& sink) {
   WalScan scan;
   File f(path.c_str(), "rb");
   if (!f.ok()) return scan;  // Absent log: nothing was ever acknowledged.
   const long fsize = f.Size();
   if (fsize < 0) return Status::IOError("cannot stat " + path);
-  const size_t size = static_cast<size_t>(fsize);
+  const uint64_t size = static_cast<uint64_t>(fsize);
   if (size < kWalHeaderSize) {
     // A crash can interrupt log creation mid-header; no record can have
     // been acknowledged from a log whose header never finished.
     scan.torn_bytes = size;
     scan.torn_tail = size > 0;
     return scan;
-  }
-  std::vector<uint8_t> data(size);
-  if (std::fread(data.data(), 1, size, f.get()) != size) {
-    return Status::IOError("short read from " + path);
-  }
-  if (GetU64(data.data()) != kWalMagic) {
-    return Status::Corruption(path + " is not a DQMO WAL file");
-  }
-  const uint32_t version = GetU32(data.data() + 8);
-  if (version != kWalVersion) {
-    return Status::NotSupported(
-        StrFormat("WAL version %u unsupported", version));
-  }
-
-  size_t offset = kWalHeaderSize;
-  while (offset < size) {
-    bool bad = false;
-    uint32_t len = 0;
-    if (offset + kRecordHeaderSize > size) {
-      bad = true;  // Frame header cut off by EOF.
-    } else {
-      len = GetU32(data.data() + offset + 4);
-      if (len > kMaxWalPayload ||
-          offset + kRecordHeaderSize + len > size ||
-          Crc32c(data.data() + offset + 4, kRecordHeaderSize - 4 + len) !=
-              GetU32(data.data() + offset)) {
-        bad = true;
-      }
-    }
-    if (bad) {
-      if (AnyValidRecordAfter(data.data(), size, offset)) {
-        return Status::Corruption(StrFormat(
-            "%s: corrupt WAL record at offset %zu with well-formed records "
-            "after it — refusing to replay past a hole",
-            path.c_str(), offset));
-      }
-      scan.torn_bytes = size - offset;
-      scan.torn_tail = true;
-      break;
-    }
-    WalRecord rec;
-    rec.lsn = GetU64(data.data() + offset + 8);
-    rec.type = static_cast<WalRecordType>(data[offset + 16]);
-    DQMO_RETURN_IF_ERROR(DecodePayload(data.data() + offset +
-                                           kRecordHeaderSize,
-                                       len, offset, &rec));
-    if (scan.last_lsn != 0 && rec.lsn != scan.last_lsn + 1) {
-      return Status::Corruption(StrFormat(
-          "%s: LSN discontinuity at offset %zu (%llu after %llu)",
-          path.c_str(), offset, static_cast<unsigned long long>(rec.lsn),
-          static_cast<unsigned long long>(scan.last_lsn)));
-    }
-    scan.last_lsn = rec.lsn;
-    scan.records.push_back(std::move(rec));
-    offset += kRecordHeaderSize + len;
-  }
-  scan.good_bytes = size - scan.torn_bytes;
-  return scan;
-}
-
-Result<WalScanStats> ScanWalStreaming(const std::string& path) {
-  WalScanStats stats;
-  File f(path.c_str(), "rb");
-  if (!f.ok()) return stats;  // Absent log: nothing was ever acknowledged.
-  const long fsize = f.Size();
-  if (fsize < 0) return Status::IOError("cannot stat " + path);
-  const uint64_t size = static_cast<uint64_t>(fsize);
-  if (size < kWalHeaderSize) {
-    stats.torn_bytes = size;
-    stats.torn_tail = size > 0;
-    return stats;
   }
   uint8_t header[kWalHeaderSize];
   if (std::fread(header, 1, kWalHeaderSize, f.get()) != kWalHeaderSize) {
@@ -372,14 +302,14 @@ Result<WalScanStats> ScanWalStreaming(const std::string& path) {
           std::fread(rest.data(), 1, rest.size(), f.get()) != rest.size()) {
         return Status::IOError("short read from " + path);
       }
-      if (AnyValidRecordAfter(rest.data(), rest.size(), 0)) {
+      if (AnyValidRecordAfter(rest.data(), rest.size())) {
         return Status::Corruption(StrFormat(
             "%s: corrupt WAL record at offset %llu with well-formed records "
             "after it — refusing to replay past a hole",
             path.c_str(), static_cast<unsigned long long>(offset)));
       }
-      stats.torn_bytes = size - offset;
-      stats.torn_tail = true;
+      scan.torn_bytes = size - offset;
+      scan.torn_tail = true;
       break;
     }
     WalRecord rec;
@@ -387,33 +317,35 @@ Result<WalScanStats> ScanWalStreaming(const std::string& path) {
     rec.type = static_cast<WalRecordType>(frame[16]);
     DQMO_RETURN_IF_ERROR(
         DecodePayload(frame.data() + kRecordHeaderSize, len, offset, &rec));
-    if (stats.last_lsn != 0 && rec.lsn != stats.last_lsn + 1) {
+    if (scan.last_lsn != 0 && rec.lsn != scan.last_lsn + 1) {
       return Status::Corruption(StrFormat(
           "%s: LSN discontinuity at offset %llu (%llu after %llu)",
           path.c_str(), static_cast<unsigned long long>(offset),
           static_cast<unsigned long long>(rec.lsn),
-          static_cast<unsigned long long>(stats.last_lsn)));
+          static_cast<unsigned long long>(scan.last_lsn)));
     }
-    if (stats.records == 0) stats.first_lsn = rec.lsn;
-    stats.last_lsn = rec.lsn;
-    ++stats.records;
+    if (scan.records == 0) scan.first_lsn = rec.lsn;
+    scan.last_lsn = rec.lsn;
+    ++scan.records;
     if (rec.type == WalRecordType::kInsert) {
-      ++stats.inserts;
+      ++scan.inserts;
     } else {
-      ++stats.checkpoints;
-      stats.last_ckpt_lsn = rec.checkpoint_lsn;
-      stats.last_ckpt_segments = rec.checkpoint_segments;
+      ++scan.checkpoints;
+      scan.last_ckpt_lsn = rec.checkpoint_lsn;
+      scan.last_ckpt_segments = rec.checkpoint_segments;
     }
+    if (sink) DQMO_RETURN_IF_ERROR(sink(rec));
     offset += kRecordHeaderSize + len;
   }
-  stats.good_bytes = size - stats.torn_bytes;
-  return stats;
+  scan.good_bytes = size - scan.torn_bytes;
+  return scan;
 }
 
 WalWriter::~WalWriter() { Close(); }
 
 Status WalWriter::Open(const std::string& path, IoStats* stats,
-                       const Options& options) {
+                       const Options& options, const WalRecordSink& replay,
+                       WalScan* scanned) {
   Close();
   path_ = path;
   options_ = options;
@@ -421,7 +353,8 @@ Status WalWriter::Open(const std::string& path, IoStats* stats,
   batch_.clear();
   pending_records_ = 0;
 
-  DQMO_ASSIGN_OR_RETURN(WalScan scan, ScanWal(path));
+  DQMO_ASSIGN_OR_RETURN(WalScan scan, ScanWal(path, replay));
+  if (scanned != nullptr) *scanned = scan;
   const bool exists = File(path.c_str(), "rb").ok();
   if (!exists || scan.good_bytes < kWalHeaderSize) {
     // Absent, zero-length, or so short even the header is torn: start

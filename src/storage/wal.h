@@ -3,14 +3,17 @@
 //
 // The paper's update management (Sect. 5) assumes motion insertions stay
 // visible to running PDQ/NPDQ sessions; a server must additionally keep
-// them visible across a crash. Pages live in memory only, so the durable
-// state is exactly (last checkpoint file, WAL tail): every acknowledged
-// insert is a CRC32C-framed redo record fsynced to the log, a checkpoint
-// atomically replaces the page-file image (write-temp + fsync + rename,
-// storage/page_file.h) and resets the log, and recovery replays the tail
-// whose LSNs exceed the checkpoint's (ARIES-style redo; see
-// server/durability.h for the orchestration and DESIGN.md "Durability &
-// recovery" for the protocol).
+// them visible across a crash. Live pages are a working copy, so the
+// durable state is exactly (last checkpoint image, WAL tail): every
+// acknowledged insert is a CRC32C-framed redo record fsynced to the log, a
+// checkpoint atomically replaces the page image (write-temp + fsync +
+// rename, WritePgfImage in storage/image_format.h) and resets the log, and
+// recovery replays the tail whose LSNs exceed the checkpoint's
+// (ARIES-style redo; see server/durability.h for the orchestration and
+// DESIGN.md "Durability & recovery" for the protocol).
+//
+// ScanWal is the one reader of this format: recovery, online and offline
+// repair, WalWriter::Open, and `dqmo_tool walinfo` all go through it.
 //
 // On-disk format (single-host byte order, like the page file):
 //
@@ -37,6 +40,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -67,11 +71,18 @@ struct WalRecord {
   uint64_t checkpoint_segments = 0;
 };
 
-/// Result of scanning a WAL file.
+/// What one pass of ScanWal found: the log's summary, without its records.
 struct WalScan {
-  std::vector<WalRecord> records;
-  /// LSN of the last good record (0 when the log holds none).
+  /// Well-formed records, both types.
+  uint64_t records = 0;
+  uint64_t inserts = 0;
+  uint64_t checkpoints = 0;
+  /// LSN of the first / last good record (0 when the log holds none).
+  uint64_t first_lsn = 0;
   uint64_t last_lsn = 0;
+  /// Fields of the newest checkpoint marker (0 when the log holds none).
+  uint64_t last_ckpt_lsn = 0;
+  uint64_t last_ckpt_segments = 0;
   /// Bytes of the good prefix: header plus every well-formed record.
   uint64_t good_bytes = 0;
   /// Trailing bytes dropped as a torn write (0 when the tail is clean).
@@ -79,33 +90,23 @@ struct WalScan {
   bool torn_tail = false;
 };
 
-/// Scans the log at `path` front to back. A missing or shorter-than-header
-/// file yields an empty scan (a crash can interrupt log creation; an empty
-/// log carries no acknowledged data). A torn tail is tolerated per the
-/// contract above; mid-log corruption, a foreign magic, or an unsupported
-/// version fail with a typed Status.
-Result<WalScan> ScanWal(const std::string& path);
+/// Receives each decoded record, in log order, from ScanWal. A non-OK
+/// return stops the scan with that status.
+using WalRecordSink = std::function<Status(const WalRecord&)>;
 
-/// Summary counters over a log, computed record-at-a-time without ever
-/// materializing the record list or the file — O(max record) memory, the
-/// backing for `dqmo_tool walinfo --backend=pread` on logs larger than
-/// RAM. Validation matches ScanWal: same torn-tail tolerance, same
-/// mid-log-corruption rejection (the look-ahead that discriminates the two
-/// reads the remainder after a bad frame, so only a damaged log pays more
-/// than O(1)).
-struct WalScanStats {
-  uint64_t records = 0;
-  uint64_t inserts = 0;
-  uint64_t checkpoints = 0;
-  uint64_t first_lsn = 0;  ///< LSN of the first record (0: empty log).
-  uint64_t last_lsn = 0;
-  uint64_t last_ckpt_lsn = 0;
-  uint64_t last_ckpt_segments = 0;
-  uint64_t good_bytes = 0;
-  uint64_t torn_bytes = 0;
-  bool torn_tail = false;
-};
-Result<WalScanStats> ScanWalStreaming(const std::string& path);
+/// The one WAL reader. Scans the log at `path` front to back, one record
+/// resident at a time, passing each well-formed record to `sink` (may be
+/// null) and returning the summary. A missing or shorter-than-header file
+/// yields an empty scan (a crash can interrupt log creation; an empty log
+/// carries no acknowledged data). A torn tail is tolerated per the contract
+/// above; mid-log corruption, an LSN discontinuity, a foreign magic, or an
+/// unsupported version fail with a typed Status. Records stream before the
+/// scan has seen the whole log, so a caller that must apply nothing from a
+/// rejected log buffers them until the scan returns OK. Only the
+/// torn-vs-hole look-ahead after a bad frame reads more than one record, so
+/// only a damaged log costs more than O(max record) memory.
+Result<WalScan> ScanWal(const std::string& path,
+                        const WalRecordSink& sink = nullptr);
 
 /// Appender with group commit. Append* buffers records in memory and
 /// assigns LSNs; Sync() writes the batch and fsyncs, after which every
@@ -138,11 +139,15 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
 
   /// Opens `path` for appending, creating it (header only) if absent. An
-  /// existing log is scanned first: a torn tail is truncated away before
-  /// the first append lands; mid-log corruption fails the open. `stats`
-  /// (may be null) receives wal_appends/wal_syncs counts.
+  /// existing log is scanned once with ScanWal, its records passed to
+  /// `replay` (may be null; recovery's redo pass rides this scan) and its
+  /// summary stored in `*scanned` (may be null): a torn tail is truncated
+  /// away before the first append lands; mid-log corruption fails the
+  /// open before anything is written. `stats` (may be null) receives
+  /// wal_appends/wal_syncs counts.
   Status Open(const std::string& path, IoStats* stats,
-              const Options& options);
+              const Options& options, const WalRecordSink& replay = nullptr,
+              WalScan* scanned = nullptr);
   Status Open(const std::string& path, IoStats* stats = nullptr) {
     return Open(path, stats, Options{});
   }

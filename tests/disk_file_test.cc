@@ -4,8 +4,8 @@
 // interoperate byte-for-byte with PageFile checkpoint images, and reject
 // corrupt images at open. Plus the Prefetcher charging contract (hits
 // counted exactly once; cancel/quiesce charge wasted; failed speculation
-// falls through without poisoning anything) and the streaming WAL scan's
-// equivalence with the materializing one.
+// falls through without poisoning anything) and the one WAL scanner's
+// summary, with and without a record sink.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -56,6 +56,20 @@ bool PayloadMatches(uint64_t id, const uint8_t* page) {
     if (page[j] != static_cast<uint8_t>((id * 131 + j) & 0xff)) return false;
   }
   return true;
+}
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return {};
+  std::vector<uint8_t> bytes;
+  uint8_t chunk[4096];
+  size_t n;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    bytes.insert(bytes.end(), chunk, chunk + n);
+  }
+  std::fclose(f);
+  return bytes;
 }
 
 std::unique_ptr<DiskPageFile> MakeDiskFile(const std::string& path, int pages,
@@ -169,6 +183,12 @@ TEST(DiskPageFileTest, ImageInteropWithPageFile) {
     ASSERT_TRUE(b.ok());
     EXPECT_EQ(std::memcmp(a->data, b->data, kPageSize), 0) << "page " << id;
   }
+
+  // One layout, one writer: both stores' images of the same pages are the
+  // same file, byte for byte.
+  const std::vector<uint8_t> mem_bytes = ReadFileBytes(image);
+  EXPECT_EQ(mem_bytes.size(), PgfPageOffset(6));
+  EXPECT_EQ(ReadFileBytes(image2), mem_bytes);
 }
 
 TEST(DiskPageFileTest, CorruptImageRejectedAtOpen) {
@@ -187,10 +207,7 @@ TEST(DiskPageFileTest, CorruptImageRejectedAtOpen) {
   // Flip one payload byte of page 2 in the image file itself.
   std::FILE* f = std::fopen(image.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f,
-                       static_cast<long>(PgfDataOffset(kPgfVersion) +
-                                         2 * kPageSize + 77),
-                       SEEK_SET),
+  ASSERT_EQ(std::fseek(f, static_cast<long>(PgfPageOffset(2) + 77), SEEK_SET),
             0);
   const uint8_t bad = 0xa5;
   ASSERT_EQ(std::fwrite(&bad, 1, 1, f), 1u);
@@ -461,25 +478,32 @@ void WriteWal(const std::string& path, int inserts, bool checkpoint) {
   writer.Close();
 }
 
-void ExpectStreamMatchesScan(const std::string& path) {
-  auto scan = ScanWal(path);
-  auto stream = ScanWalStreaming(path);
-  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
-  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
-  EXPECT_EQ(stream->records, scan->records.size());
-  EXPECT_EQ(stream->last_lsn, scan->last_lsn);
-  EXPECT_EQ(stream->good_bytes, scan->good_bytes);
-  EXPECT_EQ(stream->torn_bytes, scan->torn_bytes);
-  EXPECT_EQ(stream->torn_tail, scan->torn_tail);
+/// Scans `path` twice with the one scanner, once with a record sink and
+/// once without, and checks that the summary agrees with the records the
+/// sink received — and that a sink never changes the verdict.
+void ExpectSummaryMatchesRecords(const std::string& path) {
+  auto plain = ScanWal(path);
+  auto collected = dqmo::testing::ScanWalRecords(path);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_TRUE(collected.ok()) << collected.status().ToString();
+  const WalScan& sum = collected->summary;
+  const std::vector<WalRecord>& records = collected->records;
+  EXPECT_EQ(sum.records, records.size());
+  EXPECT_EQ(plain->records, sum.records);
+  EXPECT_EQ(plain->last_lsn, sum.last_lsn);
+  EXPECT_EQ(plain->good_bytes, sum.good_bytes);
+  EXPECT_EQ(plain->torn_bytes, sum.torn_bytes);
+  EXPECT_EQ(plain->torn_tail, sum.torn_tail);
   uint64_t inserts = 0, checkpoints = 0;
-  for (const WalRecord& r : scan->records) {
+  for (const WalRecord& r : records) {
     if (r.type == WalRecordType::kInsert) ++inserts;
     if (r.type == WalRecordType::kCheckpoint) ++checkpoints;
   }
-  EXPECT_EQ(stream->inserts, inserts);
-  EXPECT_EQ(stream->checkpoints, checkpoints);
-  if (!scan->records.empty()) {
-    EXPECT_EQ(stream->first_lsn, scan->records.front().lsn);
+  EXPECT_EQ(sum.inserts, inserts);
+  EXPECT_EQ(sum.checkpoints, checkpoints);
+  if (!records.empty()) {
+    EXPECT_EQ(sum.first_lsn, records.front().lsn);
+    EXPECT_EQ(sum.last_lsn, records.back().lsn);
   }
 }
 
@@ -487,32 +511,32 @@ TEST(WalStreamingTest, MatchesMaterializingScan) {
   TempDir tmp("wal_match");
   const std::string path = tmp.path("log.wal");
   WriteWal(path, 5, /*checkpoint=*/true);
-  ExpectStreamMatchesScan(path);
+  ExpectSummaryMatchesRecords(path);
 
-  auto stream = ScanWalStreaming(path);
-  ASSERT_TRUE(stream.ok());
-  EXPECT_EQ(stream->records, 6u);
-  EXPECT_EQ(stream->inserts, 5u);
-  EXPECT_EQ(stream->checkpoints, 1u);
-  EXPECT_EQ(stream->first_lsn, 1u);
-  EXPECT_EQ(stream->last_lsn, 6u);
-  EXPECT_EQ(stream->last_ckpt_lsn, 2u);
-  EXPECT_EQ(stream->last_ckpt_segments, 42u);
-  EXPECT_FALSE(stream->torn_tail);
+  auto scan = ScanWal(path);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(scan->records, 6u);
+  EXPECT_EQ(scan->inserts, 5u);
+  EXPECT_EQ(scan->checkpoints, 1u);
+  EXPECT_EQ(scan->first_lsn, 1u);
+  EXPECT_EQ(scan->last_lsn, 6u);
+  EXPECT_EQ(scan->last_ckpt_lsn, 2u);
+  EXPECT_EQ(scan->last_ckpt_segments, 42u);
+  EXPECT_FALSE(scan->torn_tail);
 }
 
 TEST(WalStreamingTest, EmptyAndAbsentLogs) {
   TempDir tmp("wal_empty");
-  // Absent: both scans report an empty log.
-  ExpectStreamMatchesScan(tmp.path("missing.wal"));
+  // Absent: an empty log.
+  ExpectSummaryMatchesRecords(tmp.path("missing.wal"));
   // Present but record-free (header only).
   const std::string path = tmp.path("empty.wal");
   WriteWal(path, 0, /*checkpoint=*/false);
-  ExpectStreamMatchesScan(path);
-  auto stream = ScanWalStreaming(path);
-  ASSERT_TRUE(stream.ok());
-  EXPECT_EQ(stream->records, 0u);
-  EXPECT_EQ(stream->first_lsn, 0u);
+  ExpectSummaryMatchesRecords(path);
+  auto scan = ScanWal(path);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(scan->records, 0u);
+  EXPECT_EQ(scan->first_lsn, 0u);
 }
 
 TEST(WalStreamingTest, TornTailToleratedIdentically) {
@@ -528,12 +552,12 @@ TEST(WalStreamingTest, TornTailToleratedIdentically) {
   ASSERT_EQ(std::fwrite(garbage, 1, sizeof(garbage), f), sizeof(garbage));
   std::fclose(f);
 
-  ExpectStreamMatchesScan(path);
-  auto stream = ScanWalStreaming(path);
-  ASSERT_TRUE(stream.ok());
-  EXPECT_EQ(stream->records, 4u);
-  EXPECT_TRUE(stream->torn_tail);
-  EXPECT_EQ(stream->torn_bytes, sizeof(garbage));
+  ExpectSummaryMatchesRecords(path);
+  auto scan = ScanWal(path);
+  ASSERT_TRUE(scan.ok());
+  EXPECT_EQ(scan->records, 4u);
+  EXPECT_TRUE(scan->torn_tail);
+  EXPECT_EQ(scan->torn_bytes, sizeof(garbage));
 }
 
 TEST(WalStreamingTest, MidLogCorruptionRejectedIdentically) {
@@ -542,8 +566,8 @@ TEST(WalStreamingTest, MidLogCorruptionRejectedIdentically) {
   WriteWal(path, 4, /*checkpoint=*/false);
 
   // Damage the first record's payload: a well-formed record follows, so
-  // this is a hole, not a torn tail — both scans must refuse to replay
-  // past it.
+  // this is a hole, not a torn tail — the scan must refuse to replay past
+  // it, with or without a sink, and deliver nothing from beyond it.
   std::FILE* f = std::fopen(path.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
   ASSERT_EQ(std::fseek(f, 16 + 17 + 3, SEEK_SET), 0);
@@ -555,11 +579,15 @@ TEST(WalStreamingTest, MidLogCorruptionRejectedIdentically) {
   std::fclose(f);
 
   auto scan = ScanWal(path);
-  auto stream = ScanWalStreaming(path);
   EXPECT_FALSE(scan.ok());
-  EXPECT_FALSE(stream.ok());
   EXPECT_TRUE(scan.status().IsCorruption()) << scan.status().ToString();
-  EXPECT_TRUE(stream.status().IsCorruption()) << stream.status().ToString();
+  size_t delivered = 0;
+  auto sunk = ScanWal(path, [&delivered](const WalRecord&) {
+    ++delivered;
+    return Status::OK();
+  });
+  EXPECT_TRUE(sunk.status().IsCorruption()) << sunk.status().ToString();
+  EXPECT_EQ(delivered, 0u);
 }
 
 }  // namespace

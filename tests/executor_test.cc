@@ -21,6 +21,7 @@ namespace dqmo {
 namespace {
 
 using ::dqmo::testing::RandomSegments;
+using ::dqmo::testing::ScanWalRecords;
 
 struct Fixture {
   PageFile file;
@@ -291,10 +292,10 @@ TEST(ExecutorTest, DurableWritesUnderGateMatchSerialReplayAndSurviveInWal) {
   EXPECT_EQ(wal.synced_lsn(), static_cast<uint64_t>(kInserts));
   wal.Close();
   fx.tree->AttachWal(nullptr);
-  auto scan = ScanWal(wal_path);
+  auto scan = ScanWalRecords(wal_path);
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
   ASSERT_EQ(scan->records.size(), static_cast<size_t>(kInserts));
-  EXPECT_FALSE(scan->torn_tail);
+  EXPECT_FALSE(scan->summary.torn_tail);
   for (size_t i = 0; i < scan->records.size(); ++i) {
     EXPECT_EQ(scan->records[i].lsn, i + 1);
     EXPECT_EQ(scan->records[i].motion.oid,

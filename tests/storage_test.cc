@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "storage/buffer_pool.h"
+#include "storage/image_format.h"
 #include "storage/page_file.h"
 
 namespace dqmo {
@@ -39,7 +40,7 @@ TEST(PageFileTest, NewPagesHaveZeroPayloadAndSealedTrailer) {
   auto read = f.Read(id);
   ASSERT_TRUE(read.ok());
   for (size_t i = 0; i < kPagePayloadSize; ++i) EXPECT_EQ(read->data[i], 0);
-  // Page format v2: the trailer holds the payload's CRC32C, not zeros.
+  // The trailer holds the payload's CRC32C, not zeros.
   EXPECT_EQ(StoredPageChecksum(read->data), ComputePageChecksum(read->data));
 }
 
@@ -145,7 +146,7 @@ TEST(PageFileTest, SaveEmptyFileWorks) {
 }
 
 // ---------------------------------------------------------------------------
-// Page format v2 integrity: checksums, verification, legacy files, and
+// Page integrity: checksums, verification, retired image versions, and
 // LoadFrom hardening against damaged images.
 
 TEST(PageChecksumTest, WritableViewPagesAreResealedLazily) {
@@ -175,22 +176,29 @@ TEST(PageChecksumTest, ReadDetectsCorruptedPayload) {
   // Corrupt the saved image directly: flip a payload byte of page 0.
   std::FILE* fp = std::fopen(path.c_str(), "r+b");
   ASSERT_NE(fp, nullptr);
-  ASSERT_EQ(std::fseek(fp, 24 + 100, SEEK_SET), 0);
+  ASSERT_EQ(std::fseek(fp, static_cast<long>(PgfPageOffset(0) + 100),
+                       SEEK_SET),
+            0);
   const uint8_t evil = 0x5A ^ 0x01;
   ASSERT_EQ(std::fwrite(&evil, 1, 1, fp), 1u);
   std::fclose(fp);
 
+  // The load verifies every page and names the damaged one, at the file
+  // offset where page 0 really sits (after the 4 KiB header block).
   PageFile g;
   const Status load = g.LoadFrom(path);
   EXPECT_TRUE(load.IsCorruption()) << load.ToString();
   EXPECT_NE(load.message().find("page 0"), std::string::npos)
       << load.message();
+  EXPECT_NE(load.message().find("file offset 4096"), std::string::npos)
+      << load.message();
 
-  // Forensic load skips verification; Read then catches it.
+  // The same damage at rest in a live file: Read catches it on the next
+  // read instead of trusting the stale verified flag.
   PageFile h;
-  PageFile::LoadOptions no_verify;
-  no_verify.verify_checksums = false;
-  ASSERT_TRUE(h.LoadFrom(path, no_verify).ok());
+  ASSERT_EQ(h.Allocate(), id);
+  ASSERT_TRUE(h.Write(id, buf).ok());
+  ASSERT_TRUE(h.CorruptPageForTest(id, 100, 0x01).ok());
   EXPECT_TRUE(h.Read(id).status().IsCorruption());
   EXPECT_EQ(h.stats().checksum_failures, 1u);
 
@@ -205,43 +213,37 @@ TEST(PageChecksumTest, ReadDetectsCorruptedPayload) {
   std::remove(path.c_str());
 }
 
-TEST(PageChecksumTest, LegacyV1FileLoadsReadOnly) {
-  // Hand-craft a version-1 image: same magic, version 1, pages whose
-  // trailer bytes are zeroed slack (exactly what v1 SerializeTo produced).
-  const std::string path = TempPath("pf_legacy_v1.pgf");
-  std::FILE* fp = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(fp, nullptr);
-  struct {
-    uint64_t magic = 0x4451'4d4f'5047'4631ULL;
-    uint32_t version = 1;
-    uint32_t reserved = 0;
-    uint64_t num_pages = 2;
-  } header;
-  ASSERT_EQ(std::fwrite(&header, sizeof(header), 1, fp), 1u);
-  uint8_t page[kPageSize];
-  for (uint8_t i = 0; i < 2; ++i) {
-    std::memset(page, 0, kPageSize);
-    std::memset(page, 0x30 + i, kPagePayloadSize);  // Trailer stays zero.
-    ASSERT_EQ(std::fwrite(page, kPageSize, 1, fp), 1u);
-  }
-  std::fclose(fp);
+TEST(PageChecksumTest, PreV3HeadersRejectedAsNotSupported) {
+  // Hand-craft the two retired layouts: a 24-byte header (same magic,
+  // version 1 or 2) directly followed by the pages. Only the v3 layout
+  // loads; both fail typed, before any page is trusted.
+  for (const uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE(version);
+    const std::string path = TempPath("pf_pre_v3.pgf");
+    std::FILE* fp = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(fp, nullptr);
+    struct {
+      uint64_t magic = 0x4451'4d4f'5047'4631ULL;
+      uint32_t version = 0;
+      uint32_t reserved = 0;
+      uint64_t num_pages = 2;
+    } header;
+    header.version = version;
+    ASSERT_EQ(std::fwrite(&header, sizeof(header), 1, fp), 1u);
+    uint8_t page[kPageSize];
+    for (uint8_t i = 0; i < 2; ++i) {
+      FillPage(page, static_cast<uint8_t>(0x30 + i));
+      if (version == 2) SealPage(page);  // v2 pages carried checksums.
+      ASSERT_EQ(std::fwrite(page, kPageSize, 1, fp), 1u);
+    }
+    std::fclose(fp);
 
-  PageFile f;
-  ASSERT_TRUE(f.LoadFrom(path).ok());
-  EXPECT_TRUE(f.legacy_read_only());
-  EXPECT_EQ(f.num_pages(), 2u);
-  // Reads verify (pages were sealed in memory on load) and serve the data.
-  auto read = f.Read(0);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read->data[7], 0x30);
-  EXPECT_TRUE(f.VerifyPage(1).ok());
-  // Mutation is refused: the in-memory seal cannot be persisted as v1.
-  uint8_t buf[kPageSize] = {};
-  EXPECT_TRUE(f.Write(0, buf).IsFailedPrecondition());
-  EXPECT_TRUE(f.WritableView(0).status().IsFailedPrecondition());
-  // Allocate still appends (the upgrade path: grow, then SaveTo writes v2).
-  EXPECT_EQ(f.Allocate(), 2u);
-  std::remove(path.c_str());
+    PageFile f;
+    const Status s = f.LoadFrom(path);
+    EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+    EXPECT_EQ(f.num_pages(), 0u);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(PageFileLoadFuzz, TruncationIsAlwaysDetected) {
@@ -255,9 +257,10 @@ TEST(PageFileLoadFuzz, TruncationIsAlwaysDetected) {
   }
   ASSERT_TRUE(f.SaveTo(path).ok());
 
-  const long full = 24 + 3 * static_cast<long>(kPageSize);
-  for (long cut : {0L, 10L, 23L, 24L, 24L + 1, 24L + 4095L,
-                   24L + static_cast<long>(kPageSize),
+  const long data = static_cast<long>(kPgfDataOffset);
+  const long full = data + 3 * static_cast<long>(kPageSize);
+  for (long cut : {0L, 10L, 23L, 24L, 25L, data - 1L, data, data + 1L,
+                   data + 4095L, data + static_cast<long>(kPageSize),
                    full - 1L}) {
     SCOPED_TRACE(cut);
     const std::string cut_path = TempPath("pf_truncate_cut.pgf");
@@ -312,13 +315,9 @@ TEST(PageFileLoadFuzz, HeaderClaimingMorePagesThanFileHoldsRejected) {
   const std::string path = TempPath("pf_short_pages.pgf");
   std::FILE* fp = std::fopen(path.c_str(), "wb");
   ASSERT_NE(fp, nullptr);
-  struct {
-    uint64_t magic = 0x4451'4d4f'5047'4631ULL;
-    uint32_t version = 2;
-    uint32_t reserved = 0;
-    uint64_t num_pages = 5;
-  } header;
-  ASSERT_EQ(std::fwrite(&header, sizeof(header), 1, fp), 1u);
+  uint8_t header[kPageSize];
+  EncodePgfHeaderBlock(/*num_pages=*/5, header);
+  ASSERT_EQ(std::fwrite(header, kPageSize, 1, fp), 1u);
   std::vector<uint8_t> two_pages(2 * kPageSize, 0x7E);
   ASSERT_EQ(std::fwrite(two_pages.data(), 1, two_pages.size(), fp),
             two_pages.size());
@@ -365,13 +364,9 @@ TEST(PageFileLoadFuzz, AbsurdHeaderPageCountRejected) {
   const std::string path = TempPath("pf_absurd.pgf");
   std::FILE* fp = std::fopen(path.c_str(), "wb");
   ASSERT_NE(fp, nullptr);
-  struct {
-    uint64_t magic = 0x4451'4d4f'5047'4631ULL;
-    uint32_t version = 2;
-    uint32_t reserved = 0;
-    uint64_t num_pages = 1ULL << 40;  // 4 PiB of pages: nonsense.
-  } header;
-  ASSERT_EQ(std::fwrite(&header, sizeof(header), 1, fp), 1u);
+  uint8_t header[kPageSize];
+  EncodePgfHeaderBlock(1ULL << 40, header);  // 4 PiB of pages: nonsense.
+  ASSERT_EQ(std::fwrite(header, kPageSize, 1, fp), 1u);
   std::fclose(fp);
   PageFile f;
   const Status s = f.LoadFrom(path);
@@ -395,17 +390,20 @@ TEST(PageFileLoadFuzz, BitFlipsAreDetectedOrProvablyHarmless) {
   // several pages, and checksum trailers. Every flip must either fail the
   // load with a typed error or leave all delivered page bytes identical
   // (flips in dead header space are undetectable but harmless).
+  const size_t data = kPgfDataOffset;
   const size_t offsets[] = {
-      0,                          // Magic.
-      8,                          // Version.
-      12,                         // Reserved (harmless).
-      16,                         // num_pages (size check catches it).
-      24,                         // Page 0 payload.
-      24 + 2048,                  // Page 0 payload middle.
-      24 + kPageChecksumOffset,   // Page 0 stored checksum.
-      24 + kPageSize + 1,         // Page 1 payload.
-      24 + 2 * kPageSize + 4091,  // Page 2 payload last byte.
-      24 + 2 * kPageSize + kPageChecksumOffset + 3,  // Page 2 checksum.
+      0,                            // Magic.
+      8,                            // Version.
+      12,                           // Reserved (harmless).
+      16,                           // num_pages (size check catches it).
+      24,                           // Header block padding (harmless).
+      data - 1,                     // Last padding byte (harmless).
+      data,                         // Page 0 payload.
+      data + 2048,                  // Page 0 payload middle.
+      data + kPageChecksumOffset,   // Page 0 stored checksum.
+      data + kPageSize + 1,         // Page 1 payload.
+      data + 2 * kPageSize + 4091,  // Page 2 payload last byte.
+      data + 2 * kPageSize + kPageChecksumOffset + 3,  // Page 2 checksum.
   };
   for (const size_t offset : offsets) {
     SCOPED_TRACE(offset);

@@ -6,16 +6,38 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "common/result.h"
 #include "geom/box.h"
 #include "geom/segment.h"
 #include "geom/trajectory.h"
 #include "motion/motion_segment.h"
 #include "rtree/layout.h"
+#include "storage/wal.h"
 
 namespace dqmo::testing {
+
+/// A scanned log: ScanWal's summary plus every record it delivered.
+struct ScannedWal {
+  WalScan summary;
+  std::vector<WalRecord> records;
+};
+
+/// Scans `path` with the one WAL scanner, collecting each record it
+/// delivers — the record-level view the WAL tests assert on.
+inline Result<ScannedWal> ScanWalRecords(const std::string& path) {
+  ScannedWal out;
+  auto scan = ScanWal(path, [&out](const WalRecord& r) {
+    out.records.push_back(r);
+    return Status::OK();
+  });
+  if (!scan.ok()) return scan.status();
+  out.summary = *scan;
+  return out;
+}
 
 /// Uniform random point in [0, size]^dims.
 inline Vec RandomPoint(Rng* rng, int dims, double size) {

@@ -14,9 +14,12 @@
 #include "geom/segment.h"
 #include "motion/motion_segment.h"
 #include "storage/io_stats.h"
+#include "test_util.h"
 
 namespace dqmo {
 namespace {
+
+using testing::ScanWalRecords;
 
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
@@ -62,11 +65,11 @@ void WriteAll(const std::string& path, const std::vector<uint8_t>& bytes) {
 }
 
 TEST(WalTest, MissingFileScansEmpty) {
-  auto scan = ScanWal(TempPath("wal_never_created.wal"));
+  auto scan = ScanWalRecords(TempPath("wal_never_created.wal"));
   ASSERT_TRUE(scan.ok());
   EXPECT_TRUE(scan->records.empty());
-  EXPECT_EQ(scan->last_lsn, 0u);
-  EXPECT_FALSE(scan->torn_tail);
+  EXPECT_EQ(scan->summary.last_lsn, 0u);
+  EXPECT_FALSE(scan->summary.torn_tail);
 }
 
 TEST(WalTest, RoundTripsRecordsBitForBit) {
@@ -89,11 +92,11 @@ TEST(WalTest, RoundTripsRecordsBitForBit) {
     EXPECT_EQ(w.synced_lsn(), 8u);
     EXPECT_EQ(w.pending_records(), 0u);
   }
-  auto scan = ScanWal(path);
+  auto scan = ScanWalRecords(path);
   ASSERT_TRUE(scan.ok());
   ASSERT_EQ(scan->records.size(), 8u);
-  EXPECT_FALSE(scan->torn_tail);
-  EXPECT_EQ(scan->last_lsn, 8u);
+  EXPECT_FALSE(scan->summary.torn_tail);
+  EXPECT_EQ(scan->summary.last_lsn, 8u);
   for (int i = 0; i < 7; ++i) {
     const WalRecord& rec = scan->records[static_cast<size_t>(i)];
     EXPECT_EQ(rec.lsn, static_cast<uint64_t>(i + 1));
@@ -118,13 +121,13 @@ TEST(WalTest, GroupCommitBuffersUntilSync) {
   EXPECT_EQ(w.synced_lsn(), 0u);
   {
     // Nothing on disk yet: the batch lives in memory until Sync.
-    auto scan = ScanWal(path);
+    auto scan = ScanWalRecords(path);
     ASSERT_TRUE(scan.ok());
     EXPECT_TRUE(scan->records.empty());
   }
   ASSERT_TRUE(w.Sync().ok());
   EXPECT_EQ(w.synced_lsn(), 2u);
-  auto scan = ScanWal(path);
+  auto scan = ScanWalRecords(path);
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(scan->records.size(), 2u);
   // WAL I/O is accounted separately from page I/O.
@@ -156,10 +159,10 @@ TEST(WalTest, ReopenContinuesLsnSequence) {
   ASSERT_TRUE(lsn.ok());
   EXPECT_EQ(*lsn, 3u);
   ASSERT_TRUE(w.Sync().ok());
-  auto scan = ScanWal(path);
+  auto scan = ScanWalRecords(path);
   ASSERT_TRUE(scan.ok());
   EXPECT_EQ(scan->records.size(), 3u);
-  EXPECT_EQ(scan->last_lsn, 3u);
+  EXPECT_EQ(scan->summary.last_lsn, 3u);
   std::remove(path.c_str());
 }
 
@@ -193,7 +196,7 @@ TEST(WalTest, ResetEmptiesLogAndKeepsLsnSequence) {
   ASSERT_TRUE(w.Sync().ok());
   ASSERT_TRUE(w.Reset().ok());
   {
-    auto scan = ScanWal(path);
+    auto scan = ScanWalRecords(path);
     ASSERT_TRUE(scan.ok());
     EXPECT_TRUE(scan->records.empty());
   }
@@ -201,7 +204,7 @@ TEST(WalTest, ResetEmptiesLogAndKeepsLsnSequence) {
   ASSERT_TRUE(lsn.ok());
   EXPECT_EQ(*lsn, 3u);  // Sequence continued, never reused.
   ASSERT_TRUE(w.Sync().ok());
-  auto scan = ScanWal(path);
+  auto scan = ScanWalRecords(path);
   ASSERT_TRUE(scan.ok());
   ASSERT_EQ(scan->records.size(), 1u);
   EXPECT_EQ(scan->records[0].lsn, 3u);
@@ -234,20 +237,23 @@ TEST(WalTornTail, EveryTruncationOffsetRecoversCleanly) {
     WriteAll(cut_path,
              std::vector<uint8_t>(master.begin(),
                                   master.begin() + static_cast<long>(cut)));
-    auto scan = ScanWal(cut_path);
+    auto scan = ScanWalRecords(cut_path);
     ASSERT_TRUE(scan.ok()) << scan.status().ToString();
     size_t expect_records = 0;
     for (const size_t end : record_ends) {
       if (end <= cut) ++expect_records;
     }
     EXPECT_EQ(scan->records.size(), expect_records);
-    EXPECT_EQ(scan->last_lsn, expect_records);
+    EXPECT_EQ(scan->summary.records, expect_records);
+    EXPECT_EQ(scan->summary.last_lsn, expect_records);
+    // The good prefix and the dropped tail partition the file.
+    EXPECT_EQ(scan->summary.good_bytes + scan->summary.torn_bytes, cut);
     // Torn iff the cut is not at a record (or header) boundary.
     const bool at_boundary =
         cut == 0 || cut == 16 ||
         std::find(record_ends.begin(), record_ends.end(), cut) !=
             record_ends.end();
-    EXPECT_EQ(scan->torn_tail, !at_boundary);
+    EXPECT_EQ(scan->summary.torn_tail, !at_boundary);
 
     // A writer opening the torn log truncates the tear and appends after
     // the surviving prefix.
@@ -258,10 +264,10 @@ TEST(WalTornTail, EveryTruncationOffsetRecoversCleanly) {
         w.AppendInsert(Seg(999, 50.0, 50.0)).ok());
     ASSERT_TRUE(w.Sync().ok());
     w.Close();
-    auto rescan = ScanWal(cut_path);
+    auto rescan = ScanWalRecords(cut_path);
     ASSERT_TRUE(rescan.ok()) << rescan.status().ToString();
     ASSERT_EQ(rescan->records.size(), expect_records + 1);
-    EXPECT_FALSE(rescan->torn_tail);
+    EXPECT_FALSE(rescan->summary.torn_tail);
     EXPECT_EQ(rescan->records.back().motion.oid, 999u);
   }
   std::remove(path.c_str());
@@ -294,7 +300,7 @@ TEST(WalCorruption, MidLogDamageFailsWithTypedStatus) {
     ASSERT_LT(offset, damaged.size());
     damaged[offset] ^= 0x01;
     WriteAll(path, damaged);
-    auto scan = ScanWal(path);
+    auto scan = ScanWalRecords(path);
     EXPECT_TRUE(scan.status().IsCorruption()) << scan.status().ToString();
     // A writer must refuse such a log too — never truncate a hole away.
     WalWriter w;
@@ -305,10 +311,10 @@ TEST(WalCorruption, MidLogDamageFailsWithTypedStatus) {
   std::vector<uint8_t> damaged = master;
   damaged[16 + 2 * 73 + 30] ^= 0x01;
   WriteAll(path, damaged);
-  auto scan = ScanWal(path);
+  auto scan = ScanWalRecords(path);
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
   EXPECT_EQ(scan->records.size(), 2u);
-  EXPECT_TRUE(scan->torn_tail);
+  EXPECT_TRUE(scan->summary.torn_tail);
   std::remove(path.c_str());
 }
 
@@ -317,19 +323,19 @@ TEST(WalCorruption, ForeignAndUnsupportedHeadersRejected) {
   // Zero-length: empty scan, not an error (crash before header write).
   WriteAll(path, {});
   {
-    auto scan = ScanWal(path);
+    auto scan = ScanWalRecords(path);
     ASSERT_TRUE(scan.ok());
     EXPECT_TRUE(scan->records.empty());
-    EXPECT_FALSE(scan->torn_tail);
+    EXPECT_FALSE(scan->summary.torn_tail);
   }
   // Partial header: torn creation, still scans empty.
   WriteAll(path, {0x44, 0x51, 0x4d});
   {
-    auto scan = ScanWal(path);
+    auto scan = ScanWalRecords(path);
     ASSERT_TRUE(scan.ok());
     EXPECT_TRUE(scan->records.empty());
-    EXPECT_TRUE(scan->torn_tail);
-    EXPECT_EQ(scan->torn_bytes, 3u);
+    EXPECT_TRUE(scan->summary.torn_tail);
+    EXPECT_EQ(scan->summary.torn_bytes, 3u);
   }
   // A writer opening either starts a fresh log.
   {

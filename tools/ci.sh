@@ -7,7 +7,8 @@
 # whose WAL appends happen under the TreeGate write guard. A
 # crash-recovery stage re-runs the fork-based kill tests (every registered
 # CrashPoint) explicitly under the default build and once under ASan, then
-# smoke-runs the CI-size durability ablation. A final hot-path stage gates
+# smoke-runs the CI-size durability ablation. A storage-tools stage drives
+# dqmo_tool's scrub, walinfo and recover on real files. A hot-path stage gates
 # the A15 ablation: the zero-copy query hot path must beat the legacy AoS
 # path by >= 2x ns/entry at -O3, with and without SIMD. All must pass
 # cleanly.
@@ -74,6 +75,70 @@ echo "==== [crash-recovery] asan kill tests ===="
 "build-ci/sanitize/tests/recovery_test"
 echo "==== [crash-recovery] CI-size recovery ablation ===="
 DQMO_RECOVERY_INSERTS=1000 "build-ci/release/bench/abl_recovery"
+
+# Storage-tools stage: dqmo_tool's one scrub, walinfo and recover, end to
+# end on real files (no unit test drives the CLI). A clean image scrubs to
+# exit 0; one flipped byte in page 3 must exit 1 and be reported at file
+# offset 16384, where the one image layout keeps page 3 (4096-byte header
+# block + 3 pages). Garbage appended to a WAL must show as walinfo's torn
+# tail and be truncated by recover. Then scrub and walinfo run once over a
+# sharded directory (shard-NNNN.pgf + .wal, paired up by recover).
+echo "==== [storage-tools] scrub / walinfo / recover ===="
+tool="build-ci/release/tools/dqmo_tool"
+st_dir="build-ci/storage-tools"
+rm -rf "${st_dir}"
+mkdir -p "${st_dir}/shards"
+st_fail() { echo "FAIL: $1"; shift; cat "$@"; exit 1; }
+img="${st_dir}/ci.pgf"
+"${tool}" build "${img}" --objects 300 --seed 7 > /dev/null
+"${tool}" scrub "${img}" > "${st_dir}/scrub-clean.txt"
+grep -q ': 0 corrupt$' "${st_dir}/scrub-clean.txt" ||
+  st_fail "clean image did not scrub clean" "${st_dir}/scrub-clean.txt"
+python3 - "${img}" <<'PYEOF'
+import sys
+with open(sys.argv[1], "r+b") as f:
+    f.seek(16384 + 100)  # Page 3's payload.
+    b = f.read(1)
+    f.seek(-1, 1)
+    f.write(bytes([b[0] ^ 0x5A]))
+PYEOF
+rc=0
+"${tool}" scrub "${img}" > "${st_dir}/scrub-bad.txt" || rc=$?
+[[ ${rc} -eq 1 ]] ||
+  st_fail "scrub of a damaged image exited ${rc}, want 1" \
+    "${st_dir}/scrub-bad.txt"
+grep -q '^CORRUPT page 3 at file offset 16384: ' "${st_dir}/scrub-bad.txt" &&
+  grep -q ': 1 corrupt$' "${st_dir}/scrub-bad.txt" ||
+  st_fail "page 3 not reported (alone) at offset 16384" \
+    "${st_dir}/scrub-bad.txt"
+wal="${st_dir}/ci.wal"
+"${tool}" build "${img}" --objects 300 --seed 7 > /dev/null
+"${tool}" recover "${img}" "${wal}" > "${st_dir}/recover-fresh.txt"
+printf 'torn-tail' >> "${wal}"  # 9 bytes no record can parse as.
+"${tool}" walinfo "${wal}" > "${st_dir}/walinfo-torn.txt"
+grep -q '^torn tail  : 9 trailing bytes damaged' \
+  "${st_dir}/walinfo-torn.txt" ||
+  st_fail "walinfo missed the 9-byte torn tail" "${st_dir}/walinfo-torn.txt"
+"${tool}" recover "${img}" "${wal}" > "${st_dir}/recover-torn.txt"
+grep -q '^torn tail  : 9 bytes truncated' "${st_dir}/recover-torn.txt" &&
+  grep -q '^recovered  : ' "${st_dir}/recover-torn.txt" ||
+  st_fail "recover did not truncate the torn tail" \
+    "${st_dir}/recover-torn.txt"
+"${tool}" walinfo "${wal}" > "${st_dir}/walinfo-clean.txt"
+grep -q '^torn tail  : none' "${st_dir}/walinfo-clean.txt" ||
+  st_fail "torn tail survived recover" "${st_dir}/walinfo-clean.txt"
+for shard in 0 1; do
+  "${tool}" build "${st_dir}/shards/shard-000${shard}.pgf" --objects 200 \
+    --seed "$((shard + 1))" > /dev/null
+done
+"${tool}" recover "${st_dir}/shards" > "${st_dir}/recover-shards.txt"
+"${tool}" scrub "${st_dir}/shards" > "${st_dir}/scrub-shards.txt"
+[[ "$(grep -c '^   shard-000[01].pgf: 0/[0-9]*$' \
+      "${st_dir}/scrub-shards.txt")" -eq 2 ]] ||
+  st_fail "sharded scrub summary wrong" "${st_dir}/scrub-shards.txt"
+"${tool}" walinfo "${st_dir}/shards" > "${st_dir}/walinfo-shards.txt"
+[[ "$(grep -c '^torn tail  : none' "${st_dir}/walinfo-shards.txt")" -eq 2 ]] ||
+  st_fail "sharded walinfo wrong" "${st_dir}/walinfo-shards.txt"
 
 # Hot-path performance gate: the A15 ablation at CI size, against the
 # Release (-O3) build the kernels are tuned for. DQMO_CHECK_SPEEDUP=1 makes

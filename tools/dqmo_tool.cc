@@ -16,25 +16,22 @@
 //   dqmo_tool verify <index.pgf>
 //       Run the structural invariant checker.
 //
-//   dqmo_tool scrub <index.pgf | shard-dir> [--repair] [--backend=B]
+//   dqmo_tool scrub <index.pgf | shard-dir> [--repair]
 //       Check every page's CRC32C and report each corrupt page with its
 //       file offset. Unlike a normal load (which stops at the first bad
-//       page), scrub reads the whole file and lists all damage. On a
-//       sharded directory a per-shard corrupt-page summary follows the
-//       per-file reports. With --repair, a damaged .pgf is rebuilt from
-//       its durable pair (checkpoint image + WAL replay; the image is
-//       reconstructed purely from a full-history WAL when damaged beyond
-//       loading) and re-verified. --backend=pread verifies page-at-a-time
-//       through the streaming loader — constant memory, so images far
-//       larger than RAM scrub fine; --backend=memory (the default)
-//       materializes the file first, which also covers legacy v1 images
-//       (their pages carry no on-disk checksums to stream-verify).
+//       page), scrub reads the whole file and lists all damage. Pages
+//       stream through the image loader one at a time — constant memory,
+//       so images far larger than RAM scrub fine. On a sharded directory a
+//       per-shard corrupt-page summary follows the per-file reports. With
+//       --repair, a damaged .pgf is rebuilt from its durable pair
+//       (checkpoint image + WAL replay; the image is reconstructed purely
+//       from a full-history WAL when damaged beyond loading) and
+//       re-verified.
 //
-//   dqmo_tool walinfo <index.wal> [--backend=B]
-//       Scan a write-ahead log: record count by type, LSN range, and the
-//       torn-tail report (bytes dropped by a crash mid-append, if any).
-//       --backend=pread streams one record at a time instead of
-//       materializing the log.
+//   dqmo_tool walinfo <index.wal>
+//       Scan a write-ahead log one record at a time: record count by type,
+//       LSN range, last checkpoint marker, and the torn-tail report (bytes
+//       dropped by a crash mid-append, if any).
 //
 //   dqmo_tool recover <index.pgf> <index.wal>
 //       Run crash recovery: load the last checkpoint image (if any),
@@ -158,10 +155,8 @@ int Usage() {
                "  dqmo_tool query <index.pgf> x0 x1 y0 y1 t0 t1\n"
                "  dqmo_tool knn <index.pgf> x y t k\n"
                "  dqmo_tool verify <index.pgf>\n"
-               "  dqmo_tool scrub <index.pgf | shard-dir> [--repair]"
-               " [--backend=memory|pread]\n"
-               "  dqmo_tool walinfo <index.wal | shard-dir>"
-               " [--backend=memory|pread]\n"
+               "  dqmo_tool scrub <index.pgf | shard-dir> [--repair]\n"
+               "  dqmo_tool walinfo <index.wal | shard-dir>\n"
                "  dqmo_tool recover <index.pgf> <index.wal>\n"
                "  dqmo_tool recover <shard-dir>\n"
                "  dqmo_tool stats <index.pgf> [--json] [--summary]"
@@ -359,31 +354,40 @@ struct ScrubOutcome {
   int rc = 0;
 };
 
+/// Verifies every page of the image at `path` through the streaming
+/// loader, one page resident at a time. The loader's own verify is off so
+/// the pass does not stop at the first damage: each page whose checksum
+/// fails is counted into `out` and, with `print`, listed with its offset.
+Status SweepImage(const std::string& path, bool print, ScrubOutcome* out) {
+  StreamPgfOptions options;
+  options.verify_checksums = false;
+  auto streamed = StreamPgfPages(
+      path, options, [&](uint64_t id, const uint8_t* page) {
+        if (PageChecksumOk(page)) return Status::OK();
+        ++out->corrupt;
+        if (print) {
+          std::printf(
+              "CORRUPT page %llu at file offset %llu: checksum mismatch "
+              "(stored %08x, computed %08x)\n",
+              static_cast<unsigned long long>(id),
+              static_cast<unsigned long long>(PgfPageOffset(id)),
+              StoredPageChecksum(page), ComputePageChecksum(page));
+        }
+        return Status::OK();
+      });
+  if (!streamed.ok()) return streamed.status();
+  out->pages = streamed->num_pages;
+  return Status::OK();
+}
+
 ScrubOutcome ScrubOneFile(const std::string& path, bool repair) {
   ScrubOutcome out;
-  // Forensic load: skip verification so damaged files still open, legacy
-  // (v1) files included — their pages are sealed in memory on load, so the
-  // sweep below verifies them too.
-  PageFile file;
-  PageFile::LoadOptions options;
-  options.verify_checksums = false;
-  if (Status s = file.LoadFrom(path, options); !s.ok()) {
+  if (Status s = SweepImage(path, /*print=*/true, &out); !s.ok()) {
     out.rc = Fail(s);
     return out;
   }
-  std::vector<PageId> bad;
-  out.corrupt = file.VerifyAllPages(&bad);
-  out.pages = file.num_pages();
-  for (const PageId id : bad) {
-    const Status detail = file.VerifyPage(id);
-    std::printf("CORRUPT page %u at file offset %llu: %s\n", id,
-                static_cast<unsigned long long>(
-                    24 + static_cast<uint64_t>(id) * kPageSize),
-                detail.message().c_str());
-  }
-  std::printf("-- scrubbed %zu pages (%zu KiB%s): %zu corrupt\n",
-              file.num_pages(), file.num_pages() * kPageSize / 1024,
-              file.legacy_read_only() ? ", legacy v1" : "", out.corrupt);
+  std::printf("-- scrubbed %zu pages (%zu KiB): %zu corrupt\n", out.pages,
+              out.pages * kPageSize / 1024, out.corrupt);
   if (out.corrupt > 0 && repair && EndsWith(path, ".pgf")) {
     // Offline repair from the durable pair: reload the checkpoint image +
     // WAL tail (or rebuild the image from a full-history WAL) and verify
@@ -402,12 +406,12 @@ ScrubOutcome ScrubOneFile(const std::string& path, bool repair) {
                 static_cast<unsigned long long>(rep->replayed),
                 static_cast<unsigned long long>(rep->segments),
                 rep->image_rebuilt ? ", image rebuilt from wal" : "");
-    PageFile healed;
-    if (Status s = healed.LoadFrom(path); !s.ok()) {
+    ScrubOutcome healed;
+    if (Status s = SweepImage(path, /*print=*/false, &healed); !s.ok()) {
       out.rc = Fail(s);
       return out;
     }
-    if (healed.VerifyAllPages(nullptr) != 0) {
+    if (healed.corrupt != 0) {
       std::printf("UNREPAIRABLE: damage persists after repair\n");
       out.rc = 1;
       return out;
@@ -419,61 +423,9 @@ ScrubOutcome ScrubOneFile(const std::string& path, bool repair) {
   return out;
 }
 
-/// The pread-backend scrub: pages stream through the shared image loader
-/// one at a time, so the verify is O(1) memory regardless of image size —
-/// exactly the loader DiskPageFile::Open runs, aimed at durable shard
-/// images too large to materialize. Repair (which inherently rebuilds the
-/// image in memory) falls back to the materializing path.
-ScrubOutcome ScrubOneFileStreaming(const std::string& path, bool repair) {
-  ScrubOutcome out;
-  uint32_t version = kPgfVersion;
-  StreamPgfOptions options;
-  // The sink verifies each page itself so every corrupt page is reported
-  // with its offset (the built-in verify would abort at the first or only
-  // count them).
-  options.verify_checksums = false;
-  options.on_header = [&version](const PgfHeader& h) {
-    version = h.version;
-    return Status::OK();
-  };
-  auto streamed = StreamPgfPages(
-      path, options, [&](uint64_t id, const uint8_t* page) {
-        if (version != kPgfVersionLegacy && !PageChecksumOk(page)) {
-          ++out.corrupt;
-          std::printf(
-              "CORRUPT page %llu at file offset %llu: checksum mismatch "
-              "(stored %08x, computed %08x)\n",
-              static_cast<unsigned long long>(id),
-              static_cast<unsigned long long>(PgfDataOffset(version) +
-                                              id * kPageSize),
-              StoredPageChecksum(page), ComputePageChecksum(page));
-        }
-        return Status::OK();
-      });
-  if (!streamed.ok()) {
-    out.rc = Fail(streamed.status());
-    return out;
-  }
-  out.pages = streamed->pages_streamed;
-  std::printf("-- scrubbed %zu pages (%zu KiB%s, streamed): %zu corrupt\n",
-              out.pages, out.pages * kPageSize / 1024,
-              version == kPgfVersionLegacy
-                  ? ", legacy v1 — no on-disk checksums to verify"
-                  : "",
-              out.corrupt);
-  if (out.corrupt > 0 && repair && EndsWith(path, ".pgf")) {
-    return ScrubOneFile(path, repair);
-  }
-  out.rc = out.corrupt == 0 ? 0 : 1;
-  return out;
-}
-
-int CmdScrub(const std::string& path, bool repair, bool stream) {
-  auto scrub_one = [repair, stream](const std::string& f) {
-    return stream ? ScrubOneFileStreaming(f, repair) : ScrubOneFile(f, repair);
-  };
+int CmdScrub(const std::string& path, bool repair) {
   if (!std::filesystem::is_directory(path)) {
-    return scrub_one(path).rc;
+    return ScrubOneFile(path, repair).rc;
   }
   // Sharded layout: scrub every shard and summarize per-shard damage.
   const std::vector<std::string> files = ShardFilesIn(path, ".pgf");
@@ -486,7 +438,7 @@ int CmdScrub(const std::string& path, bool repair, bool stream) {
   std::vector<ScrubOutcome> outcomes;
   for (const std::string& f : files) {
     std::printf("== %s\n", f.c_str());
-    outcomes.push_back(scrub_one(f));
+    outcomes.push_back(ScrubOneFile(f, repair));
     rc |= outcomes.back().rc;
   }
   std::printf("-- per-shard corrupt pages:\n");
@@ -504,33 +456,20 @@ int CmdScrub(const std::string& path, bool repair, bool stream) {
 int CmdWalInfo(const std::string& path) {
   auto scan = ScanWal(path);
   if (!scan.ok()) return Fail(scan.status());
-  uint64_t inserts = 0;
-  uint64_t checkpoints = 0;
-  uint64_t last_ckpt_lsn = 0;
-  uint64_t last_ckpt_segments = 0;
-  for (const WalRecord& rec : scan->records) {
-    if (rec.type == WalRecordType::kInsert) {
-      ++inserts;
-    } else {
-      ++checkpoints;
-      last_ckpt_lsn = rec.checkpoint_lsn;
-      last_ckpt_segments = rec.checkpoint_segments;
-    }
-  }
   std::printf("wal        : %s\n", path.c_str());
-  std::printf("records    : %zu (%llu inserts, %llu checkpoint markers)\n",
-              scan->records.size(),
-              static_cast<unsigned long long>(inserts),
-              static_cast<unsigned long long>(checkpoints));
-  if (!scan->records.empty()) {
+  std::printf("records    : %llu (%llu inserts, %llu checkpoint markers)\n",
+              static_cast<unsigned long long>(scan->records),
+              static_cast<unsigned long long>(scan->inserts),
+              static_cast<unsigned long long>(scan->checkpoints));
+  if (scan->records > 0) {
     std::printf("lsn range  : %llu .. %llu\n",
-                static_cast<unsigned long long>(scan->records.front().lsn),
+                static_cast<unsigned long long>(scan->first_lsn),
                 static_cast<unsigned long long>(scan->last_lsn));
   }
-  if (checkpoints > 0) {
+  if (scan->checkpoints > 0) {
     std::printf("last ckpt  : lsn %llu, %llu segments\n",
-                static_cast<unsigned long long>(last_ckpt_lsn),
-                static_cast<unsigned long long>(last_ckpt_segments));
+                static_cast<unsigned long long>(scan->last_ckpt_lsn),
+                static_cast<unsigned long long>(scan->last_ckpt_segments));
   }
   std::printf("good bytes : %llu\n",
               static_cast<unsigned long long>(scan->good_bytes));
@@ -538,39 +477,6 @@ int CmdWalInfo(const std::string& path) {
     std::printf("torn tail  : %llu trailing bytes damaged (crash "
                 "mid-append; recovery truncates them)\n",
                 static_cast<unsigned long long>(scan->torn_bytes));
-  } else {
-    std::printf("torn tail  : none\n");
-  }
-  return 0;
-}
-
-/// The pread-backend walinfo: same report as CmdWalInfo, but the scan
-/// streams one record at a time and keeps only counters — a full-history
-/// log larger than RAM stats fine.
-int CmdWalInfoStreaming(const std::string& path) {
-  auto stats = ScanWalStreaming(path);
-  if (!stats.ok()) return Fail(stats.status());
-  std::printf("wal        : %s (streamed)\n", path.c_str());
-  std::printf("records    : %llu (%llu inserts, %llu checkpoint markers)\n",
-              static_cast<unsigned long long>(stats->records),
-              static_cast<unsigned long long>(stats->inserts),
-              static_cast<unsigned long long>(stats->checkpoints));
-  if (stats->records > 0) {
-    std::printf("lsn range  : %llu .. %llu\n",
-                static_cast<unsigned long long>(stats->first_lsn),
-                static_cast<unsigned long long>(stats->last_lsn));
-  }
-  if (stats->checkpoints > 0) {
-    std::printf("last ckpt  : lsn %llu, %llu segments\n",
-                static_cast<unsigned long long>(stats->last_ckpt_lsn),
-                static_cast<unsigned long long>(stats->last_ckpt_segments));
-  }
-  std::printf("good bytes : %llu\n",
-              static_cast<unsigned long long>(stats->good_bytes));
-  if (stats->torn_tail) {
-    std::printf("torn tail  : %llu trailing bytes damaged (crash "
-                "mid-append; recovery truncates them)\n",
-                static_cast<unsigned long long>(stats->torn_bytes));
   } else {
     std::printf("torn tail  : none\n");
   }
@@ -1129,40 +1035,18 @@ int Run(int argc, char** argv) {
   if (command == "verify") return CmdVerify(path);
   if (command == "scrub") {
     bool repair = false;
-    bool stream = false;
     for (int i = 3; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--repair") {
-        repair = true;
-      } else if (arg == "--backend=pread") {
-        stream = true;
-      } else if (arg == "--backend=memory") {
-        stream = false;
-      } else {
-        return Usage();
-      }
+      if (std::string(argv[i]) != "--repair") return Usage();
+      repair = true;
     }
-    return CmdScrub(path, repair, stream);
+    return CmdScrub(path, repair);
   }
   if (command == "walinfo") {
-    bool stream = false;
-    for (int i = 3; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--backend=pread") {
-        stream = true;
-      } else if (arg == "--backend=memory") {
-        stream = false;
-      } else {
-        return Usage();
-      }
-    }
-    auto walinfo_one = [stream](const std::string& f) {
-      return stream ? CmdWalInfoStreaming(f) : CmdWalInfo(f);
-    };
+    if (argc != 3) return Usage();
     if (std::filesystem::is_directory(path)) {
-      return ForEachShardFile(path, ".wal", walinfo_one);
+      return ForEachShardFile(path, ".wal", CmdWalInfo);
     }
-    return walinfo_one(path);
+    return CmdWalInfo(path);
   }
   if (command == "recover") {
     if (argc == 3 && std::filesystem::is_directory(path)) {
