@@ -24,7 +24,8 @@
 //   DQMO_DISK_FRAMES=N         frames per trajectory (default 40)
 //   DQMO_SIM_READ_DELAY_US=D   modeled device read latency (default 150;
 //                              0 = raw OS-cache timing, no model)
-//   DQMO_PREFETCH_DEPTH=K      speculative reads in flight (default 8)
+//   DQMO_PREFETCH_DEPTH=K      speculative reads in flight (default 8,
+//                              clamped to 0..256)
 //   DQMO_CHECK_SPEEDUP=1       exit non-zero unless prefetch-on p99 beats
 //                              prefetch-off by >= DQMO_MIN_SPEEDUP (the CI
 //                              gate; default 1.5) and checksums match
@@ -168,7 +169,8 @@ ArmResult RunDiskArm(const std::string& label, const std::string& image,
   PageReader* reader = disk->get();
   if (prefetch) {
     Prefetcher::Options popt;
-    popt.depth = PrefetchDepthFromEnv();
+    popt.depth = static_cast<size_t>(
+        std::clamp<int64_t>(GetEnvInt("DQMO_PREFETCH_DEPTH", 8), 0, 256));
     prefetcher = std::make_unique<Prefetcher>(disk->get(), popt);
     reader = prefetcher.get();
   }

@@ -1,5 +1,7 @@
 // Environment-variable helpers used by benches to pick reduced vs
-// paper-scale configurations (e.g. DQMO_FULL=1, DQMO_TRAJECTORIES=200).
+// paper-scale configurations (e.g. DQMO_FULL=1, DQMO_TRAJECTORIES=200) and
+// by the observability switches (metrics, recorder, tracer, SIMD tier,
+// slow-read events). Engine settings are option fields, never variables.
 #ifndef DQMO_COMMON_ENV_H_
 #define DQMO_COMMON_ENV_H_
 

@@ -228,10 +228,12 @@ struct Tracer::Impl {
   FrameTrace slowest;                  // Guarded by mu; duration 0 = none.
 
   Impl() {
-    options.slow_frame_ns = static_cast<uint64_t>(
-        GetEnvInt("DQMO_SLOW_FRAME_US", 0) * 1000);
-    options.sample_every =
-        static_cast<uint32_t>(GetEnvInt("DQMO_TRACE_SAMPLE", 0));
+    // Both knobs come from outside: values <= 0 mean off, and large ones
+    // saturate instead of overflowing.
+    options.slow_frame_ns = 1000 * static_cast<uint64_t>(std::clamp<int64_t>(
+        GetEnvInt("DQMO_SLOW_FRAME_US", 0), 0, INT64_MAX / 1000));
+    options.sample_every = static_cast<uint32_t>(std::clamp<int64_t>(
+        GetEnvInt("DQMO_TRACE_SAMPLE", 0), 0, UINT32_MAX));
   }
 };
 

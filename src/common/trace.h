@@ -163,10 +163,11 @@ class Tracer {
  public:
   struct Options {
     /// Capture the span tree of any frame slower than this (0: off).
-    /// Env: DQMO_SLOW_FRAME_US (microseconds).
+    /// Env: DQMO_SLOW_FRAME_US (microseconds; <= 0: off).
     uint64_t slow_frame_ns = 0;
     /// Record spans for every Nth frame per thread and feed the per-kind
-    /// span histograms (0: off, 1: every frame). Env: DQMO_TRACE_SAMPLE.
+    /// span histograms (0: off, 1: every frame). Env: DQMO_TRACE_SAMPLE
+    /// (<= 0: off).
     uint32_t sample_every = 0;
     /// Slow-frame ring capacity; oldest entries are dropped.
     size_t slow_log_capacity = 64;

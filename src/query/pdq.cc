@@ -323,9 +323,8 @@ void PredictiveDynamicQuery::OnObjectInserted(const MotionSegment& m) {
 }
 
 void PredictiveDynamicQuery::OnSubtreeCreated(const ChildEntry& subtree,
-                                              int level) {
-  if (options_.update_policy == UpdatePolicy::kRebuild ||
-      level >= options_.rebuild_level_threshold) {
+                                              int /*level*/) {
+  if (options_.update_policy == UpdatePolicy::kRebuild) {
     RebuildFromRoot();
     return;
   }

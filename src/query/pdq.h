@@ -60,11 +60,6 @@ class PredictiveDynamicQuery : public UpdateListener {
     /// static (historical) database, the common case in the paper.
     bool track_updates = false;
     UpdatePolicy update_policy = UpdatePolicy::kLcaInsert;
-    /// With kLcaInsert: if the reported subtree's level is >= this value,
-    /// fall back to a rebuild anyway ("if the lowest common ancestor ... is
-    /// close to the root, it is better to empty the priority queues").
-    /// Default never triggers.
-    int rebuild_level_threshold = 1 << 20;
     /// Reaction to unreadable nodes (rtree/fault_policy.h). Under
     /// kSkipSubtree an unexplorable subtree is dropped from the queue and
     /// recorded in skip_report(); results become a subset of the fault-free

@@ -84,7 +84,7 @@ Result<std::unique_ptr<DurableIndex>> DurableIndex::Open(
   RTree* tree = index->tree_.get();
   RecoveryReport* report = &index->report_;
   const uint64_t base_lsn = tree->applied_lsn();
-  WalWriter::Options wal_options = options.wal;
+  WalWriter::Options wal_options;
   wal_options.min_next_lsn = base_lsn + 1;
   WalScan scan;
   DQMO_RETURN_IF_ERROR(index->wal_.Open(

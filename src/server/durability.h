@@ -77,7 +77,6 @@ class DurableIndex {
   struct Options {
     /// Tree geometry for a fresh index (ignored when a checkpoint loads).
     RTree::Options tree;
-    WalWriter::Options wal;
     /// Sync the WAL inside every Insert (acknowledge-per-insert). Disable
     /// to group-commit: Insert only buffers, and the caller syncs per
     /// batch — explicitly or via the TreeGate write guard.

@@ -64,22 +64,6 @@ void ThreadPool::Submit(std::function<void()> task,
   work_cv_.notify_one();
 }
 
-bool ThreadPool::TrySubmit(std::function<void()> task,
-                           SessionPriority priority) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (options_.max_queue > 0 && QueueDepthLocked() >= options_.max_queue) {
-      return false;
-    }
-    queues_[static_cast<size_t>(priority)].push_back(std::move(task));
-    const size_t depth = QueueDepthLocked();
-    ExecMetrics::Get().queue_depth->Set(static_cast<int64_t>(depth));
-    ExecMetrics::Get().queue_depth_peak->SetMax(static_cast<int64_t>(depth));
-  }
-  work_cv_.notify_one();
-  return true;
-}
-
 void ThreadPool::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock,

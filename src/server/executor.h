@@ -49,9 +49,9 @@ namespace dqmo {
 
 /// Fixed-size pool of worker threads draining per-priority FIFO task
 /// queues (higher priority classes are always dequeued first). The queue
-/// may be bounded: a full bounded pool either rejects (TrySubmit) or
-/// back-pressures the submitter (Submit blocks) instead of growing without
-/// limit — the overload-resilience contract of DESIGN.md.
+/// may be bounded: a full bounded pool back-pressures the submitter
+/// (Submit blocks) instead of growing without limit — the
+/// overload-resilience contract of DESIGN.md.
 class ThreadPool {
  public:
   struct Options {
@@ -74,11 +74,6 @@ class ThreadPool {
   /// Tasks must not throw.
   void Submit(std::function<void()> task,
               SessionPriority priority = SessionPriority::kNormal);
-
-  /// Enqueues unless the bounded queue is full; false = rejected (the task
-  /// was not consumed in that case). Never blocks.
-  bool TrySubmit(std::function<void()> task,
-                 SessionPriority priority = SessionPriority::kNormal);
 
   /// Blocks until the queue is empty and no task is running.
   void Wait();

@@ -3,12 +3,20 @@
 #include <iterator>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/metrics.h"
 #include "common/recorder.h"
 #include "common/string_util.h"
 
 namespace dqmo {
+namespace {
+
+// The EWMA trip of BreakerOptions: smoothing factor of the per-read error
+// indicator, the rate that opens, and the reads needed before it may.
+constexpr double kErrorAlpha = 0.25;
+constexpr double kOpenErrorRate = 0.5;
+constexpr uint64_t kMinSamples = 8;
+
+}  // namespace
 
 const char* BreakerStateName(BreakerState s) {
   switch (s) {
@@ -20,26 +28,6 @@ const char* BreakerStateName(BreakerState s) {
       return "half-open";
   }
   return "?";
-}
-
-BreakerOptions BreakerOptions::FromEnv() {
-  BreakerOptions o;
-  o.open_error_rate =
-      GetEnvDouble("DQMO_BREAKER_ERROR_RATE", o.open_error_rate);
-  o.min_samples = static_cast<uint64_t>(
-      GetEnvInt("DQMO_BREAKER_MIN_SAMPLES",
-                static_cast<int64_t>(o.min_samples)));
-  o.consecutive_failures = static_cast<uint64_t>(
-      GetEnvInt("DQMO_BREAKER_CONSECUTIVE",
-                static_cast<int64_t>(o.consecutive_failures)));
-  o.cooldown_frames = static_cast<uint64_t>(
-      GetEnvInt("DQMO_BREAKER_COOLDOWN_FRAMES",
-                static_cast<int64_t>(o.cooldown_frames)));
-  o.probe_rate = GetEnvDouble("DQMO_BREAKER_PROBE_RATE", o.probe_rate);
-  o.probe_successes_to_close = static_cast<uint64_t>(
-      GetEnvInt("DQMO_BREAKER_PROBE_CLOSES",
-                static_cast<int64_t>(o.probe_successes_to_close)));
-  return o;
 }
 
 HealthMetrics& HealthMetrics::Get() {
@@ -70,8 +58,9 @@ HealthMetrics& HealthMetrics::Get() {
 }
 
 CircuitBreaker::CircuitBreaker(int shard, const BreakerOptions& options)
-    : shard_(shard), options_(options), probe_rng_(options.probe_seed) {
-  DQMO_CHECK(options.error_alpha > 0.0 && options.error_alpha <= 1.0);
+    : shard_(shard),
+      options_(options),
+      probe_rng_(1 + static_cast<uint64_t>(shard)) {
   DQMO_CHECK(options.probe_rate >= 0.0 && options.probe_rate <= 1.0);
   DQMO_CHECK(options.probe_successes_to_close >= 1);
 }
@@ -111,8 +100,8 @@ void CircuitBreaker::OpenLocked(const std::string& cause) {
 void CircuitBreaker::OnReadOutcome(bool ok) {
   std::lock_guard<std::mutex> lock(mu_);
   ++samples_;
-  error_ewma_ = options_.error_alpha * (ok ? 0.0 : 1.0) +
-                (1.0 - options_.error_alpha) * error_ewma_;
+  error_ewma_ =
+      kErrorAlpha * (ok ? 0.0 : 1.0) + (1.0 - kErrorAlpha) * error_ewma_;
   if (ok) {
     consecutive_errors_ = 0;
     return;
@@ -126,8 +115,7 @@ void CircuitBreaker::OnReadOutcome(bool ok) {
     OpenLocked(StrFormat("%llu consecutive exhausted reads",
                          static_cast<unsigned long long>(
                              consecutive_errors_)));
-  } else if (samples_ >= options_.min_samples &&
-             error_ewma_ >= options_.open_error_rate) {
+  } else if (samples_ >= kMinSamples && error_ewma_ >= kOpenErrorRate) {
     OpenLocked(StrFormat("error-rate EWMA %.2f", error_ewma_));
   }
 }

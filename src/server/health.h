@@ -54,33 +54,24 @@ enum class BreakerState : uint8_t { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
 
 const char* BreakerStateName(BreakerState s);
 
+/// Breaker policy. Besides these, a closed breaker also opens once its
+/// error-rate EWMA (smoothing 0.25 per post-retry read) reaches 0.5 after
+/// at least 8 reads.
 struct BreakerOptions {
-  /// EWMA smoothing factor for the per-read error indicator (1 = only the
-  /// latest read matters).
-  double error_alpha = 0.25;
-  /// Error-rate EWMA at or above which the breaker opens...
-  double open_error_rate = 0.5;
-  /// ...once at least this many post-retry outcomes were observed.
-  uint64_t min_samples = 8;
-  /// Independent fast trip: this many consecutive failed reads open the
-  /// breaker regardless of the EWMA (a freshly dead shard should not need
-  /// min_samples frames to be noticed).
+  /// Fast trip: this many consecutive failed reads open the breaker
+  /// regardless of the EWMA (a freshly dead shard should not need 8 reads'
+  /// worth of EWMA to be noticed).
   uint64_t consecutive_failures = 4;
   /// Evaluated frames spent open before moving to half-open on our own
   /// (transient faults may simply pass). 0 = never: only the scrubber's
   /// OnRepairComplete() promotes, i.e. repair is mandatory.
   uint64_t cooldown_frames = 16;
   /// Probability that a half-open frame probes (serves reads normally) vs
-  /// stays blocked. Drawn from a seeded stream: probe schedules replay.
+  /// stays blocked. Drawn from a stream seeded with 1 + shard: probe
+  /// schedules replay, and differ per shard.
   double probe_rate = 0.5;
   /// Consecutive healthy probe frames required to close.
   uint64_t probe_successes_to_close = 3;
-  uint64_t probe_seed = 1;
-
-  /// DQMO_BREAKER_ERROR_RATE, DQMO_BREAKER_MIN_SAMPLES,
-  /// DQMO_BREAKER_CONSECUTIVE, DQMO_BREAKER_COOLDOWN_FRAMES,
-  /// DQMO_BREAKER_PROBE_RATE, DQMO_BREAKER_PROBE_CLOSES.
-  static BreakerOptions FromEnv();
 };
 
 /// Per-shard health tracker + three-state circuit breaker. Fed from three

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/env.h"
 #include "common/metrics.h"
 #include "common/recorder.h"
 #include "common/string_util.h"
@@ -46,17 +45,6 @@ const char* SessionPriorityName(SessionPriority priority) {
       return "batch";
   }
   return "unknown";
-}
-
-AdmissionOptions AdmissionOptions::FromEnv() {
-  AdmissionOptions o;
-  o.max_queue_depth = static_cast<size_t>(std::max<int64_t>(
-      0, GetEnvInt("DQMO_EXEC_QUEUE_MAX",
-                   static_cast<int64_t>(o.max_queue_depth))));
-  o.per_client_quota = static_cast<uint64_t>(std::max<int64_t>(
-      0, GetEnvInt("DQMO_CLIENT_QUOTA",
-                   static_cast<int64_t>(o.per_client_quota))));
-  return o;
 }
 
 Status AdmissionStatus(AdmissionOutcome outcome) {
@@ -119,22 +107,6 @@ void AdmissionController::OnSessionDone(uint64_t client_id) {
   if (it != in_flight_.end() && it->second > 0) --it->second;
 }
 
-OverloadGovernor::Options OverloadGovernor::Options::FromEnv() {
-  Options o;
-  o.overload_latency_ns = 1000 * static_cast<uint64_t>(std::max<int64_t>(
-      1, GetEnvInt("DQMO_GOV_LATENCY_US",
-                   static_cast<int64_t>(o.overload_latency_ns / 1000))));
-  o.queue_high_watermark = static_cast<size_t>(std::max<int64_t>(
-      1, GetEnvInt("DQMO_GOV_QUEUE_HIGH",
-                   static_cast<int64_t>(o.queue_high_watermark))));
-  o.queue_low_watermark = static_cast<size_t>(std::max<int64_t>(
-      0, GetEnvInt("DQMO_GOV_QUEUE_LOW",
-                   static_cast<int64_t>(o.queue_low_watermark))));
-  o.window = static_cast<uint64_t>(std::max<int64_t>(
-      1, GetEnvInt("DQMO_GOV_WINDOW", static_cast<int64_t>(o.window))));
-  return o;
-}
-
 OverloadGovernor::OverloadGovernor() : OverloadGovernor(Options()) {}
 
 OverloadGovernor::OverloadGovernor(const Options& options)
@@ -172,7 +144,7 @@ void OverloadGovernor::Evaluate() {
   int level = level_.load(std::memory_order_relaxed);
   if (overloaded) {
     healthy_streak_ = 0;
-    if (level < options_.max_level) {
+    if (level < kMaxLevel) {
       level_.store(level + 1, std::memory_order_relaxed);
       OverloadMetrics::Get().governor_escalations->Add();
       FlightRecorder::Record(FlightEventKind::kGovernorLevel, -1,
@@ -219,7 +191,7 @@ OverloadGovernor::Directive OverloadGovernor::FrameDirective(
   const double scale = 1.0 / static_cast<double>(uint64_t{1} << level);
   const uint64_t base = base_deadline_ns != 0
                             ? base_deadline_ns
-                            : options_.default_frame_deadline_ns;
+                            : kDefaultFrameDeadlineNs;
   d.frame_deadline_ns = std::max<uint64_t>(
       1, static_cast<uint64_t>(static_cast<double>(base) * scale));
   if (base_node_budget != 0) {
@@ -227,7 +199,7 @@ OverloadGovernor::Directive OverloadGovernor::FrameDirective(
         1,
         static_cast<uint64_t>(static_cast<double>(base_node_budget) * scale));
   } else if (level >= 2) {
-    d.node_budget = options_.node_budget_cap;
+    d.node_budget = kNodeBudgetCap;
   }
   d.horizon_scale = scale;
   return d;

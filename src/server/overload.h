@@ -49,9 +49,6 @@ struct AdmissionOptions {
   /// Maximum in-flight (admitted, not yet finished) sessions per client;
   /// 0 = unlimited.
   uint64_t per_client_quota = 0;
-
-  /// Reads DQMO_EXEC_QUEUE_MAX and DQMO_CLIENT_QUOTA over the defaults.
-  static AdmissionOptions FromEnv();
 };
 
 enum class AdmissionOutcome : uint8_t {
@@ -105,6 +102,16 @@ class AdmissionController {
 ///       served, degraded).
 class OverloadGovernor {
  public:
+  /// Deepest degradation level (L3 above).
+  static constexpr int kMaxLevel = 3;
+  /// Deadline imposed (scaled) on sessions that declared none, once the
+  /// level is above 0 — an unbounded session must not stay unbounded
+  /// under overload.
+  static constexpr uint64_t kDefaultFrameDeadlineNs = 20'000'000;
+  /// Node-budget cap imposed from level 2 on sessions that declared no
+  /// node budget.
+  static constexpr uint64_t kNodeBudgetCap = 4096;
+
   struct Options {
     /// A completed frame slower than this is "slow" (overload evidence).
     uint64_t overload_latency_ns = 20'000'000;  // 20 ms.
@@ -115,18 +122,6 @@ class OverloadGovernor {
     uint64_t window = 64;
     /// Consecutive healthy windows required to step one level down.
     int recovery_windows = 3;
-    int max_level = 3;
-    /// Deadline imposed (scaled) on sessions that declared none, once the
-    /// level is above 0 — an unbounded session must not stay unbounded
-    /// under overload.
-    uint64_t default_frame_deadline_ns = 20'000'000;
-    /// Node-budget cap imposed from level 2 on sessions that declared no
-    /// node budget.
-    uint64_t node_budget_cap = 4096;
-
-    /// Reads DQMO_GOV_LATENCY_US, DQMO_GOV_QUEUE_HIGH, DQMO_GOV_QUEUE_LOW,
-    /// and DQMO_GOV_WINDOW over the defaults.
-    static Options FromEnv();
   };
 
   /// What one frame of one session should do right now.

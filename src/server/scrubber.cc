@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/metrics.h"
 #include "common/recorder.h"
 #include "common/string_util.h"
@@ -26,14 +25,6 @@ bool FileExists(const std::string& path) {
 }
 
 }  // namespace
-
-ScrubOptions ScrubOptions::FromEnv() {
-  ScrubOptions o;
-  o.interval_ms = static_cast<uint64_t>(
-      GetEnvInt("DQMO_SCRUB_INTERVAL_MS", static_cast<int64_t>(o.interval_ms)));
-  o.repair = GetEnvBool("DQMO_SCRUB_REPAIR", o.repair);
-  return o;
-}
 
 std::string ShardScrubber::PassReport::ToString() const {
   return StrFormat(
@@ -111,9 +102,9 @@ void ShardScrubber::ScrubShard(int i, PassReport* report) {
     HealthMetrics::Get().scrub_pages->Add(s.file->num_pages());
     report->pages_bad += bad_count;
     if (bad_count > 0) {
-      if (!options_.repair || s.durable == nullptr) {
-        // At-rest damage with nothing to rebuild from (or repair is off):
-        // the shard stays quarantined, serving attributed kPartial frames.
+      if (s.durable == nullptr) {
+        // At-rest damage with nothing to rebuild from: the shard stays
+        // quarantined, serving attributed kPartial frames.
         ++report->shards_unrepairable;
         return;
       }

@@ -68,12 +68,6 @@ struct ScrubOptions {
   /// Background pass period. Each pass only touches quarantined shards,
   /// so an all-healthy engine pays num_shards breaker-state loads.
   uint64_t interval_ms = 50;
-  /// Rebuild damaged durable shards in place. Off: scrub only reports
-  /// (pages_bad) and never promotes a damaged shard.
-  bool repair = true;
-
-  /// DQMO_SCRUB_INTERVAL_MS, DQMO_SCRUB_REPAIR.
-  static ScrubOptions FromEnv();
 };
 
 /// Walks quarantined shards, verifying, repairing, draining, promoting.
@@ -89,7 +83,7 @@ class ShardScrubber {
     uint64_t pages_bad = 0;     // Checksum mismatches found.
     uint64_t pages_rebuilt = 0; // Bad pages healed by in-place repair.
     int shards_promoted = 0;    // Breakers moved open -> half-open.
-    int shards_unrepairable = 0;// Damaged but no durable pair / repair off.
+    int shards_unrepairable = 0;// Damaged but no (loadable) durable pair.
 
     std::string ToString() const;
   };

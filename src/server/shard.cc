@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/metrics.h"
 #include "common/recorder.h"
 #include "common/string_util.h"
@@ -117,31 +116,6 @@ std::string ShardMap::Describe() const {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedEngineOptions.
-
-ShardedEngineOptions ShardedEngineOptions::FromEnv() {
-  ShardedEngineOptions o;
-  o.num_shards = static_cast<int>(GetEnvInt("DQMO_SHARDS", o.num_shards));
-  // DQMO_SPEED_SPLIT: "off" / "0" disables; a number sets the threshold.
-  const std::string split =
-      GetEnvString("DQMO_SPEED_SPLIT", std::to_string(o.speed_split_threshold));
-  if (split == "off" || split == "0") {
-    o.speed_split = false;
-  } else {
-    o.speed_split_threshold = GetEnvDouble("DQMO_SPEED_SPLIT",
-                                           o.speed_split_threshold);
-  }
-  o.failure_domains = GetEnvBool("DQMO_FAILURE_DOMAINS", o.failure_domains);
-  if (o.failure_domains) o.breaker = BreakerOptions::FromEnv();
-  o.io_backend = IoBackendFromEnv();
-  o.prefetch_depth = PrefetchDepthFromEnv();
-  o.page_budget_mb = static_cast<size_t>(
-      GetEnvInt("DQMO_PAGE_BUDGET_MB",
-                static_cast<int64_t>(o.page_budget_mb)));
-  return o;
-}
-
-// ---------------------------------------------------------------------------
 // ShardedEngine.
 
 Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
@@ -162,7 +136,7 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
     }
   }
 
-  // Per-shard slice of the DQMO_PAGE_BUDGET_MB memory budget: 3/4 to the
+  // Per-shard slice of the page_budget_mb memory budget: 3/4 to the
   // BufferPool, 1/4 to the disk store's dirty-frame table, floors of 16
   // pages each so tiny budgets stay functional.
   size_t pool_pages = options.pool_pages;
@@ -197,7 +171,6 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
         // queue slots.
         Prefetcher::Options popt;
         popt.depth = options.prefetch_depth;
-        popt.sleeper = options.fault_sleeper;
         s->prefetcher = std::make_unique<Prefetcher>(
             s->durable->disk_file(), popt);
       }
@@ -226,18 +199,14 @@ void ShardedEngine::BuildReadStack(Shard* s, int i, size_t pool_pages) {
       s->durable != nullptr ? s->durable->wal() : nullptr,
       s->node_cache.get());
   if (!options_.failure_domains) return;
-  BreakerOptions bopt = options_.breaker;
-  // Distinct, deterministic probe schedule per shard.
-  bopt.probe_seed = options_.breaker.probe_seed + static_cast<uint64_t>(i);
-  s->breaker = std::make_unique<CircuitBreaker>(i, bopt);
+  s->breaker = std::make_unique<CircuitBreaker>(i, options_.breaker);
   // Disk mode slots the Prefetcher at the BOTTOM of the chain (directly
   // over the DiskPageFile): the fault plane above keeps drawing its
   // synchronous stream in consumption order, untouched by speculation.
   PageReader* bottom =
       s->prefetcher != nullptr ? static_cast<PageReader*>(s->prefetcher.get())
                                : static_cast<PageReader*>(s->file);
-  s->faulty = std::make_unique<FaultyPageReader>(bottom, nullptr,
-                                                 options_.fault_sleeper);
+  s->faulty = std::make_unique<FaultyPageReader>(bottom, nullptr);
   // The default policy verifies checksums: the integrity net under the pool.
   s->retry = std::make_unique<RetryingPageReader>(
       s->faulty.get(), RetryingPageReader::RetryPolicy(),

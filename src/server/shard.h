@@ -138,15 +138,6 @@ struct ShardedEngineOptions {
   /// its byte-for-byte I/O accounting — untouched.
   bool failure_domains = false;
   BreakerOptions breaker;
-  /// Serves injected slow-read delays for the per-shard fault planes;
-  /// null sleeps for real. Tests inject a counting no-op for sleep-free
-  /// slow-storm chaos programs.
-  FaultyPageReader::Sleeper fault_sleeper;
-  /// Reads DQMO_SHARDS (shard count), DQMO_SPEED_SPLIT (threshold;
-  /// "off"/"0" disables the split), DQMO_FAILURE_DOMAINS, the
-  /// DQMO_BREAKER_* knobs, and the disk knobs — DQMO_IO_BACKEND,
-  /// DQMO_PREFETCH_DEPTH, DQMO_PAGE_BUDGET_MB — over these defaults.
-  static ShardedEngineOptions FromEnv();
 };
 
 /// N independent single-tree engines behind one insert-routing facade.

@@ -11,8 +11,6 @@
 #include <mutex>
 #include <thread>
 
-#include "common/env.h"
-
 #if __has_include(<linux/io_uring.h>)
 #include <linux/io_uring.h>
 #include <sys/mman.h>
@@ -24,25 +22,6 @@
 #endif
 
 namespace dqmo {
-
-const char* IoBackendName(IoBackend backend) {
-  switch (backend) {
-    case IoBackend::kMemory:
-      return "memory";
-    case IoBackend::kPread:
-      return "pread";
-    case IoBackend::kUring:
-      return "uring";
-  }
-  return "unknown";
-}
-
-IoBackend IoBackendFromEnv() {
-  const std::string v = GetEnvString("DQMO_IO_BACKEND", "memory");
-  if (v == "pread") return IoBackend::kPread;
-  if (v == "uring") return IoBackend::kUring;
-  return IoBackend::kMemory;
-}
 
 #if DQMO_HAS_IO_URING
 

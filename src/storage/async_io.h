@@ -15,15 +15,14 @@
 //     containers often deny io_uring via seccomp, so probing, not version
 //     sniffing, is the gate.
 //
-// Backend selection is the DQMO_IO_BACKEND={memory,pread,uring} knob
-// (IoBackendFromEnv); `uring` silently degrades to the thread queue when
-// the probe fails, so one config works across hosts.
+// The caller picks the backend (ShardedEngineOptions::io_backend,
+// DurableIndex::Options::io_backend); `uring` silently degrades to the
+// thread queue when the probe fails, so one config works across hosts.
 #ifndef DQMO_STORAGE_ASYNC_IO_H_
 #define DQMO_STORAGE_ASYNC_IO_H_
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -37,13 +36,6 @@ enum class IoBackend : uint8_t {
   kUring,   // DiskPageFile with io_uring prefetch (falls back to kPread's
             // thread queue when the kernel denies io_uring).
 };
-
-const char* IoBackendName(IoBackend backend);
-
-/// Parses DQMO_IO_BACKEND (memory|pread|uring, default memory). Unknown
-/// values fall back to memory — a misspelled knob must not flip a server
-/// onto an unintended disk path.
-IoBackend IoBackendFromEnv();
 
 /// True when io_uring_setup(2) actually works here (cached probe). False on
 /// old kernels, seccomp-filtered containers, or !__has_include builds.

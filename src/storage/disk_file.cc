@@ -437,6 +437,11 @@ size_t DiskPageFile::VerifyAllPages(std::vector<PageId>* bad) {
 }
 
 Status DiskPageFile::SaveTo(const std::string& path) {
+  if (path == path_) {
+    // The live file is a working copy; a checkpoint image lives elsewhere.
+    return Status::InvalidArgument("cannot checkpoint " + path_ +
+                                   " over its own live file");
+  }
   // Everything to disk first; the frame table empties either way.
   for (auto it = frames_.begin(); it != frames_.end();
        it = frames_.begin()) {
@@ -444,15 +449,8 @@ Status DiskPageFile::SaveTo(const std::string& path) {
   }
   frame_fifo_.clear();
   dirty_pages_.clear();
-  if (path == path_) {
-    // Flushing our own file: header + data durable in place. No rename —
-    // the live file is a working copy, not the durable checkpoint.
-    DQMO_RETURN_IF_ERROR(WriteHeader());
-    if (::fsync(fd_) != 0) return Status::IOError("fsync failed on " + path_);
-    return Status::OK();
-  }
-  // Checkpointing elsewhere: the one image writer, fed page-at-a-time
-  // from the (now fully flushed) live file.
+  // The one image writer, fed page-at-a-time from the (now fully flushed)
+  // live file.
   AlignedPageBuf page;
   return WritePgfImage(path, num_pages_,
                        [&](uint64_t id) -> Result<PgfPageRun> {

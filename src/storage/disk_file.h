@@ -10,14 +10,15 @@
 //
 // Memory model: reads are served from a small per-thread aligned scratch
 // buffer (no page cache of its own — the BufferPool above provides caching,
-// and DQMO_PAGE_BUDGET_MB sizes pool + store together). Writes land in a
-// bounded dirty-frame table; when it overflows its budget the oldest frame
-// is sealed and written back (FIFO), and SealAllDirty/Publish/SaveTo flush
-// everything. Accounting is deliberately identical to the in-memory
-// PageFile: every Read charges one physical read — even when served from a
-// dirty frame — and every Write/WritableView one physical write, so
-// node-level I/O counts are byte-identical across backends (the
-// differential sweep in tests/disk_backend_test.cc holds this line).
+// and ShardedEngineOptions::page_budget_mb sizes pool + store together).
+// Writes land in a bounded dirty-frame table; when it overflows its budget
+// the oldest frame is sealed and written back (FIFO), and
+// SealAllDirty/Publish/SaveTo flush everything. Accounting is deliberately
+// identical to the in-memory PageFile: every Read charges one physical
+// read — even when served from a dirty frame — and every
+// Write/WritableView one physical write, so node-level I/O counts are
+// byte-identical across backends (the differential sweep in
+// tests/disk_backend_test.cc holds this line).
 //
 // Threading: same contract as PageFile (see page_store.h) — concurrent
 // Read calls race only on atomic flags and scratch buffers keyed by thread;
@@ -73,8 +74,8 @@ class DiskPageFile : public PageStore {
     /// definition).
     IoBackend backend = IoBackend::kPread;
     /// Dirty frames resident before the oldest is written back (FIFO).
-    /// This is the store's share of DQMO_PAGE_BUDGET_MB; 0 means a
-    /// minimal working set of one frame.
+    /// This is the store's share of ShardedEngineOptions::page_budget_mb;
+    /// 0 means a minimal working set of one frame.
     size_t dirty_frame_budget = 256;
     /// Deterministic slow-device model (bench/abl_disk.cc's cold-cache
     /// knob, not a production setting): every pread costs this much extra,

@@ -98,7 +98,7 @@ class PageStore : public PageReader {
 
   /// Persists all pages atomically to `path` (temp + fsync + rename; the
   /// kSaveBeforeRename crash point sits between the two). A disk store
-  /// whose own file is `path` flushes and fsyncs in place instead.
+  /// refuses its own live file as `path` with InvalidArgument.
   virtual Status SaveTo(const std::string& path) = 0;
 
   /// Test hook: damages stored bytes at rest (trailer left stale).

@@ -4,7 +4,6 @@
 #include <cstring>
 #include <thread>
 
-#include "common/env.h"
 #include "common/metrics.h"
 #include "common/recorder.h"
 #include "common/string_util.h"
@@ -45,13 +44,6 @@ struct PrefetchMetrics {
 };
 
 }  // namespace
-
-size_t PrefetchDepthFromEnv() {
-  const int64_t v = GetEnvInt("DQMO_PREFETCH_DEPTH", 8);
-  if (v <= 0) return 0;
-  if (v > 256) return 256;
-  return static_cast<size_t>(v);
-}
 
 Prefetcher::Prefetcher(DiskPageFile* file, const Options& options)
     : file_(file),

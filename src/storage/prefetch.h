@@ -50,9 +50,6 @@ namespace dqmo {
 
 class FaultInjector;
 
-/// Default speculative depth; overridden by DQMO_PREFETCH_DEPTH.
-size_t PrefetchDepthFromEnv();
-
 class Prefetcher : public PageReader {
  public:
   struct Options {

@@ -205,11 +205,11 @@ class File {
   std::FILE* f_;
 };
 
-Status FlushFsync(std::FILE* f, const std::string& path, bool fsync) {
+Status FlushFsync(std::FILE* f, const std::string& path) {
   if (std::fflush(f) != 0) {
     return Status::IOError("fflush failed on " + path);
   }
-  if (fsync && ::fsync(::fileno(f)) != 0) {
+  if (::fsync(::fileno(f)) != 0) {
     return Status::IOError("fsync failed on " + path);
   }
   return Status::OK();
@@ -217,7 +217,7 @@ Status FlushFsync(std::FILE* f, const std::string& path, bool fsync) {
 
 /// Writes a fresh header-only log at `tmp` and renames it over `path`:
 /// shared by log creation and Reset so both are atomic.
-Status WriteFreshLog(const std::string& path, bool fsync) {
+Status WriteFreshLog(const std::string& path) {
   const std::string tmp = path + ".tmp";
   {
     File f(tmp.c_str(), "wb");
@@ -232,7 +232,7 @@ Status WriteFreshLog(const std::string& path, bool fsync) {
         header.size()) {
       return Status::IOError("short header write to " + tmp);
     }
-    DQMO_RETURN_IF_ERROR(FlushFsync(f.get(), tmp, fsync));
+    DQMO_RETURN_IF_ERROR(FlushFsync(f.get(), tmp));
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     return Status::IOError("cannot rename " + tmp + " over " + path);
@@ -348,7 +348,6 @@ Status WalWriter::Open(const std::string& path, IoStats* stats,
                        WalScan* scanned) {
   Close();
   path_ = path;
-  options_ = options;
   stats_ = stats;
   batch_.clear();
   pending_records_ = 0;
@@ -359,7 +358,7 @@ Status WalWriter::Open(const std::string& path, IoStats* stats,
   if (!exists || scan.good_bytes < kWalHeaderSize) {
     // Absent, zero-length, or so short even the header is torn: start
     // fresh so appends always land after a well-formed header.
-    DQMO_RETURN_IF_ERROR(WriteFreshLog(path, options_.fsync));
+    DQMO_RETURN_IF_ERROR(WriteFreshLog(path));
   } else if (scan.torn_tail) {
     // Drop the torn record(s) before the first new append lands after
     // them; ::truncate keeps the good prefix in place.
@@ -369,7 +368,7 @@ Status WalWriter::Open(const std::string& path, IoStats* stats,
     }
   }
   next_lsn_ = scan.last_lsn + 1;
-  if (next_lsn_ < options_.min_next_lsn) next_lsn_ = options_.min_next_lsn;
+  if (next_lsn_ < options.min_next_lsn) next_lsn_ = options.min_next_lsn;
   synced_lsn_ = scan.last_lsn;
 
   file_ = std::fopen(path.c_str(), "ab");
@@ -438,7 +437,7 @@ Status WalWriter::Sync() {
     CrashPoints::Die();
   }
   DQMO_RETURN_IF_ERROR(WriteRaw(batch_.data(), batch_.size()));
-  DQMO_RETURN_IF_ERROR(FlushAndMaybeFsync());
+  DQMO_RETURN_IF_ERROR(FlushFsync(file_, path_));
   CrashPoints::Hit(crash_points::kWalAfterSync);
   synced_lsn_ = next_lsn_ - 1;
   WalMetrics& wm = WalMetrics::Get();
@@ -460,7 +459,7 @@ Status WalWriter::Reset() {
   file_ = nullptr;
   batch_.clear();
   pending_records_ = 0;
-  DQMO_RETURN_IF_ERROR(WriteFreshLog(path_, options_.fsync));
+  DQMO_RETURN_IF_ERROR(WriteFreshLog(path_));
   file_ = std::fopen(path_.c_str(), "ab");
   if (file_ == nullptr) {
     return Status::IOError("cannot reopen " + path_ + " after reset");
@@ -477,10 +476,6 @@ Status WalWriter::WriteRaw(const uint8_t* data, size_t n) {
     return Status::IOError("short WAL write to " + path_);
   }
   return Status::OK();
-}
-
-Status WalWriter::FlushAndMaybeFsync() {
-  return FlushFsync(file_, path_, options_.fsync);
 }
 
 }  // namespace dqmo

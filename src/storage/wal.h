@@ -121,9 +121,6 @@ Result<WalScan> ScanWal(const std::string& path,
 class WalWriter {
  public:
   struct Options {
-    /// fsync(2) on every Sync. Disable only to measure the fsync cost
-    /// (bench/abl_recovery); an unsynced "durable" log is a contradiction.
-    bool fsync = true;
     /// Floor for the first assigned LSN. Recovery passes the checkpoint's
     /// applied LSN + 1 so a fresh post-reset log continues the sequence
     /// instead of restarting at 1 (which would make new inserts look
@@ -191,11 +188,9 @@ class WalWriter {
 
  private:
   Status WriteRaw(const uint8_t* data, size_t n);
-  Status FlushAndMaybeFsync();
 
   std::FILE* file_ = nullptr;
   std::string path_;
-  Options options_;
   IoStats* stats_ = nullptr;
   std::vector<uint8_t> batch_;  // Encoded records awaiting Sync.
   size_t pending_records_ = 0;

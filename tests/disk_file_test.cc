@@ -173,6 +173,9 @@ TEST(DiskPageFileTest, ImageInteropWithPageFile) {
   // Disk -> image -> memory: the round trip back is just as exact.
   const std::string image2 = tmp.path("ckpt2.pgf");
   ASSERT_TRUE((*disk)->SaveTo(image2).ok());
+  // The live file is a working copy, never a checkpoint target.
+  const Status over_live = (*disk)->SaveTo(tmp.path("live.pgf"));
+  EXPECT_TRUE(over_live.IsInvalidArgument()) << over_live.ToString();
   PageFile mem2;
   ASSERT_TRUE(mem2.LoadFrom(image2).ok());
   ASSERT_EQ(mem2.num_pages(), mem.num_pages());

@@ -8,10 +8,13 @@
 # crash-recovery stage re-runs the fork-based kill tests (every registered
 # CrashPoint) explicitly under the default build and once under ASan, then
 # smoke-runs the CI-size durability ablation. A storage-tools stage drives
-# dqmo_tool's scrub, walinfo and recover on real files. A hot-path stage gates
-# the A15 ablation: the zero-copy query hot path must beat the legacy AoS
-# path by >= 2x ns/entry at -O3, with and without SIMD. All must pass
-# cleanly.
+# dqmo_tool's scrub, walinfo and recover on real files, and an explain
+# stage its traced sharded session on both backends. An env stage checks
+# that only the observability and bench-harness files read the
+# environment, and that the docs name no variable nothing reads. A
+# hot-path stage gates the A15 ablation: the zero-copy query hot path must
+# beat the legacy AoS path by >= 2x ns/entry at -O3, with and without
+# SIMD. All must pass cleanly.
 #
 #   tools/ci.sh [jobs]
 #
@@ -21,6 +24,46 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 jobs="${1:-$(nproc)}"
+
+# Env stage (no build needed): the engine takes every setting from the code
+# that runs it. Only these files may read the environment: the env helpers,
+# the observability switches (metrics, recorder, tracer, SIMD tier, slow
+# device reads) and the bench harness. And every DQMO_* name README.md or
+# DESIGN.md mentions must be read by some GetEnv*/getenv call in src/,
+# bench/ or tools/, unless it is a CMake option or macro (named in
+# CMakeLists.txt).
+echo "==== [env] one place reads the environment ===="
+env_readers="$(grep -rlE 'GetEnv|getenv' src | sort)"
+env_allowed="$(printf '%s\n' src/common/env.cc src/common/env.h \
+  src/common/metrics.cc src/common/recorder.cc src/common/trace.cc \
+  src/harness/experiment.cc src/query/kernels.cc src/storage/disk_file.cc |
+  sort)"
+env_extra="$(comm -23 <(echo "${env_readers}") <(echo "${env_allowed}"))"
+if [[ -n "${env_extra}" ]]; then
+  echo "FAIL: files outside the allowed set read the environment:"
+  echo "${env_extra}"
+  exit 1
+fi
+python3 - <<'PYEOF'
+import pathlib
+import re
+import sys
+
+read = set()
+for root in ("src", "bench", "tools"):
+    for path in pathlib.Path(root).rglob("*"):
+        if path.suffix in (".cc", ".h"):
+            read |= set(re.findall(r'(?:GetEnv\w*|getenv)\(\s*"(DQMO_\w+)"',
+                                   path.read_text()))
+cmake = set(re.findall(r"DQMO_\w+", pathlib.Path("CMakeLists.txt").read_text()))
+bad = False
+for doc in ("README.md", "DESIGN.md"):
+    named = set(re.findall(r"DQMO_[A-Z0-9_]+", pathlib.Path(doc).read_text()))
+    for name in sorted(named - read - cmake):
+        print(f"FAIL: {doc} names {name}, which nothing reads")
+        bad = True
+sys.exit(1 if bad else 0)
+PYEOF
 
 run_pass() {
   local name="$1"
@@ -36,6 +79,18 @@ run_pass() {
 
 run_pass release -DCMAKE_BUILD_TYPE=Release
 run_pass sanitize -DCMAKE_BUILD_TYPE=RelWithDebInfo -DDQMO_SANITIZE=address
+
+# Outside input must not reach undefined behaviour: a huge
+# DQMO_SLOW_FRAME_US once overflowed the tracer's microseconds-to-
+# nanoseconds conversion, which UBSan (recovery off) turns into exit 1.
+echo "==== [sanitize] tracer knobs saturate on huge input ===="
+san_tools="build-ci/sanitize-tools"
+rm -rf "${san_tools}"
+mkdir -p "${san_tools}"
+"build-ci/sanitize/tools/dqmo_tool" build "${san_tools}/ci.pgf" \
+  --objects 300 --seed 7 > /dev/null
+DQMO_SLOW_FRAME_US=9223372036854775807 "build-ci/sanitize/tools/dqmo_tool" \
+  explain "${san_tools}/ci.pgf" --memory --shards 2 --frames 2 > /dev/null
 
 # TSan pass: build everything, but run only the tests that exercise real
 # concurrency plus one differential-oracle sweep seed — TSan's 5-15x
@@ -139,6 +194,32 @@ done
 "${tool}" walinfo "${st_dir}/shards" > "${st_dir}/walinfo-shards.txt"
 [[ "$(grep -c '^torn tail  : none' "${st_dir}/walinfo-shards.txt")" -eq 2 ]] ||
   st_fail "sharded walinfo wrong" "${st_dir}/walinfo-shards.txt"
+
+# Explain stage: `dqmo_tool explain` replays an index on a sharded twin
+# built from the default engine options plus its flags. The durable pread
+# twin and the in-memory one must print the same session checksum and a
+# slowest-frame tree, and the pread run must remove its scratch directory.
+echo "==== [explain] dqmo_tool explain on both backends ===="
+ex_img="${st_dir}/explain.pgf"
+"${tool}" build "${ex_img}" --objects 300 --seed 7 > /dev/null
+for backend in pread memory; do
+  ex_args=(--kind=npdq --shards 4 --frames 8)
+  if [[ "${backend}" == memory ]]; then ex_args+=(--memory); fi
+  "${tool}" explain "${ex_img}" "${ex_args[@]}" \
+    > "${st_dir}/explain-${backend}.txt" ||
+    st_fail "explain (${backend}) exited non-zero" \
+      "${st_dir}/explain-${backend}.txt"
+  grep -q '^slowest frame' "${st_dir}/explain-${backend}.txt" ||
+    st_fail "explain (${backend}) printed no slowest frame" \
+      "${st_dir}/explain-${backend}.txt"
+done
+[[ "$(grep '^checksum :' "${st_dir}/explain-pread.txt")" == \
+   "$(grep '^checksum :' "${st_dir}/explain-memory.txt")" ]] ||
+  st_fail "explain checksums differ between pread and memory" \
+    "${st_dir}/explain-pread.txt" "${st_dir}/explain-memory.txt"
+if compgen -G "${ex_img}.explain-*" > /dev/null; then
+  st_fail "explain left its scratch directory behind" /dev/null
+fi
 
 # Hot-path performance gate: the A15 ablation at CI size, against the
 # Release (-O3) build the kernels are tuned for. DQMO_CHECK_SPEEDUP=1 makes

@@ -834,7 +834,7 @@ int CmdExplain(const std::string& path, int argc, char** argv) {
     return 1;
   }
 
-  ShardedEngineOptions eopt = ShardedEngineOptions::FromEnv();
+  ShardedEngineOptions eopt;
   eopt.num_shards = shards;
   std::string scratch_dir;
   if (!memory) {
@@ -842,9 +842,7 @@ int CmdExplain(const std::string& path, int argc, char** argv) {
                             static_cast<int>(::getpid()));
     std::filesystem::create_directories(scratch_dir);
     eopt.durable_dir = scratch_dir;
-    if (eopt.io_backend == IoBackend::kMemory) {
-      eopt.io_backend = IoBackend::kPread;
-    }
+    eopt.io_backend = IoBackend::kPread;
   }
   auto engine = ShardedEngine::Create(eopt);
   if (!engine.ok()) return Fail(engine.status());
