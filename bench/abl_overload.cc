@@ -140,7 +140,7 @@ Outcome RunConfig(Workbench* bench, const Config& cfg, int threads) {
       "dqmo_exec_queue_wait_ns",
       "Submit-to-start wait in the session thread pool");
   Histogram* frame_h = r.GetHistogram(
-      "dqmo_exec_frame_ns", "Wall time of one governed session frame");
+      "dqmo_query_frame_ns", "Wall time of one dynamic-query frame");
   const HistogramSnapshot session_before = session_h->Snapshot();
   const HistogramSnapshot wait_before = wait_h->Snapshot();
   const HistogramSnapshot frame_before = frame_h->Snapshot();

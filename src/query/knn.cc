@@ -1,14 +1,13 @@
 #include "query/knn.h"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/trace.h"
 #include "query/kernels.h"
-#include "storage/prefetch.h"
 
 namespace dqmo {
 namespace {
@@ -48,49 +47,7 @@ struct HeapEntry {
   }
 };
 
-/// Min-heap with a read-only window onto its backing array: raw()[0] is the
-/// top and the heap-property prefix clusters the nearest entries — the
-/// pages worth speculating on. The heap invariant is never touched.
-struct MinHeap
-    : std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                          std::greater<>> {
-  const std::vector<HeapEntry>& raw() const { return c; }
-};
-
-/// Hints the prefetcher with the node pages in the heap's front region.
-/// Called after a node pop, before its scan, so speculative reads overlap
-/// the node's CPU work.
-void HintPrefetch(const KnnOptions& options, const MinHeap& heap,
-                  std::vector<PageId>* scratch) {
-  Prefetcher* pf = options.prefetcher;
-  if (pf == nullptr || pf->depth() == 0 || heap.empty()) return;
-  const std::vector<HeapEntry>& raw = heap.raw();
-  const size_t window = std::min(raw.size(), 2 * pf->depth() + 4);
-  scratch->clear();
-  for (size_t i = 0; i < window; ++i) {
-    if (raw[i].is_object) continue;
-    scratch->push_back(raw[i].page);
-    if (scratch->size() >= pf->depth()) break;
-  }
-  if (scratch->empty()) return;
-  QueryBudget* budget = options.budget;
-  pf->Hint(scratch->data(), scratch->size(),
-           budget == nullptr
-               ? Prefetcher::ChargeFn()
-               : Prefetcher::ChargeFn(
-                     [budget] { return budget->TryChargePrefetch(); }));
-}
-
 }  // namespace
-
-Result<std::vector<Neighbor>> KnnAt(const RTree& tree, const Vec& point,
-                                    double t, int k, QueryStats* stats,
-                                    PageReader* reader, double prune_bound) {
-  KnnOptions options;
-  options.reader = reader;
-  options.prune_bound = prune_bound;
-  return KnnAt(tree, point, t, k, stats, options);
-}
 
 Result<std::vector<Neighbor>> KnnAt(const RTree& tree, const Vec& point,
                                     double t, int k, QueryStats* stats,
@@ -101,7 +58,7 @@ Result<std::vector<Neighbor>> KnnAt(const RTree& tree, const Vec& point,
   }
   DQMO_CHECK(stats != nullptr);
 
-  std::vector<Neighbor> best;  // Sorted ascending by distance, size <= k.
+  std::vector<Neighbor> best;  // Sorted by NeighborBefore, size <= k.
   auto worst_bound = [&]() {
     return static_cast<int>(best.size()) < k
                ? options.prune_bound
@@ -111,44 +68,35 @@ Result<std::vector<Neighbor>> KnnAt(const RTree& tree, const Vec& point,
   // Kernel outputs, reused across every node scan of this search.
   std::vector<double> dist_scratch;
   std::vector<uint8_t> alive_scratch;
-  std::vector<PageId> hint_scratch;
+  NodeVisitor visitor(&tree, &options, options.skip_report, stats);
   const bool soa = options.hot_path == HotPath::kSoa;
 
   Tracer::SpanScope heap_span(SpanKind::kHeapOp);
-  MinHeap heap;
+  PeekHeap<HeapEntry, std::greater<>> heap;
   heap.push(HeapEntry{0.0, false, tree.root(), StBox(), {}});
   while (!heap.empty()) {
     HeapEntry top = std::move(const_cast<HeapEntry&>(heap.top()));
     heap.pop();
     if (top.min_distance > worst_bound()) break;  // Nothing closer remains.
     if (top.is_object) {
+      // Ties at the k-th distance are popped too (the break above is
+      // strict), so keeping the (distance, key) order here truncates to
+      // the k smallest by NeighborBefore whatever the heap's pop order.
       best.push_back(Neighbor{std::move(top.motion), top.min_distance});
       std::inplace_merge(best.begin(), best.end() - 1, best.end(),
-                         [](const Neighbor& a, const Neighbor& b) {
-                           return a.distance < b.distance;
-                         });
+                         NeighborBefore);
       if (static_cast<int>(best.size()) > k) best.pop_back();
       continue;
     }
-    if (options.budget != nullptr && !options.budget->TryChargeNode()) {
-      // Out of budget: every remaining node is skipped (already-enqueued
-      // objects may still surface); the degraded-kNN contract applies.
-      if (options.skip_report != nullptr) {
-        options.skip_report->RecordSkip(top.page, top.bounds,
-                                        options.budget->StopStatus());
-      }
-      stats->pages_skipped.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
+    // Out of budget: every remaining node is skipped (already-enqueued
+    // objects may still surface); the degraded-kNN contract applies.
+    if (!visitor.Charge(top.page, top.bounds)) continue;
     // Declare the heap's nearest node pages before the (synchronous) scan
     // of this one: the speculative reads land while it is scanned.
-    HintPrefetch(options, heap, &hint_scratch);
+    visitor.HintHeapFront(heap);
     if (soa) {
-      DQMO_ASSIGN_OR_RETURN(
-          std::shared_ptr<const SoaNode> node,
-          tree.LoadNodeSoaOrSkip(top.page, top.bounds, options.fault_policy,
-                                 options.skip_report, stats,
-                                 options.reader));
+      DQMO_ASSIGN_OR_RETURN(std::shared_ptr<const SoaNode> node,
+                            visitor.Load(top.page, top.bounds));
       if (node == nullptr) continue;  // Subtree skipped.
       // Legacy charges one distance computation per entry before the alive
       // filter; the kernels evaluate exactly those entries. `best` cannot
@@ -181,10 +129,8 @@ Result<std::vector<Neighbor>> KnnAt(const RTree& tree, const Vec& point,
       }
       continue;
     }
-    DQMO_ASSIGN_OR_RETURN(
-        std::optional<Node> maybe_node,
-        tree.LoadNodeOrSkip(top.page, top.bounds, options.fault_policy,
-                            options.skip_report, stats, options.reader));
+    DQMO_ASSIGN_OR_RETURN(std::optional<Node> maybe_node,
+                          visitor.LoadAos(top.page, top.bounds));
     if (!maybe_node.has_value()) continue;  // Subtree skipped.
     const Node& node = *maybe_node;
     if (node.is_leaf()) {
@@ -245,16 +191,15 @@ Result<std::vector<Neighbor>> MovingKnnQuery::At(double t,
       now.push_back(Neighbor{n.motion, n.motion.seg.DistanceAt(t, point)});
     }
     if (all_alive && static_cast<int>(now.size()) >= k_) {
-      std::sort(now.begin(), now.end(),
-                [](const Neighbor& a, const Neighbor& b) {
-                  return a.distance < b.distance;
-                });
+      std::sort(now.begin(), now.end(), NeighborBefore);
       const double moved = point.DistanceTo(cache_point_);
       const double drift = tree_->max_speed() * (t - cache_t_);
       const double safe =
           fence_ - moved - drift - options_.discontinuity_margin;
       const double kth = now[static_cast<size_t>(k_) - 1].distance;
-      if (kth <= safe) {
+      // Strict: an uncached object may sit exactly at `safe` with a
+      // smaller key than the cached k-th, and then belongs in the answer.
+      if (kth < safe) {
         now.resize(static_cast<size_t>(k_));
         ++cache_answers_;
         KnnMetrics::Get().cache_answers->Add();
@@ -265,13 +210,8 @@ Result<std::vector<Neighbor>> MovingKnnQuery::At(double t,
   }
 
   // Full search: fetch k + m candidates and rebuild the fence.
-  KnnOptions knn_options;
-  knn_options.reader = options_.reader;
-  knn_options.fault_policy = options_.fault_policy;
+  KnnOptions knn_options(options_);
   knn_options.skip_report = &skip_report_;
-  knn_options.hot_path = options_.hot_path;
-  knn_options.budget = options_.budget;
-  knn_options.prefetcher = options_.prefetcher;
   const uint64_t loads0 = stats_.node_reads.load(std::memory_order_relaxed) +
                           stats_.decoded_hits.load(std::memory_order_relaxed);
   DQMO_ASSIGN_OR_RETURN(

@@ -7,7 +7,11 @@
 // MovingKnnQuery evaluates a *sequence* of such instants along an observer
 // trajectory, priming each search with an upper bound derived from the
 // previous answer set so that most of the tree is pruned when the query
-// point moves smoothly — the dynamic-query idea applied to kNN.
+// point moves smoothly — the dynamic-query idea applied to kNN. Every kNN
+// answer is ordered by (distance, key) (NeighborBefore), so exact distance
+// ties resolve the same way on one tree, from the fence cache and across
+// shards. Node reads follow the read contract every engine shares
+// (query/traversal.h).
 #ifndef DQMO_QUERY_KNN_H_
 #define DQMO_QUERY_KNN_H_
 
@@ -17,13 +21,12 @@
 #include "geom/vec.h"
 #include "motion/motion_segment.h"
 #include "query/budget.h"
+#include "query/traversal.h"
 #include "rtree/node_soa.h"
 #include "rtree/rtree.h"
 #include "rtree/stats.h"
 
 namespace dqmo {
-
-class Prefetcher;
 
 /// One nearest-neighbor answer: the motion segment alive at the query time
 /// and its distance from the query point at that time.
@@ -32,50 +35,43 @@ struct Neighbor {
   double distance = 0.0;
 };
 
-/// Options for KnnAt.
-struct KnnOptions {
-  PageReader* reader = nullptr;  // nullptr: read from the tree's file.
+/// The one kNN answer order: ascending distance, equal distances by motion
+/// key. KnnAt, MovingKnnQuery's cache answer and the shard router's merge
+/// all sort by it, so truncating at k keeps the same objects whether an
+/// answer comes from one tree, a fence cache or any number of shards.
+inline bool NeighborBefore(const Neighbor& a, const Neighbor& b) {
+  if (a.distance != b.distance) return a.distance < b.distance;
+  return a.motion.key() < b.motion.key();
+}
+
+/// Options for KnnAt. Node reads follow the inherited TraversalOptions
+/// (query/traversal.h); the budget is charged once per node pop.
+///
+/// Degraded-kNN contract: when kSkipSubtree or the budget skips a subtree,
+/// every returned distance is still correct and the list is still sorted,
+/// but true neighbors inside the skipped subtree are missing, so the k-th
+/// returned object may be farther than the true k-th. (Unlike range
+/// queries the result is NOT a subset of the fault-free answer: the search
+/// backfills with farther objects.) The best-first heap's front region is
+/// hinted to the prefetcher after each node pop, so those disk reads land
+/// while the popped node is scanned.
+struct KnnOptions : TraversalOptions {
+  KnnOptions() = default;
+  explicit KnnOptions(const TraversalOptions& traversal)
+      : TraversalOptions(traversal) {}
+
   /// Discard anything farther than this (kInf = no bound).
   double prune_bound = kInf;
-  /// Reaction to unreadable nodes (rtree/fault_policy.h). Degraded-kNN
-  /// contract: under kSkipSubtree every returned distance is still correct
-  /// and the list is still sorted, but true neighbors inside a skipped
-  /// subtree are missing — the k-th returned object may be farther than the
-  /// true k-th. (Unlike range queries the result is NOT a subset of the
-  /// fault-free answer: the search backfills with farther objects.)
-  FaultPolicy fault_policy = FaultPolicy::kFailFast;
-  /// Receives the skipped subtrees under kSkipSubtree (may be null).
+  /// Receives the skipped subtrees (may be null).
   SkipReport* skip_report = nullptr;
-  /// kSoa scans nodes through the decoded-node cache and the batch distance
-  /// kernels (query/kernels.h); kLegacyAos keeps the original per-entry
-  /// path. Results and counters are bit-identical either way.
-  HotPath hot_path = HotPath::kSoa;
-  /// Per-frame work budget + cancellation (query/budget.h); not owned, may
-  /// be null (unbudgeted — the bit-identical default). One charge per node
-  /// pop; a failed charge skips the node (recorded in skip_report) and the
-  /// search finishes from what is already enqueued — the degraded-kNN
-  /// contract above applies.
-  QueryBudget* budget = nullptr;
-  /// Speculative read driver (storage/prefetch.h); not owned, may be null
-  /// (no speculation — the bit-identical default). The best-first heap's
-  /// front region is peeked after each node pop and its node pages hinted,
-  /// so their disk reads land while the popped node is scanned. Results and
-  /// node-level counters are unchanged; only prefetch_* IoStats move.
-  Prefetcher* prefetcher = nullptr;
 };
 
 /// Returns the (up to) k motion segments alive at time `t` whose positions
-/// at `t` are nearest to `point`, ordered by increasing distance.
-/// `prune_bound`: discard anything farther than this (kInf = no bound).
+/// at `t` are nearest to `point`, in NeighborBefore order: the k smallest
+/// by (distance, key).
 Result<std::vector<Neighbor>> KnnAt(const RTree& tree, const Vec& point,
                                     double t, int k, QueryStats* stats,
-                                    PageReader* reader = nullptr,
-                                    double prune_bound = kInf);
-
-/// KnnAt with full traversal options (degraded-result support).
-Result<std::vector<Neighbor>> KnnAt(const RTree& tree, const Vec& point,
-                                    double t, int k, QueryStats* stats,
-                                    const KnnOptions& options);
+                                    const KnnOptions& options = {});
 
 /// Incremental kNN along a moving query point — the dynamic-query idea
 /// applied to nearest-neighbor search (in the spirit of the paper's
@@ -87,8 +83,9 @@ Result<std::vector<Neighbor>> KnnAt(const RTree& tree, const Vec& point,
 /// >= fence from q0 at time t0, so its distance at t1 is at least
 ///   fence - |q1 - q0| - max_speed * (t1 - t0) - margin,
 /// where max_speed is the tree's maximum stored motion speed. While the
-/// k-th candidate distance stays below that bound, the answer is computed
-/// entirely from the cache — zero disk accesses.
+/// k-th candidate distance stays strictly below that bound, the answer is
+/// computed entirely from the cache — zero disk accesses. (Strictly: an
+/// uncached object exactly at the bound may have a smaller key.)
 ///
 /// Soundness assumptions (documented, matching the paper's motion model):
 /// objects alive at t1 were alive at t0 with spatially continuous
@@ -99,26 +96,21 @@ Result<std::vector<Neighbor>> KnnAt(const RTree& tree, const Vec& point,
 /// `Options::discontinuity_margin`.
 class MovingKnnQuery {
  public:
-  struct Options {
+  /// The inherited TraversalOptions serve each full search (KnnOptions).
+  /// A degraded full search (a fault skip or a budget stop) answers under
+  /// the degraded-kNN contract but does NOT install the fence cache: a
+  /// fence built from an incomplete candidate set would let later frames
+  /// silently compound the miss.
+  struct Options : TraversalOptions {
+    Options() = default;
+    explicit Options(const TraversalOptions& traversal)
+        : TraversalOptions(traversal) {}
+
     /// Extra candidates fetched per full search (m above). Larger values
     /// widen the fence (fewer full searches) at higher per-search cost.
     int extra_candidates = -1;  // -1: use k (fetch 2k).
     /// Slack subtracted from the fence for per-update trajectory jumps.
     double discontinuity_margin = 0.0;
-    PageReader* reader = nullptr;
-    /// Reaction to unreadable nodes; see KnnOptions::fault_policy for the
-    /// degraded-kNN contract. A degraded full search additionally does NOT
-    /// install the fence cache: a fence built from an incomplete candidate
-    /// set would let later frames silently compound the miss.
-    FaultPolicy fault_policy = FaultPolicy::kFailFast;
-    /// Hot-path selector forwarded to each full search (KnnOptions).
-    HotPath hot_path = HotPath::kSoa;
-    /// Per-frame work budget forwarded to each full search (KnnOptions). A
-    /// budget-stopped search counts as degraded: answered, but no fence
-    /// installed.
-    QueryBudget* budget = nullptr;
-    /// Speculative read driver forwarded to each full search (KnnOptions).
-    Prefetcher* prefetcher = nullptr;
   };
 
   /// `tree` must outlive the query. k >= 1.

@@ -4,7 +4,6 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "query/kernels.h"
-#include "storage/prefetch.h"
 
 namespace dqmo {
 namespace {
@@ -66,7 +65,9 @@ bool Discardable(const StBox& p, const StBox& q, const ChildEntry& r,
 
 NonPredictiveDynamicQuery::NonPredictiveDynamicQuery(
     RTree* tree, const NpdqOptions& options)
-    : tree_(tree), options_(options) {
+    : tree_(tree),
+      options_(options),
+      visitor_(tree, &options_, &skip_report_, &stats_) {
   DQMO_CHECK(tree != nullptr);
 }
 
@@ -82,32 +83,16 @@ void NonPredictiveDynamicQuery::NoteSkippedSnapshot(const StBox& q) {
   prev_stamp_ = tree_->stamp();
 }
 
-void NonPredictiveDynamicQuery::HintCollected() {
-  if (hint_scratch_.empty()) return;
-  QueryBudget* budget = options_.budget;
-  options_.prefetcher->Hint(
-      hint_scratch_.data(), hint_scratch_.size(),
-      budget == nullptr
-          ? Prefetcher::ChargeFn()
-          : Prefetcher::ChargeFn(
-                [budget] { return budget->TryChargePrefetch(); }));
-}
-
 Status NonPredictiveDynamicQuery::Visit(PageId pid, const StBox& entry_bounds,
                                         const StBox& q, int depth,
                                         std::vector<MotionSegment>* out) {
   if (options_.hot_path == HotPath::kLegacyAos) {
     return VisitLegacy(pid, entry_bounds, q, depth, out);
   }
-  if (options_.budget != nullptr && !options_.budget->TryChargeNode()) {
-    skip_report_.RecordSkip(pid, entry_bounds, options_.budget->StopStatus());
-    stats_.pages_skipped.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();  // Out of budget: prune, finish degraded.
-  }
-  DQMO_ASSIGN_OR_RETURN(
-      std::shared_ptr<const SoaNode> node,
-      tree_->LoadNodeSoaOrSkip(pid, entry_bounds, options_.fault_policy,
-                               &skip_report_, &stats_, options_.reader));
+  // Out of budget: prune, finish degraded.
+  if (!visitor_.Charge(pid, entry_bounds)) return Status::OK();
+  DQMO_ASSIGN_OR_RETURN(std::shared_ptr<const SoaNode> node,
+                        visitor_.Load(pid, entry_bounds));
   if (node == nullptr) return Status::OK();  // Subtree skipped.
   // A node stamped after the previous query ran may contain motions
   // inserted since then; neither discardability nor the returned-by-P skip
@@ -163,7 +148,7 @@ Status NonPredictiveDynamicQuery::Visit(PageId pid, const StBox& entry_bounds,
       }
       hint_scratch_.push_back(node->child[static_cast<size_t>(k)]);
     }
-    HintCollected();
+    visitor_.Hint(hint_scratch_);
   }
   for (int k = 0; k < node->count; ++k) {
     // Re-index the pool each iteration: the recursive Visit below may grow
@@ -184,15 +169,10 @@ Status NonPredictiveDynamicQuery::Visit(PageId pid, const StBox& entry_bounds,
 Status NonPredictiveDynamicQuery::VisitLegacy(
     PageId pid, const StBox& entry_bounds, const StBox& q, int depth,
     std::vector<MotionSegment>* out) {
-  if (options_.budget != nullptr && !options_.budget->TryChargeNode()) {
-    skip_report_.RecordSkip(pid, entry_bounds, options_.budget->StopStatus());
-    stats_.pages_skipped.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();  // Out of budget: prune, finish degraded.
-  }
-  DQMO_ASSIGN_OR_RETURN(
-      std::optional<Node> maybe_node,
-      tree_->LoadNodeOrSkip(pid, entry_bounds, options_.fault_policy,
-                            &skip_report_, &stats_, options_.reader));
+  // Out of budget: prune, finish degraded.
+  if (!visitor_.Charge(pid, entry_bounds)) return Status::OK();
+  DQMO_ASSIGN_OR_RETURN(std::optional<Node> maybe_node,
+                        visitor_.LoadAos(pid, entry_bounds));
   if (!maybe_node.has_value()) return Status::OK();  // Subtree skipped.
   const Node& node = *maybe_node;
   // A node stamped after the previous query ran may contain motions
@@ -237,7 +217,7 @@ Status NonPredictiveDynamicQuery::VisitLegacy(
       }
       hint_scratch_.push_back(e.child);
     }
-    HintCollected();
+    visitor_.Hint(hint_scratch_);
   }
   for (const ChildEntry& e : node.children) {
     ++stats_.distance_computations;

@@ -10,7 +10,8 @@
 //
 // Update management uses per-node timestamps: every insertion stamps the
 // nodes along its path, and a node whose stamp is newer than P's execution
-// disables discardability (and the returned-by-P skip) beneath it.
+// disables discardability (and the returned-by-P skip) beneath it. Node
+// reads follow the read contract every engine shares (query/traversal.h).
 #ifndef DQMO_QUERY_NPDQ_H_
 #define DQMO_QUERY_NPDQ_H_
 
@@ -21,13 +22,12 @@
 #include "geom/box.h"
 #include "motion/motion_segment.h"
 #include "query/budget.h"
+#include "query/traversal.h"
 #include "rtree/node_soa.h"
 #include "rtree/rtree.h"
 #include "rtree/stats.h"
 
 namespace dqmo {
-
-class Prefetcher;
 
 /// How a motion segment is tested against a query box at the leaf level.
 ///
@@ -62,40 +62,29 @@ enum class SpatialPruning {
 /// configuration, our default — and (kExact, kNodeContained). The tests
 /// verify completeness of both; abl_discardability measures the unsound
 /// pairing's miss rate alongside the pruning rates.
-struct NpdqOptions {
-  PageReader* reader = nullptr;  // nullptr: read from the tree's file.
+///
+/// Node reads follow the inherited TraversalOptions (query/traversal.h).
+/// Under kSkipSubtree each Execute completes over the readable tree and
+/// reports the skips through skip_report(). A skip degrades the whole
+/// *sequence*: the snapshot becomes this-and-future queries' "previous"
+/// despite missing objects, so anything lost stays lost. The budget is
+/// charged once per node visit; a refused charge prunes the subtree. So
+/// callers pairing a budget or kSkipSubtree with a sequence should
+/// ResetHistory() after a degraded Execute (DynamicQuerySession does).
+/// NPDQ's declared future is its recursion frontier: after classifying a
+/// node's children, the surviving siblings beyond the first are hinted
+/// before recursing into the first, so their disk reads land while its
+/// subtree is walked.
+struct NpdqOptions : TraversalOptions {
+  NpdqOptions() = default;
+  explicit NpdqOptions(const TraversalOptions& traversal)
+      : TraversalOptions(traversal) {}
+
   LeafSemantics leaf_semantics = LeafSemantics::kBoundingBox;
   SpatialPruning spatial_pruning = SpatialPruning::kIntersectionContained;
   /// Disables all use of the previous query (the processor degenerates to
   /// independent snapshot evaluation; used for baseline comparisons).
   bool use_previous = true;
-  /// Reaction to unreadable nodes (rtree/fault_policy.h). Under
-  /// kSkipSubtree each Execute completes over the readable tree and reports
-  /// the skips through skip_report(). Note that a skip degrades the whole
-  /// *sequence*: the snapshot becomes this-and-future queries' "previous"
-  /// despite missing objects, so anything lost stays lost.
-  FaultPolicy fault_policy = FaultPolicy::kFailFast;
-  /// kSoa visits nodes through the decoded-node cache and classifies
-  /// internal entries with the batch kernel (query/kernels.h); kLegacyAos
-  /// keeps the original per-entry path. Results and counters are
-  /// bit-identical either way.
-  HotPath hot_path = HotPath::kSoa;
-  /// Per-frame work budget + cancellation (query/budget.h); not owned, may
-  /// be null (unbudgeted — the bit-identical default). One charge per node
-  /// visit; a failed charge prunes the subtree, records it in
-  /// skip_report(), and the Execute finishes degraded (kPartial). Callers
-  /// pairing a budget with a sequence should ResetHistory() after a
-  /// degraded Execute so nothing stays masked by an incomplete "previous"
-  /// (DynamicQuerySession does).
-  QueryBudget* budget = nullptr;
-  /// Speculative read driver (storage/prefetch.h); not owned, may be null
-  /// (no speculation — the bit-identical default). NPDQ's declared future
-  /// is its recursion frontier: after classifying a node's children, the
-  /// surviving siblings beyond the first are hinted before recursing into
-  /// the first, so their disk reads land while its subtree is walked.
-  /// Results and node-level counters are unchanged; only prefetch_* IoStats
-  /// move.
-  Prefetcher* prefetcher = nullptr;
 };
 
 /// True iff subtree entry `r` is discardable for current query `q` given
@@ -148,9 +137,6 @@ class NonPredictiveDynamicQuery {
                int depth, std::vector<MotionSegment>* out);
   Status VisitLegacy(PageId pid, const StBox& entry_bounds, const StBox& q,
                      int depth, std::vector<MotionSegment>* out);
-  /// Issues the hint_scratch_ pages to the prefetcher (budget-charged).
-  /// Must be called before any recursion reuses hint_scratch_.
-  void HintCollected();
 
   RTree* tree_;
   NpdqOptions options_;
@@ -161,12 +147,13 @@ class NonPredictiveDynamicQuery {
   // Leaf emission flags, reused across leaves (leaf visits never recurse,
   // so unlike cls_pool_ one buffer serves every depth).
   std::vector<uint8_t> leaf_match_;
-  // Frontier pages collected for HintCollected; safe to share across
+  // Frontier pages collected for the visitor's Hint; safe to share across
   // recursion depths because the hint is issued before recursing.
   std::vector<PageId> hint_scratch_;
   UpdateStamp prev_stamp_ = 0;  // Tree stamp when prev_ was executed.
   QueryStats stats_;
   SkipReport skip_report_;
+  NodeVisitor visitor_;  // Reads through options_, charges the two above.
 };
 
 }  // namespace dqmo

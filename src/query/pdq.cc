@@ -1,12 +1,9 @@
 #include "query/pdq.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/trace.h"
-#include "storage/prefetch.h"
 
 namespace dqmo {
 namespace {
@@ -64,7 +61,8 @@ PredictiveDynamicQuery::PredictiveDynamicQuery(RTree* tree,
       trajectory_(std::move(trajectory)),
       options_(options),
       coeffs_(TrajectoryCoeffs::Build(trajectory_)),
-      last_t_start_(-kInf) {
+      last_t_start_(-kInf),
+      visitor_(tree, &options_, &skip_report_, &stats_) {
   // Seed the queue with the root. Its exact overlap times are computed when
   // it is popped and explored (one disk access), matching the paper's "each
   // node read at most once" accounting; until then the full trajectory span
@@ -105,30 +103,6 @@ void PredictiveDynamicQuery::PushObjectItem(const MotionSegment& m,
   stats_.queue_pushes.fetch_add(1, std::memory_order_relaxed);
 }
 
-void PredictiveDynamicQuery::HintPrefetch() {
-  Prefetcher* pf = options_.prefetcher;
-  if (pf == nullptr || pf->depth() == 0 || queue_.empty()) return;
-  // The heap array's prefix is not sorted, but the heap property keeps the
-  // most-imminent items clustered at the front (every slot's priority is
-  // >= its parent's), so scanning ~2*depth slots covers the next pops with
-  // high probability at O(depth) cost — no heap mutation, no full sort.
-  const std::vector<Item>& raw = queue_.raw();
-  const size_t window = std::min(raw.size(), 2 * pf->depth() + 4);
-  hint_scratch_.clear();
-  for (size_t i = 0; i < window; ++i) {
-    if (raw[i].is_object) continue;
-    hint_scratch_.push_back(raw[i].page);
-    if (hint_scratch_.size() >= pf->depth()) break;
-  }
-  if (hint_scratch_.empty()) return;
-  QueryBudget* budget = options_.budget;
-  pf->Hint(hint_scratch_.data(), hint_scratch_.size(),
-           budget == nullptr
-               ? Prefetcher::ChargeFn()
-               : Prefetcher::ChargeFn(
-                     [budget] { return budget->TryChargePrefetch(); }));
-}
-
 bool PredictiveDynamicQuery::IsDuplicate(const Item& item) {
   // Duplicates introduced by update management carry the same priority
   // (their overlap times are computed from identical geometry), so a window
@@ -149,11 +123,8 @@ Status PredictiveDynamicQuery::Explore(const Item& node_item,
   if (options_.hot_path == HotPath::kLegacyAos) {
     return ExploreLegacy(node_item, t_start);
   }
-  DQMO_ASSIGN_OR_RETURN(
-      std::shared_ptr<const SoaNode> node,
-      tree_->LoadNodeSoaOrSkip(node_item.page, node_item.bounds,
-                               options_.fault_policy, &skip_report_, &stats_,
-                               options_.reader));
+  DQMO_ASSIGN_OR_RETURN(std::shared_ptr<const SoaNode> node,
+                        visitor_.Load(node_item.page, node_item.bounds));
   if (node == nullptr) return Status::OK();  // Subtree skipped.
   Tracer::SpanScope prune_span(SpanKind::kKernelPrune,
                                static_cast<uint64_t>(node->count));
@@ -182,11 +153,8 @@ Status PredictiveDynamicQuery::Explore(const Item& node_item,
 
 Status PredictiveDynamicQuery::ExploreLegacy(const Item& node_item,
                                              double t_start) {
-  DQMO_ASSIGN_OR_RETURN(
-      std::optional<Node> maybe_node,
-      tree_->LoadNodeOrSkip(node_item.page, node_item.bounds,
-                            options_.fault_policy, &skip_report_, &stats_,
-                            options_.reader));
+  DQMO_ASSIGN_OR_RETURN(std::optional<Node> maybe_node,
+                        visitor_.LoadAos(node_item.page, node_item.bounds));
   if (!maybe_node.has_value()) return Status::OK();  // Subtree skipped.
   const Node& node = *maybe_node;
   if (node.is_leaf()) {
@@ -233,15 +201,11 @@ Result<std::optional<PdqResult>> PredictiveDynamicQuery::GetNext(
     Item item = std::move(const_cast<Item&>(queue_.top()));
     queue_.pop();
     stats_.queue_pops.fetch_add(1, std::memory_order_relaxed);
-    if (!item.is_object && options_.budget != nullptr &&
-        !options_.budget->TryChargeNode()) {
-      // Out of budget: record the unexplored subtree (the frame becomes
-      // kPartial) and push the node back for a later frame. The charge
+    if (!item.is_object && !visitor_.Charge(item.page, item.bounds)) {
+      // Out of budget: the unexplored subtree is recorded (the frame
+      // becomes kPartial); push the node back for a later frame. The charge
       // happens before the dedup window sees the item, so the retry pop is
       // not mistaken for an update-management duplicate.
-      skip_report_.RecordSkip(item.page, item.bounds,
-                              options_.budget->StopStatus());
-      stats_.pages_skipped.fetch_add(1, std::memory_order_relaxed);
       queue_.push(std::move(item));
       stats_.queue_pushes.fetch_add(1, std::memory_order_relaxed);
       return std::optional<PdqResult>{};
@@ -278,7 +242,7 @@ Result<std::optional<PdqResult>> PredictiveDynamicQuery::GetNext(
     // Declare the heap's most-imminent node pages before the (synchronous)
     // exploration of this one: the speculative reads land while this
     // node's entries are decoded and filtered.
-    HintPrefetch();
+    visitor_.HintHeapFront(queue_);
     DQMO_RETURN_IF_ERROR(Explore(item, t_start));
   }
   return std::optional<PdqResult>{};

@@ -6,14 +6,13 @@
 // query incrementally: each node is read at most once for the whole query,
 // independent of the frame rate, and each object is returned exactly once,
 // together with the time set during which it stays in view (so the client
-// cache can evict it at its disappearance time).
+// cache can evict it at its disappearance time). Node reads follow the
+// read contract every engine shares (query/traversal.h).
 #ifndef DQMO_QUERY_PDQ_H_
 #define DQMO_QUERY_PDQ_H_
 
-#include <deque>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -22,12 +21,11 @@
 #include "motion/motion_segment.h"
 #include "query/budget.h"
 #include "query/kernels.h"
+#include "query/traversal.h"
 #include "rtree/rtree.h"
 #include "rtree/stats.h"
 
 namespace dqmo {
-
-class Prefetcher;
 
 /// One retrieved object plus the exact times it is inside the moving window.
 struct PdqResult {
@@ -53,37 +51,24 @@ class PredictiveDynamicQuery : public UpdateListener {
     kRebuild,
   };
 
-  struct Options {
-    /// Page source for reads; nullptr uses the tree's backing file.
-    PageReader* reader = nullptr;
+  /// Node reads follow the inherited TraversalOptions (query/traversal.h).
+  /// Under kSkipSubtree an unexplorable subtree is dropped from the queue
+  /// and recorded in skip_report(); results become a subset of the
+  /// fault-free answer and integrity() flips to kPartial. The budget is
+  /// charged once per queue pop of a node item; a refused charge requeues
+  /// the node for a later frame and ends the frame degraded. The priority
+  /// queue IS the declared future: before exploring a popped node the
+  /// query hints the node pages most imminent to pop, so their disk reads
+  /// land while this node's entries are decoded and filtered.
+  struct Options : TraversalOptions {
+    Options() = default;
+    explicit Options(const TraversalOptions& traversal)
+        : TraversalOptions(traversal) {}
+
     /// Subscribe to concurrent insertions. When false the query assumes a
     /// static (historical) database, the common case in the paper.
     bool track_updates = false;
     UpdatePolicy update_policy = UpdatePolicy::kLcaInsert;
-    /// Reaction to unreadable nodes (rtree/fault_policy.h). Under
-    /// kSkipSubtree an unexplorable subtree is dropped from the queue and
-    /// recorded in skip_report(); results become a subset of the fault-free
-    /// answer and integrity() flips to kPartial.
-    FaultPolicy fault_policy = FaultPolicy::kFailFast;
-    /// kSoa explores nodes through the decoded-node cache and the batch
-    /// kernels (query/kernels.h); kLegacyAos keeps the original per-entry
-    /// path. Results and counters are bit-identical either way.
-    HotPath hot_path = HotPath::kSoa;
-    /// Per-frame work budget + cancellation (query/budget.h); not owned,
-    /// may be null (unbudgeted — the bit-identical default). One node
-    /// charge per queue pop of a node item; a failed charge requeues the
-    /// node for a later frame, records it in skip_report(), and ends the
-    /// frame degraded (kPartial) with the results found so far.
-    QueryBudget* budget = nullptr;
-    /// Speculative read driver (storage/prefetch.h); not owned, may be null
-    /// (no speculation — the bit-identical default). The priority queue IS
-    /// the declared future: before exploring a popped node the query peeks
-    /// the heap's front region and hints the node pages most imminent to
-    /// pop, so their disk reads land while this node's entries are being
-    /// decoded and filtered. Results and node-level counters are unchanged;
-    /// only prefetch_* IoStats counters move. With a `budget`, a stopped
-    /// or cancelled frame issues no more speculation.
-    Prefetcher* prefetcher = nullptr;
   };
 
   /// Creates the processor. `tree` must outlive it. `trajectory` dims must
@@ -145,23 +130,10 @@ class PredictiveDynamicQuery : public UpdateListener {
     }
   };
 
-  /// Min-heap with a window onto its backing array: raw()[0] is the top and
-  /// the heap-property prefix around it holds the most-imminent items —
-  /// exactly the pages worth speculating on. Read-only access; the heap
-  /// invariant is never touched.
-  struct PeekQueue
-      : std::priority_queue<Item, std::vector<Item>, ItemCompare> {
-    const std::vector<Item>& raw() const { return c; }
-  };
-
   void PushNodeItem(PageId page, const StBox& bounds, TimeSet times,
                     double not_before);
   void PushObjectItem(const MotionSegment& m, TimeSet times,
                       double not_before);
-  /// Hints the prefetcher with the node pages in the heap's front region
-  /// (no-op without a prefetcher). Called after a node pop, before its
-  /// exploration, so speculative reads overlap the node's CPU work.
-  void HintPrefetch();
   void RebuildFromRoot();
   Status Explore(const Item& node_item, double t_start);
   Status ExploreLegacy(const Item& node_item, double t_start);
@@ -188,7 +160,7 @@ class PredictiveDynamicQuery : public UpdateListener {
   QueryTrajectory trajectory_;
   Options options_;
   TrajectoryCoeffs coeffs_;
-  PeekQueue queue_;
+  PeekHeap<Item, ItemCompare> queue_;
   // Objects already returned; guards exactly-once delivery across update
   // notifications and queue rebuilds.
   std::unordered_set<MotionSegment::Key, MotionKeyHash> returned_;
@@ -196,13 +168,12 @@ class PredictiveDynamicQuery : public UpdateListener {
   // Kernel output TimeSets, reused across Explore calls so the hot path
   // performs no per-node allocation once capacities have warmed up.
   std::vector<TimeSet> overlap_scratch_;
-  // Page ids collected by HintPrefetch, reused across calls.
-  std::vector<PageId> hint_scratch_;
   double dedup_priority_ = -kInf;
   double last_t_start_;
   bool attached_ = false;
   QueryStats stats_;
   SkipReport skip_report_;
+  NodeVisitor visitor_;  // Reads through options_, charges the two above.
 };
 
 }  // namespace dqmo

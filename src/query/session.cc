@@ -30,24 +30,12 @@ struct SessionMetrics {
   }
 };
 
-NpdqOptions WithSessionOverrides(NpdqOptions npdq, FaultPolicy policy,
-                                 HotPath hot_path, QueryBudget* budget,
-                                 Prefetcher* prefetcher) {
-  npdq.fault_policy = policy;
-  npdq.hot_path = hot_path;
-  npdq.budget = budget;
-  npdq.prefetcher = prefetcher;
-  return npdq;
-}
-
 }  // namespace
 
 DynamicQuerySession::DynamicQuerySession(RTree* tree, const Options& options)
     : tree_(tree),
       options_(options),
-      npdq_(tree, WithSessionOverrides(options.npdq, options.fault_policy,
-                                       options.hot_path, options.budget,
-                                       options.prefetcher)),
+      npdq_(tree, NpdqOptions(options)),
       last_velocity_(tree->dims()) {
   DQMO_CHECK(tree != nullptr);
   DQMO_CHECK(options.window > 0.0);
@@ -85,13 +73,8 @@ Status DynamicQuerySession::StartPredictive(double t, const Vec& position,
                     side));
   DQMO_ASSIGN_OR_RETURN(QueryTrajectory trajectory,
                         QueryTrajectory::Make(std::move(keys)));
-  PredictiveDynamicQuery::Options pdq_options;
-  pdq_options.reader = options_.reader;
+  PredictiveDynamicQuery::Options pdq_options(options_);
   pdq_options.track_updates = true;  // Stay correct under live insertions.
-  pdq_options.fault_policy = options_.fault_policy;
-  pdq_options.hot_path = options_.hot_path;
-  pdq_options.budget = options_.budget;
-  pdq_options.prefetcher = options_.prefetcher;
   DQMO_ASSIGN_OR_RETURN(
       spdq_, PredictiveDynamicQuery::Make(tree_, std::move(trajectory),
                                           pdq_options));

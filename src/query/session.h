@@ -41,6 +41,7 @@
 #include "geom/trajectory.h"
 #include "query/npdq.h"
 #include "query/pdq.h"
+#include "query/traversal.h"
 #include "rtree/rtree.h"
 
 namespace dqmo {
@@ -48,7 +49,27 @@ namespace dqmo {
 /// Orchestrates dynamic-query evaluation for one observer.
 class DynamicQuerySession {
  public:
-  struct Options {
+  /// The inherited TraversalOptions (query/traversal.h) are the one read
+  /// contract of both engines: the SPDQ and the NPDQ fallback read through
+  /// the same reader, fault policy, hot path, budget and prefetcher, so a
+  /// hand-off only changes which engine is reading.
+  ///
+  /// Under kSkipSubtree a frame served from a degraded traversal is
+  /// flagged FrameResult::integrity == kPartial, and a degraded
+  /// *predictive* frame additionally hands the session off to NPDQ: the
+  /// PDQ reads every node once, so a subtree it skipped is lost for its
+  /// whole remaining run, while NPDQ re-reads per snapshot and recovers as
+  /// soon as the fault clears. The caller arms the budget before each
+  /// OnFrame; a budget-stopped frame is served kPartial the same way and,
+  /// like any degraded frame, never poisons future completeness: a
+  /// degraded predictive frame hands off to NPDQ, a degraded NPDQ frame
+  /// resets the snapshot history. The NPDQ fallback runs the paper's
+  /// configuration (NpdqOptions defaults).
+  struct Options : TraversalOptions {
+    Options() = default;
+    explicit Options(const TraversalOptions& traversal)
+        : TraversalOptions(traversal) {}
+
     /// Side length of the (square) view window around the observer.
     double window = 8.0;
     /// Maximum tolerated deviation from the predicted path before handing
@@ -59,37 +80,6 @@ class DynamicQuerySession {
     double prediction_horizon = 5.0;
     /// Consecutive in-bound frames required before handing back to PDQ.
     int stable_frames_to_predict = 5;
-    /// Evaluation options for the NPDQ fallback. (Its fault_policy field is
-    /// overridden by the session-level `fault_policy` below.)
-    NpdqOptions npdq;
-    /// Page source for PDQ reads (nullptr: the tree's file).
-    PageReader* reader = nullptr;
-    /// Reaction to unreadable nodes, applied to both engines
-    /// (rtree/fault_policy.h). Under kSkipSubtree a frame served from a
-    /// degraded traversal is flagged FrameResult::integrity == kPartial,
-    /// and a degraded *predictive* frame additionally hands the session off
-    /// to NPDQ: the PDQ reads every node once, so a subtree it skipped is
-    /// lost for its whole remaining run, while NPDQ re-reads per snapshot
-    /// and recovers as soon as the fault clears.
-    FaultPolicy fault_policy = FaultPolicy::kFailFast;
-    /// Hot-path selector applied to both engines (overrides npdq.hot_path,
-    /// like fault_policy above). kSoa serves frames through the decoded-node
-    /// cache and batch kernels; kLegacyAos keeps the pre-optimization path.
-    HotPath hot_path = HotPath::kSoa;
-    /// Per-frame work budget + cancellation, applied to both engines
-    /// (overrides npdq.budget, like fault_policy above); not owned, may be
-    /// null. The caller arms it before each OnFrame; a budget-stopped
-    /// frame is served kPartial through the kSkipSubtree machinery, and —
-    /// like any degraded frame — never poisons future completeness: a
-    /// degraded predictive frame hands off to NPDQ, a degraded NPDQ frame
-    /// resets the snapshot history.
-    QueryBudget* budget = nullptr;
-    /// Speculative read driver, applied to both engines (overrides
-    /// npdq.prefetcher, like budget above); not owned, may be null. Each
-    /// engine declares its own future — the SPDQ its priority-queue front,
-    /// the NPDQ its recursion frontier — through the same Prefetcher, so a
-    /// hand-off simply changes who is hinting.
-    Prefetcher* prefetcher = nullptr;
   };
 
   enum class Mode { kPredictive, kNonPredictive };

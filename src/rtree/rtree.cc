@@ -39,6 +39,23 @@ struct NodeLoadMetrics {
   }
 };
 
+/// The one skippability rule behind LoadNodeOrSkip and LoadNodeSoaOrSkip:
+/// under kSkipSubtree a read failure is recorded and absorbed (OK: the
+/// caller prunes the subtree). Only *read* failures are skippable; a
+/// malformed request (OutOfRange id) indicates a caller bug and propagates
+/// under either policy.
+Status AbsorbReadFault(const Status& s, PageId id, const StBox& entry_bounds,
+                       FaultPolicy policy, SkipReport* report,
+                       QueryStats* stats) {
+  const bool skippable = s.IsIOError() || s.IsCorruption();
+  if (policy != FaultPolicy::kSkipSubtree || !skippable) return s;
+  if (report != nullptr) report->RecordSkip(id, entry_bounds, s);
+  if (stats != nullptr) {
+    stats->pages_skipped.fetch_add(1, std::memory_order_relaxed);
+  }
+  return Status::OK();
+}
+
 constexpr uint64_t kTreeMagic = 0x4451'4d4f'5254'5231ULL;  // "DQMORTR1"
 constexpr uint32_t kTreeVersion = 2;
 
@@ -262,13 +279,8 @@ Result<std::optional<Node>> RTree::LoadNodeOrSkip(
     SkipReport* report, QueryStats* stats, PageReader* reader) const {
   Result<Node> node = LoadNode(id, stats, reader);
   if (node.ok()) return std::optional<Node>(std::move(node).value());
-  const Status& s = node.status();
-  // Only *read* failures are skippable; a malformed request (OutOfRange id)
-  // indicates a caller bug and propagates under either policy.
-  const bool skippable = s.IsIOError() || s.IsCorruption();
-  if (policy != FaultPolicy::kSkipSubtree || !skippable) return s;
-  if (report != nullptr) report->RecordSkip(id, entry_bounds, s);
-  if (stats != nullptr) ++stats->pages_skipped;
+  DQMO_RETURN_IF_ERROR(AbsorbReadFault(node.status(), id, entry_bounds,
+                                       policy, report, stats));
   return std::optional<Node>(std::nullopt);
 }
 
@@ -316,15 +328,8 @@ Result<std::shared_ptr<const SoaNode>> RTree::LoadNodeSoaOrSkip(
   Result<std::shared_ptr<const SoaNode>> node =
       LoadNodeSoa(id, stats, reader);
   if (node.ok()) return node;
-  const Status& s = node.status();
-  // Same skippability rule as LoadNodeOrSkip: only read failures are
-  // absorbable; malformed requests propagate under either policy.
-  const bool skippable = s.IsIOError() || s.IsCorruption();
-  if (policy != FaultPolicy::kSkipSubtree || !skippable) return s;
-  if (report != nullptr) report->RecordSkip(id, entry_bounds, s);
-  if (stats != nullptr) {
-    stats->pages_skipped.fetch_add(1, std::memory_order_relaxed);
-  }
+  DQMO_RETURN_IF_ERROR(AbsorbReadFault(node.status(), id, entry_bounds,
+                                       policy, report, stats));
   return std::shared_ptr<const SoaNode>(nullptr);
 }
 

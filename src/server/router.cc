@@ -56,13 +56,7 @@ std::vector<Neighbor> MergeNeighborsByDistance(
     const std::vector<std::vector<Neighbor>>& streams, size_t k) {
   std::vector<Neighbor> all;
   for (const auto& s : streams) all.insert(all.end(), s.begin(), s.end());
-  std::stable_sort(all.begin(), all.end(),
-                   [](const Neighbor& a, const Neighbor& b) {
-                     if (a.distance != b.distance) {
-                       return a.distance < b.distance;
-                     }
-                     return a.motion.key() < b.motion.key();
-                   });
+  std::stable_sort(all.begin(), all.end(), NeighborBefore);
   if (all.size() > k) all.resize(k);
   return all;
 }

@@ -16,13 +16,14 @@
 //    per-segment and trajectory-driven, so the union of per-shard frame
 //    deliveries equals the single-tree frame delivery — the differential
 //    sweeps in tests/shard_test.cc assert byte-identical checksums.
-//  * kNN candidates: merged by (distance, key) and truncated to k, at
-//    every shard count. Every true global neighbor is in its shard's local
-//    top-k, and distances are computed on identical quantized geometry, so
-//    the merged distances are bit-identical to the single tree's fenced
-//    MovingKnnQuery (equal-distance ties may order differently; the random
-//    workloads the tests sweep have none). A shard-local fence cache would
-//    be unsound, so every shard runs a stateless search each frame.
+//  * kNN candidates: merged by (distance, key), the one kNN order
+//    (NeighborBefore, query/knn.h), and truncated to k, at every shard
+//    count. Every true global neighbor is in its shard's local top-k by
+//    that order, and distances are computed on identical quantized
+//    geometry, so the merged answer is bit-identical to the single tree's
+//    fenced MovingKnnQuery, exact distance ties included. A shard-local
+//    fence cache would be unsound, so every shard runs a stateless search
+//    each frame.
 //
 // Overload semantics are preserved: one FrameController arms one
 // QueryBudget per frame and hands the same pointer to every shard's
@@ -74,7 +75,8 @@ std::vector<MotionSegment> MergeStreamsByEntryTime(
     std::vector<std::vector<MotionSegment>>* streams);
 
 /// Merges per-shard kNN candidate lists into the global top-k by
-/// (distance, key). Inputs need not be sorted; the result is.
+/// NeighborBefore (distance, then key). Inputs need not be sorted; the
+/// result is.
 std::vector<Neighbor> MergeNeighborsByDistance(
     const std::vector<std::vector<Neighbor>>& streams, size_t k);
 

@@ -170,12 +170,11 @@ class FrameController {
 
   bool FrameDegraded() const { return active_ && budget_->stopped(); }
 
-  /// Reports the completed frame's wall time to the governor.
+  /// Reports the completed frame's wall time to the governor. (Frame
+  /// latency as a metric is dqmo_query_frame_ns, recorded for every frame
+  /// by the loop's Tracer::FrameScope.)
   void EndFrame() {
-    if (governor_ == nullptr) return;
-    const uint64_t frame_ns = NowNs() - frame_start_ns_;
-    ExecMetrics::Get().frame_ns->Record(frame_ns);
-    governor_->OnFrame(frame_ns);
+    if (governor_ != nullptr) governor_->OnFrame(NowNs() - frame_start_ns_);
   }
 
   double horizon_scale() const { return horizon_scale_; }
@@ -258,11 +257,11 @@ struct BreakerFramePlane {
 // ---------------------------------------------------------------------------
 // Per-kind evaluators.
 
-/// The engine options every query kind sets the same way for a target.
-template <typename EngineOptions>
-EngineOptions TargetOptions(const SessionSpec& spec, const FrameTarget& target,
-                            QueryBudget* budget) {
-  EngineOptions o;
+/// How every query kind reads a target.
+TraversalOptions TargetTraversal(const SessionSpec& spec,
+                                 const FrameTarget& target,
+                                 QueryBudget* budget) {
+  TraversalOptions o;
   o.reader = target.reader;
   o.hot_path = spec.hot_path;
   o.budget = budget;
@@ -366,10 +365,9 @@ class HandoffEvaluator : public StreamEvaluator {
                    QueryBudget* budget)
       : StreamEvaluator(targets.size()) {
     for (const FrameTarget& target : targets) {
-      auto sopt =
-          TargetOptions<DynamicQuerySession::Options>(spec, target, budget);
+      DynamicQuerySession::Options sopt(
+          TargetTraversal(spec, target, budget));
       sopt.window = spec.window;
-      sopt.npdq.reader = target.reader;
       base_horizon_ = sopt.prediction_horizon;
       sessions_.push_back(
           std::make_unique<DynamicQuerySession>(target.tree, sopt));
@@ -446,7 +444,7 @@ class NpdqEvaluator : public StreamEvaluator {
         bounds_(targets.size()) {
     for (const FrameTarget& target : targets) {
       npdq_.push_back(std::make_unique<NonPredictiveDynamicQuery>(
-          target.tree, TargetOptions<NpdqOptions>(spec, target, budget)));
+          target.tree, NpdqOptions(TargetTraversal(spec, target, budget))));
     }
   }
 
@@ -535,14 +533,14 @@ class KnnEvaluator : public Evaluator {
     DQMO_CHECK(targets.size() == 1);
     fenced_ = std::make_unique<MovingKnnQuery>(
         targets[0].tree, spec.k,
-        TargetOptions<MovingKnnQuery::Options>(spec, targets[0], budget));
+        MovingKnnQuery::Options(TargetTraversal(spec, targets[0], budget)));
   }
 
   Status Evaluate(size_t s, double t, const Observer& obs,
                   TargetOutcome* out) override {
     Result<std::vector<Neighbor>> neighbors = [&] {
       if (fenced_ != nullptr) return fenced_->At(t, obs.pos);
-      KnnOptions kopt = TargetOptions<KnnOptions>(spec_, targets_[s], budget_);
+      KnnOptions kopt(TargetTraversal(spec_, targets_[s], budget_));
       skips_[s].Reset();
       kopt.skip_report = &skips_[s];
       return KnnAt(*targets_[s].tree, obs.pos, t, spec_.k, &stats_[s], kopt);

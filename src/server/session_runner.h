@@ -6,8 +6,11 @@
 // client's observer drives one PDQ, NPDQ or kNN evaluation per frame. The
 // work around that evaluation is the same for every query kind and every
 // target count, so RunFrames owns it once; each query kind is a small
-// per-frame evaluator (session_runner.cc). RunSession / SessionScheduler
-// hand the loop one target, ShardRouter the engine's shards.
+// per-frame evaluator (session_runner.cc), and every evaluator reads a
+// target through the same TraversalOptions (query/traversal.h), built
+// from the FrameTarget and the spec. RunSession / SessionScheduler hand
+// the loop one target, ShardRouter the engine's shards. Frame wall time
+// lands in dqmo_query_frame_ns, for every evaluated frame.
 #ifndef DQMO_SERVER_SESSION_RUNNER_H_
 #define DQMO_SERVER_SESSION_RUNNER_H_
 
@@ -31,7 +34,6 @@ struct ExecMetrics {
   Histogram* handover_ns;
   Histogram* queue_wait_ns;
   Histogram* session_ns;
-  Histogram* frame_ns;
   Counter* sessions;
   Counter* session_objects;
   Counter* frames_shed;
@@ -53,8 +55,6 @@ struct ExecMetrics {
                          "Submit-to-start wait in the session thread pool"),
           r.GetHistogram("dqmo_exec_session_ns",
                          "Wall time of one complete query session"),
-          r.GetHistogram("dqmo_exec_frame_ns",
-                         "Wall time of one governed session frame"),
           r.GetCounter("dqmo_exec_sessions_total",
                        "Query sessions run to completion (or first error)"),
           r.GetCounter("dqmo_exec_session_objects_total",

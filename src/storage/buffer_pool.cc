@@ -73,8 +73,6 @@ Result<PageReader::ReadResult> BufferPool::Read(PageId id) {
       // Hit: move to front of the shard's LRU order.
       shard.frames.splice(shard.frames.begin(), shard.frames, it->second);
       hits_.fetch_add(1, std::memory_order_relaxed);
-      file_->mutable_stats()->cache_hits.fetch_add(
-          1, std::memory_order_relaxed);
       std::memcpy(ScratchPage(), shard.frames.front().bytes.data(),
                   kPageSize);
       PoolMetrics::Get().hits->Add();

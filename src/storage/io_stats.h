@@ -11,7 +11,8 @@
 namespace dqmo {
 
 /// Counters for page-level I/O. Physical reads are charged by the PageFile;
-/// cache hits (when a BufferPool is interposed) are not disk accesses.
+/// BufferPool hits are not disk accesses and are counted by the pool alone
+/// (BufferPool::hits(), dqmo_pool_hits_total).
 ///
 /// The counters are atomic so that one PageFile / BufferPool can be shared
 /// by concurrent query sessions without under-counting (plain uint64_t
@@ -23,7 +24,6 @@ namespace dqmo {
 struct IoStats {
   std::atomic<uint64_t> physical_reads{0};
   std::atomic<uint64_t> physical_writes{0};
-  std::atomic<uint64_t> cache_hits{0};
   /// Page reads whose CRC32C trailer did not match the payload (storage
   /// corruption detected and surfaced as Status::Corruption).
   std::atomic<uint64_t> checksum_failures{0};
@@ -58,7 +58,7 @@ struct IoStats {
 
   /// Accumulates another account into this one — the sharded engine sums
   /// its per-shard PageFile stats this way. Sound only because shards own
-  /// disjoint storage: each physical read/write/hit is charged to exactly
+  /// disjoint storage: each physical read/write is charged to exactly
   /// one shard's counters, so the sum never double counts.
   IoStats& operator+=(const IoStats& other) {
     auto add = [](std::atomic<uint64_t>* a, const std::atomic<uint64_t>& b) {
@@ -68,7 +68,6 @@ struct IoStats {
     };
     add(&physical_reads, other.physical_reads);
     add(&physical_writes, other.physical_writes);
-    add(&cache_hits, other.cache_hits);
     add(&checksum_failures, other.checksum_failures);
     add(&retries, other.retries);
     add(&wal_appends, other.wal_appends);
@@ -85,8 +84,6 @@ struct IoStats {
                        other.physical_reads.load(std::memory_order_relaxed);
     d.physical_writes = physical_writes.load(std::memory_order_relaxed) -
                         other.physical_writes.load(std::memory_order_relaxed);
-    d.cache_hits = cache_hits.load(std::memory_order_relaxed) -
-                   other.cache_hits.load(std::memory_order_relaxed);
     d.checksum_failures =
         checksum_failures.load(std::memory_order_relaxed) -
         other.checksum_failures.load(std::memory_order_relaxed);
@@ -110,7 +107,6 @@ struct IoStats {
   friend bool operator==(const IoStats& a, const IoStats& b) {
     return a.physical_reads == b.physical_reads &&
            a.physical_writes == b.physical_writes &&
-           a.cache_hits == b.cache_hits &&
            a.checksum_failures == b.checksum_failures &&
            a.retries == b.retries && a.wal_appends == b.wal_appends &&
            a.wal_syncs == b.wal_syncs &&
@@ -140,8 +136,6 @@ struct IoStats {
     physical_writes.store(
         other.physical_writes.load(std::memory_order_relaxed),
         std::memory_order_relaxed);
-    cache_hits.store(other.cache_hits.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
     checksum_failures.store(
         other.checksum_failures.load(std::memory_order_relaxed),
         std::memory_order_relaxed);

@@ -344,7 +344,6 @@ TEST_P(DegradedQueryTest, SessionFallsBackToNpdqOnDegradedPredictiveFrame) {
   options.prediction_horizon = 20.0;
   options.stable_frames_to_predict = 2;
   options.reader = &faulty;
-  options.npdq.reader = &faulty;
   options.fault_policy = FaultPolicy::kSkipSubtree;
   DynamicQuerySession session(fx.tree.get(), options);
 
@@ -387,9 +386,10 @@ TEST_P(DegradedQueryTest, SessionFailFastSurfacesTypedError) {
   FaultInjector injector(FaultInjector::Options{});
   injector.AddPermanentFault(fx.tree->root());
   FaultyPageReader faulty(&fx.file, &injector);
+  // One reader serves both engines: the first frame runs in NPDQ mode and
+  // must read the root through `faulty`, not the tree's own file.
   DynamicQuerySession::Options options;
   options.reader = &faulty;
-  options.npdq.reader = &faulty;
   DynamicQuerySession session(fx.tree.get(), options);
   const Status s =
       session.OnFrame(1.0, Vec(50.0, 50.0), Vec(1.0, 0.0)).status();

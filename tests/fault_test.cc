@@ -128,7 +128,9 @@ TEST_F(FaultFixture, KnnPropagatesReadFailure) {
   // and hit the injected failure.
   FlakyReader reader(&file_, 1);
   QueryStats stats;
-  auto result = KnnAt(*tree_, Vec(50, 50), 30.0, 50, &stats, &reader);
+  KnnOptions options;
+  options.reader = &reader;
+  auto result = KnnAt(*tree_, Vec(50, 50), 30.0, 50, &stats, options);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsIOError());
 }

@@ -107,7 +107,9 @@ TEST(KnnTest, PruneBoundLimitsResults) {
   QueryStats stats;
   const Vec point(50, 50);
   const double t = 42.0;
-  auto bounded = KnnAt(*fx.tree, point, t, 100, &stats, nullptr, 5.0);
+  KnnOptions options;
+  options.prune_bound = 5.0;
+  auto bounded = KnnAt(*fx.tree, point, t, 100, &stats, options);
   ASSERT_TRUE(bounded.ok());
   for (const auto& n : *bounded) EXPECT_LE(n.distance, 5.0);
 }

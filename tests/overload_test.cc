@@ -695,7 +695,6 @@ void NoLossSweep(bool constant_velocity, uint64_t seed, uint64_t stop_after) {
   // ResetHistory-on-degraded contract across the fault-clear boundary.
   options.stable_frames_to_predict = constant_velocity ? 2 : (1 << 20);
   options.reader = &faulty;
-  options.npdq.reader = &faulty;
   options.fault_policy = FaultPolicy::kSkipSubtree;
   options.budget = &budget;
   DynamicQuerySession session(fx.tree.get(), options);

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -331,6 +332,80 @@ TEST(MergeNeighborsTest, SortsByDistanceThenKeyAndTruncates) {
   EXPECT_EQ(merged[3].motion.oid, 1u);  // 3.0, truncates oid 3 away
 
   EXPECT_TRUE(MergeNeighborsByDistance({}, 8).empty());
+}
+
+// Exact distance ties: 24 stationary objects at distance exactly 5 from
+// (50, 50), two oids on each of the 12 integer lattice points of that
+// circle, plus far filler. Every answer path must keep the 5 smallest by
+// (distance, key) — oids 1..5 — whatever the shard count, and so must the
+// single tree's stateless and fence-cached searches.
+TEST(KnnTieTest, EquidistantObjectsGiveOneAnswerAtEveryShardCount) {
+  const Interval alive(0.0, 100.0);
+  std::vector<MotionSegment> data;
+  const int lattice[12][2] = {{5, 0},  {0, 5},  {-5, 0}, {0, -5},
+                              {3, 4},  {4, 3},  {-3, 4}, {-4, 3},
+                              {3, -4}, {4, -3}, {-3, -4}, {-4, -3}};
+  for (int copy = 0; copy < 2; ++copy) {
+    for (int i = 0; i < 12; ++i) {
+      const Vec p(50.0 + lattice[i][0], 50.0 + lattice[i][1]);
+      data.emplace_back(static_cast<ObjectId>(1 + 12 * copy + i),
+                        StSegment(p, p, alive));
+    }
+  }
+  Rng rng(7);
+  for (ObjectId oid = 100; oid < 400; ++oid) {
+    // Filler 20..45 from the query point; every third drifts 1 unit
+    // inward over its lifetime, so the fence's drift term is not zero.
+    const double angle = rng.Uniform(0, 2 * M_PI);
+    const double radius = rng.Uniform(20.0, 45.0);
+    const double end_radius = oid % 3 == 0 ? radius - 1.0 : radius;
+    const Vec dir(std::cos(angle), std::sin(angle));
+    data.emplace_back(oid, StSegment(Vec(50, 50) + dir * radius,
+                                     Vec(50, 50) + dir * end_radius, alive));
+  }
+  const Vec point(50.0, 50.0);
+  const double t = 10.0;
+  constexpr int k = 5;
+  const std::set<ObjectId> want = {1, 2, 3, 4, 5};
+  auto oids = [](const std::vector<Neighbor>& neighbors) {
+    std::set<ObjectId> out;
+    for (const Neighbor& n : neighbors) {
+      EXPECT_EQ(n.distance, 5.0) << "oid " << n.motion.oid;
+      out.insert(n.motion.oid);
+    }
+    return out;
+  };
+
+  for (int n : {1, 2, 3, 4, 8, 16, 64}) {
+    std::unique_ptr<ShardedEngine> engine = BuildEngine(n, data);
+    ASSERT_NE(engine, nullptr);
+    std::vector<std::vector<Neighbor>> per_shard;
+    for (int s = 0; s < engine->num_shards(); ++s) {
+      KnnOptions options;
+      options.reader = engine->shard(s).reader();
+      QueryStats stats;
+      auto got = KnnAt(*engine->shard(s).tree, point, t, k, &stats, options);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      per_shard.push_back(std::move(got).value());
+    }
+    const std::vector<Neighbor> merged =
+        MergeNeighborsByDistance(per_shard, k);
+    ASSERT_EQ(merged.size(), static_cast<size_t>(k)) << n << " shards";
+    EXPECT_EQ(oids(merged), want) << n << " shards";
+  }
+
+  FlatFixture flat;
+  BuildFlat(&flat, data);
+  QueryStats stats;
+  auto stateless = KnnAt(*flat.tree, point, t, k, &stats);
+  ASSERT_TRUE(stateless.ok()) << stateless.status().ToString();
+  EXPECT_EQ(oids(*stateless), want) << "single tree, stateless";
+  MovingKnnQuery fenced(flat.tree.get(), k);
+  for (double at : {t, t + 0.5, t + 1.0}) {
+    auto got = fenced.At(at, point);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(oids(*got), want) << "single tree, fenced, t=" << at;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -717,16 +792,20 @@ TEST(ShardedEngineTest, TotalIoStatsAggregatesWithoutDoubleCounting) {
   ASSERT_TRUE(report.status.ok());
 
   const IoStats total = engine->TotalIoStats();
-  uint64_t reads = 0, hits = 0;
+  uint64_t reads = 0, writes = 0, hits = 0;
   for (int s = 0; s < engine->num_shards(); ++s) {
     reads += engine->shard(s).file->stats().physical_reads.load();
-    hits += engine->shard(s).file->stats().cache_hits.load();
+    writes += engine->shard(s).file->stats().physical_writes.load();
+    hits += engine->shard(s).pool->hits();
   }
   EXPECT_EQ(total.physical_reads.load(), reads);
-  EXPECT_EQ(total.cache_hits.load(), hits);
+  EXPECT_EQ(total.physical_writes.load(), writes);
   EXPECT_GT(reads + hits, 0u);
-  // Pool-level accounting: every miss is one physical read on some shard.
+  // Pool-level accounting: every miss is one physical read on some shard,
+  // and the run's pool hits are all the shards' pool hits (the build wrote
+  // through the files, never reading through a pool).
   EXPECT_EQ(report.pool_misses, report.total_stats.node_reads.load());
+  EXPECT_EQ(report.pool_hits, hits);
 }
 
 TEST(ShardedEngineTest, DurableShardsRecoverAcrossReopen) {

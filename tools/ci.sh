@@ -14,7 +14,8 @@
 # environment, and that the docs name no variable nothing reads. A
 # hot-path stage gates the A15 ablation: the zero-copy query hot path must
 # beat the legacy AoS path by >= 2x ns/entry at -O3, with and without
-# SIMD. All must pass cleanly.
+# SIMD. A bench-check stage holds the committed bench counts and checksums
+# exact (tools/bench.sh --check). All must pass cleanly.
 #
 #   tools/ci.sh [jobs]
 #
@@ -298,6 +299,14 @@ if grep -q 'uring(->thread)' "${disk_log}"; then
   echo "arm ran on the thread-pool fallback (uring-specific coverage"
   echo "skipped — the degradation path itself is what was exercised)."
 fi
+
+# Bench-check stage: the paper's cost axes and every answer must match the
+# committed numbers exactly. tools/bench.sh --check re-runs figs 06-13,
+# A15, A17 and A19 at their committed scales in a scratch directory and
+# compares every node, leaf and distance count and every checksum with the
+# checkout's BENCH_*.json (timings are not compared).
+echo "==== [bench-check] committed counts and checksums ===="
+tools/bench.sh --check build-ci/release
 
 # Metrics stage, part 1: the observability layer must be free when turned
 # off. Build abl_hot_path once with the compile-time kill switch
