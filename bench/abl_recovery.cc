@@ -1,13 +1,15 @@
 // Ablation A14 — durability: WAL append overhead and recovery time.
 //
 // Part 1: what the write-ahead log costs at insert time. The same seeded
-// insert stream is timed three ways: plain in-memory RTree::Insert (the
-// pre-durability baseline), WAL attached with group commit (records buffer,
-// one fsync per batch — the TreeGate handover pattern), and WAL with
-// sync-each-insert (one fsync per acknowledgment, the latency floor a
-// strict-durability service pays). Reported per insert with overhead
-// percentages against the baseline, plus the IoStats wal_appends/wal_syncs
-// counters so the A13/A14 numbers stay comparable across PRs.
+// insert stream is timed three ways: plain in-memory RTree::Insert on a
+// bare tree (the pre-durability baseline), DurableIndex::Insert with one
+// Sync per 64 inserts (group commit — the sharded engine's pattern, one
+// Sync per write group before the shard gate is released), and
+// DurableIndex::Insert with a Sync after every insert (one fsync per
+// acknowledgment, the latency floor a strict-durability service pays).
+// Reported per insert with overhead percentages against the baseline, plus
+// the IoStats wal_appends/wal_syncs counters so the A13/A14 numbers stay
+// comparable across PRs.
 //
 // Part 2: what recovery costs as the WAL tail grows. A checkpoint image of
 // the base index is written once; then for each tail length K, K insert
@@ -27,7 +29,6 @@
 #include "bench_common.h"
 #include "common/random.h"
 #include "server/durability.h"
-#include "storage/wal.h"
 
 namespace {
 
@@ -65,38 +66,41 @@ struct InsertCost {
   uint64_t wal_syncs = 0;
 };
 
-/// Times the stream into a fresh in-memory tree, optionally WAL-attached.
-/// `batch` <= 0 means no WAL; 1 means sync-each-insert; larger means group
-/// commit with one Sync per `batch` inserts.
+/// Times the stream into a fresh in-memory index. `batch` <= 0 means a
+/// bare RTree (no WAL); otherwise a DurableIndex over kMemory live pages
+/// with one Sync per `batch` inserts (1 = sync each insert).
 InsertCost TimeInserts(const std::vector<MotionSegment>& stream, int batch) {
-  PageFile file;
-  auto tree = RTree::Create(&file, RTree::Options());
-  DQMO_CHECK(tree.ok());
-  WalWriter wal;
-  const std::string path = TmpPath("dqmo_abl_recovery_insert.wal");
-  if (batch > 0) {
-    std::remove(path.c_str());
-    DQMO_CHECK(wal.Open(path, file.mutable_stats()).ok());
-    (*tree)->AttachWal(&wal);
-  }
   InsertCost cost;
+  if (batch <= 0) {
+    PageFile file;
+    auto tree = RTree::Create(&file, RTree::Options());
+    DQMO_CHECK(tree.ok());
+    const auto start = std::chrono::steady_clock::now();
+    for (const MotionSegment& m : stream) DQMO_CHECK((*tree)->Insert(m).ok());
+    cost.seconds = Seconds(start, std::chrono::steady_clock::now());
+    return cost;
+  }
+  const std::string pgf = TmpPath("dqmo_abl_recovery_insert.pgf");
+  const std::string wal = TmpPath("dqmo_abl_recovery_insert.wal");
+  std::remove(pgf.c_str());
+  std::remove(wal.c_str());
+  auto index = DurableIndex::Open(pgf, wal, DurableIndex::Options());
+  DQMO_CHECK(index.ok());
   const auto start = std::chrono::steady_clock::now();
   int pending = 0;
   for (const MotionSegment& m : stream) {
-    DQMO_CHECK((*tree)->Insert(m).ok());
-    if (batch > 0 && ++pending == batch) {
-      DQMO_CHECK(wal.Sync().ok());
+    DQMO_CHECK((*index)->Insert(m).ok());
+    if (++pending == batch) {
+      DQMO_CHECK((*index)->Sync().ok());
       pending = 0;
     }
   }
-  if (batch > 0 && pending > 0) DQMO_CHECK(wal.Sync().ok());
+  if (pending > 0) DQMO_CHECK((*index)->Sync().ok());
   cost.seconds = Seconds(start, std::chrono::steady_clock::now());
-  cost.wal_appends = file.stats().wal_appends.load();
-  cost.wal_syncs = file.stats().wal_syncs.load();
-  if (batch > 0) {
-    wal.Close();
-    std::remove(path.c_str());
-  }
+  cost.wal_appends = (*index)->file()->stats().wal_appends.load();
+  cost.wal_syncs = (*index)->file()->stats().wal_syncs.load();
+  index->reset();
+  std::remove(wal.c_str());
   return cost;
 }
 
@@ -159,9 +163,7 @@ int main() {
     std::remove(pgf.c_str());
     std::remove(wal_path.c_str());
     {
-      DurableIndex::Options options;
-      options.sync_each_insert = false;
-      auto index = DurableIndex::Open(pgf, wal_path, options);
+      auto index = DurableIndex::Open(pgf, wal_path, DurableIndex::Options());
       DQMO_CHECK(index.ok());
       for (int i = 0; i < base; ++i) {
         DQMO_CHECK((*index)->Insert(stream[static_cast<size_t>(i)]).ok());

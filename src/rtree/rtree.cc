@@ -516,15 +516,6 @@ Status RTree::Insert(const MotionSegment& m) {
   }
   ++num_segments_;
 
-  // Durable-insert hook: buffer a redo record for the stored (quantized)
-  // segment — replaying it through Insert reproduces the index bit-for-bit
-  // because quantization is idempotent. Not durable (and therefore not
-  // acknowledgeable) until the owner calls WalWriter::Sync; the concurrent
-  // engine does so in the TreeGate write guard before readers resume.
-  if (wal_ != nullptr) {
-    DQMO_ASSIGN_OR_RETURN(applied_lsn_, wal_->AppendInsert(stored));
-  }
-
   // Fire exactly one notification, mirroring Sect. 4.1's update protocol.
   // Held across the callbacks: Insert runs under the exclusive TreeGate in
   // concurrent mode, so no session is mid-frame, and the callbacks only

@@ -1,6 +1,8 @@
 // The NSI R-tree (Sect. 3.2): a paged Guttman R-tree over space-time whose
 // leaves store exact motion segments, with the update-management hooks the
-// dynamic-query algorithms of Sect. 4 rely on.
+// dynamic-query algorithms of Sect. 4 rely on. Durability lives above it:
+// DurableIndex (server/durability.h) logs, syncs and replays every insert,
+// and the tree only carries the applied LSN in its meta page.
 #ifndef DQMO_RTREE_RTREE_H_
 #define DQMO_RTREE_RTREE_H_
 
@@ -22,7 +24,6 @@
 #include "rtree/split.h"
 #include "rtree/stats.h"
 #include "storage/page_file.h"
-#include "storage/wal.h"
 
 namespace dqmo {
 
@@ -194,20 +195,11 @@ class RTree {
   /// Writes the metadata page. Call before PageFile::SaveTo.
   Status Flush();
 
-  /// Durable-insert hook: once attached (not owned; pass nullptr to
-  /// detach), every successful Insert buffers a redo record of the stored
-  /// segment into `wal` and advances applied_lsn(). The insert is durable
-  /// only after WalWriter::Sync — callers must not acknowledge it before
-  /// then. Recovery (server/durability.h) replays with the WAL detached so
-  /// replayed inserts are not re-logged.
-  void AttachWal(WalWriter* wal) { wal_ = wal; }
-  WalWriter* wal() const { return wal_; }
-
   /// Highest WAL LSN whose insert this tree contains; persisted in the
   /// meta page by Flush so a checkpoint image can tell recovery which log
   /// records it already holds. 0 = none (fresh tree or pre-WAL image).
+  /// DurableIndex sets it after each logged or redone insert.
   uint64_t applied_lsn() const { return applied_lsn_; }
-  /// Recovery sets this after replaying a record with the WAL detached.
   void set_applied_lsn(uint64_t lsn) { applied_lsn_ = lsn; }
 
   /// Registers a listener for concurrent-update notifications. The caller
@@ -294,7 +286,6 @@ class RTree {
   size_t num_nodes_ = 0;
   UpdateStamp stamp_ = 0;
   double max_speed_ = 0.0;
-  WalWriter* wal_ = nullptr;     // Durable-insert hook; see AttachWal.
   DecodedNodeCache* node_cache_ = nullptr;  // See AttachNodeCache.
   uint64_t applied_lsn_ = 0;
   PendingNotice pending_;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/string_util.h"
+#include "rtree/layout.h"
 #include "storage/fault.h"
 
 namespace dqmo {
@@ -14,6 +15,14 @@ bool FileExists(const std::string& path) {
   if (f == nullptr) return false;
   std::fclose(f);
   return true;
+}
+
+/// The form the tree stores and the log records (rtree/layout.h);
+/// quantizing is idempotent, so redoing a record reproduces the tree.
+MotionSegment StoredForm(const MotionSegment& m) {
+  MotionSegment stored = m;
+  stored.seg = QuantizeStored(m.seg);
+  return stored;
 }
 
 }  // namespace
@@ -37,7 +46,6 @@ Result<std::unique_ptr<DurableIndex>> DurableIndex::Open(
   auto index = std::unique_ptr<DurableIndex>(new DurableIndex());
   index->pgf_path_ = pgf_path;
   index->wal_path_ = wal_path;
-  index->options_ = options;
 
   // 1. Checkpoint image, if one was ever installed. A crash-left .tmp next
   // to it is ignored by construction: only the rename installs an image.
@@ -71,55 +79,71 @@ Result<std::unique_ptr<DurableIndex>> DurableIndex::Open(
                           RTree::Create(index->store_, options.tree));
   }
 
-  // 2-4. One pass over the log: WalWriter::Open scans it (torn tails
+  // 2-3. One pass over the log: WalWriter::Open scans it (torn tails
   // tolerated — nothing past the tear was acknowledged; mid-log corruption
   // fails with the scan's typed error before anything is truncated),
   // redoes the tail into the tree as records stream by, then truncates any
-  // torn tail in place and opens for append. The WAL is not attached to
-  // the tree yet, so replayed inserts are not re-logged; the stored form is
-  // already quantized, so Insert reproduces the pre-crash tree
-  // bit-for-bit. min_next_lsn guards the reset-log case: an empty
-  // post-checkpoint WAL must not restart LSNs below what the image already
-  // claims to contain.
-  RTree* tree = index->tree_.get();
+  // torn tail in place and opens for append. The stored form is already
+  // quantized, so Redo reproduces the pre-crash tree bit-for-bit.
+  // min_next_lsn guards the reset-log case: an empty post-checkpoint WAL
+  // must not restart LSNs below what the image already claims to contain.
+  DurableIndex* self = index.get();
   RecoveryReport* report = &index->report_;
-  const uint64_t base_lsn = tree->applied_lsn();
   WalWriter::Options wal_options;
-  wal_options.min_next_lsn = base_lsn + 1;
+  wal_options.min_next_lsn = index->tree_->applied_lsn() + 1;
   WalScan scan;
   DQMO_RETURN_IF_ERROR(index->wal_.Open(
       wal_path, index->store_->mutable_stats(), wal_options,
-      [tree, report, base_lsn](const WalRecord& rec) {
-        if (rec.type != WalRecordType::kInsert || rec.lsn <= base_lsn) {
-          ++report->skipped;
-          return Status::OK();
+      [self, report](const WalRecord& rec) -> Status {
+        bool applied = false;
+        if (rec.type == WalRecordType::kInsert) {
+          DQMO_ASSIGN_OR_RETURN(applied, self->Redo(rec.lsn, rec.motion));
         }
-        DQMO_RETURN_IF_ERROR(tree->Insert(rec.motion));
-        tree->set_applied_lsn(rec.lsn);
-        ++report->replayed;
+        if (applied) {
+          ++report->replayed;
+        } else {
+          ++report->skipped;
+        }
         return Status::OK();
       },
       &scan));
   report->wal_records_scanned = scan.records;
   report->torn_bytes_dropped = scan.torn_bytes;
   report->torn_tail = scan.torn_tail;
-  report->recovered_lsn = tree->applied_lsn();
-  tree->AttachWal(&index->wal_);
+  report->recovered_lsn = index->tree_->applied_lsn();
   return index;
 }
 
 Status DurableIndex::Insert(const MotionSegment& m) {
+  DQMO_RETURN_IF_ERROR(failed_);
   DQMO_RETURN_IF_ERROR(tree_->Insert(m));
-  if (options_.sync_each_insert) return wal_.Sync();
+  DQMO_ASSIGN_OR_RETURN(const uint64_t lsn, wal_.AppendInsert(StoredForm(m)));
+  tree_->set_applied_lsn(lsn);
   return Status::OK();
 }
 
-Status DurableIndex::Sync() { return wal_.Sync(); }
+Result<uint64_t> DurableIndex::Log(const MotionSegment& m) {
+  DQMO_RETURN_IF_ERROR(failed_);
+  return wal_.AppendInsert(StoredForm(m));
+}
+
+Status DurableIndex::Sync() {
+  DQMO_RETURN_IF_ERROR(failed_);
+  failed_ = wal_.Sync();
+  return failed_;
+}
+
+Result<bool> DurableIndex::Redo(uint64_t lsn, const MotionSegment& stored) {
+  if (lsn <= tree_->applied_lsn()) return false;
+  DQMO_RETURN_IF_ERROR(tree_->Insert(stored));
+  tree_->set_applied_lsn(lsn);
+  return true;
+}
 
 Status DurableIndex::Checkpoint() {
   // Make every logged insert durable before the image that contains it can
   // exist; a crash from here on recovers from (old image, full log).
-  DQMO_RETURN_IF_ERROR(wal_.Sync());
+  DQMO_RETURN_IF_ERROR(Sync());
   CrashPoints::Hit(crash_points::kCkptBeforeTemp);
   // Meta (with the applied LSN) goes into the pages, then the whole image
   // is installed atomically — SaveTo's temp + fsync + rename, with the
@@ -132,7 +156,7 @@ Status DurableIndex::Checkpoint() {
   DQMO_RETURN_IF_ERROR(
       wal_.AppendCheckpoint(tree_->applied_lsn(), tree_->num_segments())
           .status());
-  DQMO_RETURN_IF_ERROR(wal_.Sync());
+  DQMO_RETURN_IF_ERROR(Sync());
   CrashPoints::Hit(crash_points::kCkptBeforeWalReset);
   // The image now contains everything: start an empty log (atomic rename
   // again), LSN sequence continuing.
@@ -148,7 +172,7 @@ Status DurableIndex::ReloadFromDisk() {
   // Anything buffered but unsynced would be lost by the rebuild below even
   // though it was never acknowledged; sync first so the WAL is the complete
   // story.
-  if (wal_.pending_records() > 0) DQMO_RETURN_IF_ERROR(wal_.Sync());
+  DQMO_RETURN_IF_ERROR(Sync());
   if (disk_ != nullptr) {
     DQMO_RETURN_IF_ERROR(disk_->ReloadFromImage(pgf_path_));
   } else {
@@ -158,26 +182,17 @@ Status DurableIndex::ReloadFromDisk() {
   // The live tree is shared with sessions, so nothing from a log the scan
   // rejects may reach it: hold the redo records until the whole log has
   // scanned clean, and leave the tree at exactly the image otherwise.
-  const uint64_t base_lsn = tree_->applied_lsn();
   std::vector<WalRecord> redo;
-  DQMO_RETURN_IF_ERROR(
-      ScanWal(wal_path_, [&redo, base_lsn](const WalRecord& rec) {
-        if (rec.type == WalRecordType::kInsert && rec.lsn > base_lsn) {
-          redo.push_back(rec);
-        }
-        return Status::OK();
-      }).status());
-  // Replay without the WAL attached, exactly like Open(): redone inserts
-  // must not be re-logged.
-  tree_->AttachWal(nullptr);
-  Status st = Status::OK();
+  DQMO_RETURN_IF_ERROR(ScanWal(wal_path_, [&redo](const WalRecord& rec) {
+                         if (rec.type == WalRecordType::kInsert) {
+                           redo.push_back(rec);
+                         }
+                         return Status::OK();
+                       }).status());
   for (const WalRecord& rec : redo) {
-    st = tree_->Insert(rec.motion);
-    if (!st.ok()) break;
-    tree_->set_applied_lsn(rec.lsn);
+    DQMO_RETURN_IF_ERROR(Redo(rec.lsn, rec.motion).status());
   }
-  tree_->AttachWal(&wal_);
-  return st;
+  return Status::OK();
 }
 
 }  // namespace dqmo

@@ -9,15 +9,23 @@
 //
 //   (last renamed checkpoint image, WAL records synced since then)
 //
-// and Open() reconstructs the tree from it:
+// DurableIndex is the one owner of its WalWriter: nothing else appends to,
+// syncs, or replays the log. One write is
+//
+//   Insert (apply to the tree, then append the redo record) or Log (append
+//   only: the redo queue's park) -> Sync (the acknowledgment barrier)
+//
+// and Redo is the one step that applies a logged record without logging
+// it again — Open's scan, ReloadFromDisk, and the sharded engine's redo
+// drain all go through it. Open() reconstructs the tree:
 //
 //   1. load the checkpoint image if present (else start a fresh tree);
-//   2. scan the WAL once, in WalWriter::Open, replaying every insert record
-//      whose LSN exceeds the image's applied LSN as it streams by (the
-//      meta page records that LSN, so a crash between the checkpoint
-//      rename and the WAL reset never replays a record twice); mid-log
-//      corruption fails the open, a torn tail is truncated;
-//   3. attach the WAL for new inserts, continuing the LSN sequence.
+//   2. scan the WAL once, in WalWriter::Open, passing every insert record
+//      to Redo as it streams by (Redo skips an LSN the image's meta page
+//      already covers, so a crash between the checkpoint rename and the
+//      WAL reset never replays a record twice); mid-log corruption fails
+//      the open, a torn tail is truncated;
+//   3. keep the WAL open for new records, continuing the LSN sequence.
 //
 // Checkpoint() runs the protocol whose crash points (storage/fault.h) the
 // fork-based kill tests in tests/recovery_test.cc enumerate:
@@ -26,9 +34,16 @@
 //   fsync -> [save:before_rename] -> rename -> append checkpoint marker +
 //   sync -> [ckpt:before_wal_reset] -> reset WAL
 //
-// Invariant at every point: an insert acknowledged by Insert()/Sync() is
-// recoverable, and recovery yields a *prefix* of the insert sequence (the
-// tree never holds a later insert while missing an earlier one).
+// Invariants at every point:
+//   - acknowledged = Sync() returned OK: such an insert is recoverable, and
+//     recovery yields a *prefix* of the insert sequence (the tree never
+//     holds a later insert while missing an earlier one);
+//   - a failed sync is final until reopen: after Sync fails, Insert, Log,
+//     Sync and Checkpoint return that first error before touching the tree
+//     or the file. Retrying would write the batch again after whatever part
+//     of it landed — a hole with well-formed records after it, which no
+//     reopen accepts — and a later fsync can report success for data the
+//     kernel already dropped. Reopening truncates the torn tail.
 #ifndef DQMO_SERVER_DURABILITY_H_
 #define DQMO_SERVER_DURABILITY_H_
 
@@ -69,18 +84,14 @@ struct RecoveryReport {
 };
 
 /// An RTree made crash-safe by a checkpoint file + WAL pair. Single-writer:
-/// in the concurrent engine, Insert/Sync/Checkpoint run under the exclusive
-/// side of the TreeGate (which can also own the per-batch Sync — construct
-/// it with the wal() pointer); queries read tree() under the shared side.
+/// in the concurrent engine, Insert/Log/Sync/Checkpoint/Redo run under the
+/// exclusive side of the shard's TreeGate, and the writer syncs before it
+/// releases the gate; queries read tree() under the shared side.
 class DurableIndex {
  public:
   struct Options {
     /// Tree geometry for a fresh index (ignored when a checkpoint loads).
     RTree::Options tree;
-    /// Sync the WAL inside every Insert (acknowledge-per-insert). Disable
-    /// to group-commit: Insert only buffers, and the caller syncs per
-    /// batch — explicitly or via the TreeGate write guard.
-    bool sync_each_insert = true;
     /// Where the live pages reside. kMemory (the default): an in-process
     /// PageFile, the original behavior. kPread/kUring: a DiskPageFile at
     /// pgf_path + ".live" — a disposable working copy rebuilt from the
@@ -106,14 +117,26 @@ class DurableIndex {
   DurableIndex(const DurableIndex&) = delete;
   DurableIndex& operator=(const DurableIndex&) = delete;
 
-  /// Inserts one motion segment, appending its redo record. With
-  /// sync_each_insert the record is durable when this returns OK — the
-  /// acknowledgment point; without it, call Sync() (or release a TreeGate
-  /// write guard) before acknowledging.
+  /// Applies one motion insertion to the tree, then appends its redo
+  /// record (the stored, float32-quantized form, so Redo reproduces the
+  /// tree bit for bit). Not durable, and so not acknowledgeable, until
+  /// Sync() returns OK.
   Status Insert(const MotionSegment& m);
 
-  /// Makes every appended record durable (group-commit flush).
+  /// Appends a redo record for `m` without applying it and returns its LSN:
+  /// the redo queue's park (server/health.h). Durable after Sync(); Redo
+  /// applies it later.
+  Result<uint64_t> Log(const MotionSegment& m);
+
+  /// The acknowledgment barrier: makes every appended record durable (one
+  /// group commit). A failure is final until the index is reopened.
   Status Sync();
+
+  /// The one redo step: applies the logged insert `stored` (LSN `lsn`) to
+  /// the tree without logging it again and advances applied_lsn — unless
+  /// the tree already holds it (lsn <= applied_lsn), in which case nothing
+  /// happens. Returns whether it applied.
+  Result<bool> Redo(uint64_t lsn, const MotionSegment& stored);
 
   /// Writes a new checkpoint image atomically and resets the WAL. On
   /// return the WAL is empty and the image contains every insert so far.
@@ -124,7 +147,8 @@ class DurableIndex {
   /// Online repair: rebuilds the live tree, in place, from the durable pair
   /// (checkpoint image + full WAL) — the recovery sequence of Open(), but
   /// into the existing file_/tree_/wal_ objects so every pointer captured
-  /// by sessions, pools, and gates stays valid. Used by the ShardScrubber
+  /// by sessions, pools, and gates stays valid. Syncs first, so it is
+  /// refused after a failed sync like every write. Used by the ShardScrubber
   /// on a quarantined shard whose in-memory pages are damaged; the
   /// source-of-truth durable state is untouched. Requires a checkpoint
   /// image to exist (the caller quarantines, it does not create state) and
@@ -141,7 +165,6 @@ class DurableIndex {
   /// Non-null exactly in disk mode (io_backend != kMemory); the shard
   /// layer builds its Prefetcher over this.
   DiskPageFile* disk_file() { return disk_.get(); }
-  WalWriter* wal() { return &wal_; }
   const std::string& pgf_path() const { return pgf_path_; }
   const std::string& wal_path() const { return wal_path_; }
   /// What Open()'s recovery pass found.
@@ -152,13 +175,14 @@ class DurableIndex {
 
   std::string pgf_path_;
   std::string wal_path_;
-  Options options_;
   PageFile file_;                        // kMemory mode.
   std::unique_ptr<DiskPageFile> disk_;   // Disk mode.
   PageStore* store_ = nullptr;           // Points at file_ or *disk_.
   WalWriter wal_;
   std::unique_ptr<RTree> tree_;
   RecoveryReport report_;
+  /// The first failed Sync (OK while none): every later write returns it.
+  Status failed_;
 };
 
 }  // namespace dqmo

@@ -128,16 +128,6 @@ TreeGate::WriteGuard::~WriteGuard() {
     }
     gate_->file_->SealAllDirty();
   }
-  // Durability handover: drain the batched redo records before readers
-  // resume, so no session ever observes an un-logged motion. Sync failures
-  // are parked on the gate (a dtor cannot return them).
-  if (gate_->wal_ != nullptr) {
-    Status s = gate_->wal_->Sync();
-    if (!s.ok()) {
-      std::lock_guard<std::mutex> lock(gate_->wal_status_mu_);
-      if (gate_->wal_status_.ok()) gate_->wal_status_ = std::move(s);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -105,27 +105,26 @@ class ThreadPool {
 /// frame; the writer (motion updates) holds the exclusive side per Insert
 /// batch. The write guard's release does the storage handover that makes
 /// the next shared section race-free: it invalidates every dirtied page in
-/// the shared BufferPool (stale cached bytes must not be served), seals
+/// the shared BufferPool (stale cached bytes must not be served) and seals
 /// all dirty pages (so readers never race to recompute a checksum
-/// trailer), and — when a WAL is attached — syncs the write-ahead log, so
-/// readers never observe a motion whose redo record is not yet durable.
-/// Lock order where it matters: gate first, then the tree's internal
-/// listeners mutex.
+/// trailer). The gate knows nothing of durability: a durable writer calls
+/// DurableIndex::Sync before its guard goes out of scope, so readers never
+/// observe a motion whose redo record is not yet durable, and that Sync's
+/// Status is the write's acknowledgment. Lock order where it matters: gate
+/// first, then the tree's internal listeners mutex.
 class TreeGate {
  public:
-  /// No pointer is owned; `pool` may be null (no cache to invalidate),
-  /// `wal` may be null (no durability), and `node_cache` may be null (no
-  /// decoded-node cache in use). `file` may be null only if no writer ever
-  /// runs.
+  /// No pointer is owned; `pool` may be null (no cache to invalidate) and
+  /// `node_cache` may be null (no decoded-node cache in use). `file` may be
+  /// null only if no writer ever runs.
   ///
   /// Passing the decoded-node cache here is belt-and-braces: the tree
   /// already invalidates it synchronously on every StoreNode/FreePage (see
   /// RTree::AttachNodeCache), so the guard's sweep over the dirty page ids
   /// only matters for pages dirtied behind the tree's back.
   explicit TreeGate(PageStore* file, BufferPool* pool = nullptr,
-                    WalWriter* wal = nullptr,
                     DecodedNodeCache* node_cache = nullptr)
-      : file_(file), pool_(pool), wal_(wal), node_cache_(node_cache) {}
+      : file_(file), pool_(pool), node_cache_(node_cache) {}
 
   TreeGate(const TreeGate&) = delete;
   TreeGate& operator=(const TreeGate&) = delete;
@@ -152,23 +151,11 @@ class TreeGate {
 
   [[nodiscard]] WriteGuard LockExclusive() { return WriteGuard(this); }
 
-  /// First WAL sync failure observed by a write guard's release (OK when
-  /// none): a destructor cannot return a Status, so the writer checks here
-  /// after its batch — inserts in a failed batch were never made durable
-  /// and must not be acknowledged.
-  Status wal_status() const {
-    std::lock_guard<std::mutex> lock(wal_status_mu_);
-    return wal_status_;
-  }
-
  private:
   std::shared_mutex mu_;
   PageStore* file_;
   BufferPool* pool_;
-  WalWriter* wal_;
   DecodedNodeCache* node_cache_;
-  mutable std::mutex wal_status_mu_;
-  Status wal_status_;  // Guarded by wal_status_mu_.
 };
 
 /// Which query algorithm a session runs.

@@ -19,12 +19,16 @@
 //     only errors do.
 //   - RedoQueue: writes routed to a quarantined shard park instead of
 //     touching a possibly-damaged tree. For durable shards the parked
-//     record is appended to the *shard's own WAL* (synced before the ack),
-//     so "acked writes are never lost" holds by the same ARIES argument as
-//     normal inserts: a crash at any point replays them from the log, and
-//     a live drain applies exactly the records the tree has not seen, by
-//     LSN. For in-memory shards the queue is the ack domain (process
-//     lifetime), matching the storage tier's guarantees.
+//     record is logged to the *shard's own WAL* by DurableIndex::Log and
+//     synced before the ack, so "acked writes are never lost" holds by the
+//     same ARIES argument as normal inserts: a crash at any point replays
+//     them from the log, and a live drain applies exactly the records the
+//     tree has not seen, by LSN, through DurableIndex::Redo. For in-memory
+//     shards the queue is the ack domain (process lifetime), matching the
+//     storage tier's guarantees.
+//   - A failed WAL sync opens the shard's breaker, and the shard's
+//     DurableIndex refuses every later write — parked or not — until the
+//     shard is reopened: the log is fail-stop (server/durability.h).
 //
 // Everything is deterministic under a fixed seed (probe schedules, chaos
 // programs) so a failing quarantine run replays bit-for-bit.
@@ -188,12 +192,14 @@ class BreakerGateReader : public PageReader {
 
 /// Parked writes for a quarantined shard. The queue itself is an in-memory
 /// list of (lsn, stored segment); durability of the *ack* comes from the
-/// shard's own WAL — the insert path appends the record there (group-commit
-/// synced by the gate's write guard, same as a normal insert) and parks the
-/// (lsn, segment) pair here instead of touching the tree. Draining applies
-/// exactly the entries whose LSN the tree has not reached; after a repair
-/// (ReloadFromDisk replays the full WAL) that is naturally none of them.
-/// In-memory shards park with lsn 0 and drain unconditionally.
+/// shard's own WAL — the insert path logs the record there with
+/// DurableIndex::Log (synced with the rest of its write group before the
+/// shard gate is released, same as a normal insert) and parks the (lsn,
+/// segment) pair here instead of touching the tree. Draining applies
+/// exactly the entries whose LSN the tree has not reached, through
+/// DurableIndex::Redo; after a repair (ReloadFromDisk replays the full WAL)
+/// that is naturally none of them. In-memory shards park with lsn 0 and
+/// drain unconditionally.
 class RedoQueue {
  public:
   struct Entry {

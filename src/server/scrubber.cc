@@ -155,7 +155,6 @@ Result<OfflineRepair> RepairDurableShard(const std::string& pgf_path,
 
   DurableIndex::Options opt;
   opt.tree = tree;
-  opt.sync_each_insert = false;
   {
     Result<std::unique_ptr<DurableIndex>> open =
         DurableIndex::Open(pgf_path, wal_path, opt);

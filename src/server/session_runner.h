@@ -50,7 +50,7 @@ struct ExecMetrics {
           r.GetHistogram("dqmo_gate_writer_wait_ns",
                          "TreeGate exclusive-side acquisition wait"),
           r.GetHistogram("dqmo_gate_handover_ns",
-                         "WriteGuard release: invalidate + seal + WAL sync"),
+                         "WriteGuard release: invalidate + seal"),
           r.GetHistogram("dqmo_exec_queue_wait_ns",
                          "Submit-to-start wait in the session thread pool"),
           r.GetHistogram("dqmo_exec_session_ns",

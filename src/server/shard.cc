@@ -43,6 +43,18 @@ struct ShardMetrics {
   }
 };
 
+/// Applies one parked write to its shard's tree; returns whether the tree
+/// changed. A durable shard's record already sits in its WAL (parking
+/// logged it, and that sync was the ack), so the one redo step applies it
+/// without logging it again and skips by LSN what a repair's full-WAL
+/// replay already applied. An in-memory shard's queue is the only copy.
+Result<bool> ApplyParked(ShardedEngine::Shard* s,
+                         const RedoQueue::Entry& e) {
+  if (s->durable != nullptr) return s->durable->Redo(e.lsn, e.motion);
+  DQMO_RETURN_IF_ERROR(s->tree->Insert(e.motion));
+  return true;
+}
+
 std::string ShardFileName(const std::string& dir, int shard,
                           const char* suffix) {
   char name[32];
@@ -154,8 +166,6 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
     if (durable) {
       DurableIndex::Options dopt;
       dopt.tree = options.tree;
-      // Group commit: the shard gate's write-guard release syncs the batch.
-      dopt.sync_each_insert = false;
       dopt.io_backend = options.io_backend;
       dopt.disk.dirty_frame_budget = dirty_frame_budget;
       DQMO_ASSIGN_OR_RETURN(
@@ -194,10 +204,8 @@ void ShardedEngine::BuildReadStack(Shard* s, int i, size_t pool_pages) {
     s->node_cache = std::make_unique<DecodedNodeCache>(options_.cache_nodes);
     s->tree->AttachNodeCache(s->node_cache.get());
   }
-  s->gate = std::make_unique<TreeGate>(
-      s->file, s->pool.get(),
-      s->durable != nullptr ? s->durable->wal() : nullptr,
-      s->node_cache.get());
+  s->gate = std::make_unique<TreeGate>(s->file, s->pool.get(),
+                                       s->node_cache.get());
   if (!options_.failure_domains) return;
   s->breaker = std::make_unique<CircuitBreaker>(i, options_.breaker);
   // Disk mode slots the Prefetcher at the BOTTOM of the chain (directly
@@ -255,28 +263,13 @@ Status ShardedEngine::DrainRedoLocked(Shard* s) {
   Status st = Status::OK();
   uint64_t applied = 0;
   size_t next = 0;
-  if (s->durable != nullptr) {
-    // The parked records already sit in the shard's WAL (parking appended
-    // them there; that sync was the ack) — apply without re-logging,
-    // exactly like recovery replay, and skip by LSN anything a repair's
-    // full-WAL replay already materialized.
-    RTree* tree = s->tree;
-    tree->AttachWal(nullptr);
-    for (; next < entries.size(); ++next) {
-      const RedoQueue::Entry& e = entries[next];
-      if (e.lsn <= tree->applied_lsn()) continue;
-      st = tree->Insert(e.motion);
-      if (!st.ok()) break;
-      tree->set_applied_lsn(e.lsn);
-      ++applied;
+  for (; next < entries.size(); ++next) {
+    Result<bool> done = ApplyParked(s, entries[next]);
+    if (!done.ok()) {
+      st = done.status();
+      break;
     }
-    tree->AttachWal(s->durable->wal());
-  } else {
-    for (; next < entries.size(); ++next) {
-      st = s->tree->Insert(entries[next].motion);
-      if (!st.ok()) break;
-      ++applied;
-    }
+    if (*done) ++applied;
   }
   if (!st.ok()) {
     // Put the unapplied tail back (front of the queue, order preserved) so
@@ -302,13 +295,12 @@ Status ShardedEngine::ParkLocked(Shard* s, const MotionSegment& m) {
   stored.seg = QuantizeStored(m.seg);
   uint64_t lsn = 0;
   if (s->durable != nullptr) {
-    // Park = append to the shard's own WAL without touching the (possibly
-    // damaged) tree. The gate's write-guard release syncs the batch, and
-    // the caller's wal_status check makes the ack honest — the same
-    // contract as a normal durable insert, so "acked writes are never
-    // lost" needs no new recovery machinery: restart replays them from
-    // the log, live reinstatement drains them by LSN.
-    DQMO_ASSIGN_OR_RETURN(lsn, s->durable->wal()->AppendInsert(stored));
+    // Park = log to the shard's own WAL without touching the (possibly
+    // damaged) tree. WriteShard's Sync acknowledges it like any durable
+    // insert, so "acked writes are never lost" needs no new recovery
+    // machinery: restart replays them from the log, live reinstatement
+    // drains them by LSN. A refused Log parks nothing.
+    DQMO_ASSIGN_OR_RETURN(lsn, s->durable->Log(stored));
   }
   s->redo->Park(lsn, stored);
   FlightRecorder::Record(FlightEventKind::kRedoPark,
@@ -317,31 +309,43 @@ Status ShardedEngine::ParkLocked(Shard* s, const MotionSegment& m) {
   return Status::OK();
 }
 
-Status ShardedEngine::WriteShard(
+Status ShardedEngine::ApplyLocked(
     Shard* s, const std::vector<const MotionSegment*>& group) {
-  Status st = [&]() -> Status {
-    auto guard = s->gate->LockExclusive();
-    // The quarantine decision and any pending drain happen under the same
-    // guard as the writes: a parked entry's LSN is always below any later
-    // normal insert's, so "drain before insert" can never skip one.
-    if (s->breaker != nullptr && s->breaker->state() == BreakerState::kOpen) {
-      for (const MotionSegment* m : group) {
-        DQMO_RETURN_IF_ERROR(ParkLocked(s, *m));
-      }
-      return Status::OK();
-    }
-    if (s->redo != nullptr && s->redo->depth() > 0) {
-      DQMO_RETURN_IF_ERROR(DrainRedoLocked(s));
-    }
+  // The quarantine decision and any pending drain happen under the same
+  // guard as the writes: a parked entry's LSN is always below any later
+  // normal insert's, so "drain before insert" can never skip one.
+  if (s->breaker != nullptr && s->breaker->state() == BreakerState::kOpen) {
     for (const MotionSegment* m : group) {
-      DQMO_RETURN_IF_ERROR(s->durable != nullptr ? s->durable->Insert(*m)
-                                                 : s->tree->Insert(*m));
+      DQMO_RETURN_IF_ERROR(ParkLocked(s, *m));
     }
     return Status::OK();
-  }();
-  // The guard's release synced this shard's WAL; a write (parked or not)
-  // is only acknowledged once its redo record is durable.
-  if (st.ok() && s->durable != nullptr) st = s->gate->wal_status();
+  }
+  if (s->redo != nullptr && s->redo->depth() > 0) {
+    DQMO_RETURN_IF_ERROR(DrainRedoLocked(s));
+  }
+  for (const MotionSegment* m : group) {
+    DQMO_RETURN_IF_ERROR(s->durable != nullptr ? s->durable->Insert(*m)
+                                               : s->tree->Insert(*m));
+  }
+  return Status::OK();
+}
+
+Status ShardedEngine::WriteShard(
+    Shard* s, const std::vector<const MotionSegment*>& group) {
+  Status st;
+  {
+    auto guard = s->gate->LockExclusive();
+    st = ApplyLocked(s, group);
+    // The acknowledgment barrier, still exclusive: whatever the group
+    // logged is durable before readers resume, so no session observes an
+    // un-logged motion, and this Status is the write's ack (parked or
+    // not). A failed sync is final: the shard refuses every later write
+    // until it is reopened.
+    if (s->durable != nullptr) {
+      const Status synced = s->durable->Sync();
+      if (st.ok()) st = synced;
+    }
+  }
   if (!st.ok() && s->breaker != nullptr) s->breaker->OnWalOutcome(false);
   return st;
 }

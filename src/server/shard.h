@@ -12,10 +12,11 @@
 // trees stops them inflating every slow shard's internal nodes.
 //
 // Each shard owns the full single-tree storage stack: an RTree over its
-// own PageFile (or DurableIndex: checkpoint + WAL), a BufferPool, a
-// DecodedNodeCache, and a TreeGate. Shards share *nothing* — no common
-// page ids, no common caches, no common gate — so per-shard writers never
-// contend and a fault in one shard degrades only that shard's answers.
+// own PageFile (or DurableIndex: checkpoint + WAL, the one owner of the
+// shard's log), a BufferPool, a DecodedNodeCache, and a TreeGate. Shards
+// share *nothing* — no common page ids, no common caches, no common gate —
+// so per-shard writers never contend and a fault in one shard degrades
+// only that shard's answers.
 //
 // Partitioning function (ShardMap):
 //   1. speed class: fast iff segment speed >= speed_split_threshold
@@ -115,8 +116,9 @@ struct ShardedEngineOptions {
   RTree::Options tree;
   /// Non-empty: durable mode. Each shard persists as
   /// <durable_dir>/shard-NNNN.pgf + shard-NNNN.wal (the layout
-  /// dqmo_tool scrub/walinfo/recover accept), group-commit WAL synced by
-  /// each shard gate's write-guard release. Empty: in-memory page files.
+  /// dqmo_tool scrub/walinfo/recover accept), each write group committed
+  /// with one DurableIndex::Sync before its shard gate is released. Empty:
+  /// in-memory page files.
   std::string durable_dir;
   /// Live-page backend for durable shards (storage/async_io.h). kMemory
   /// (default) keeps the PR-7 in-process PageFile. kPread/kUring give each
@@ -218,11 +220,11 @@ class ShardedEngine {
   void ClearShardFault(int i);
 
   /// Applies shard `i`'s parked writes to its tree (exclusive gate taken
-  /// inside). Durable shards replay by LSN — entries a repair already
-  /// replayed from the WAL are skipped, so draining is idempotent across
-  /// crash/repair interleavings. Called by the router at reinstatement,
-  /// the scrubber after repair, and the insert path before a post-
-  /// quarantine insert.
+  /// inside). Durable shards apply through DurableIndex::Redo, by LSN —
+  /// entries a repair already replayed from the WAL are skipped, so
+  /// draining is idempotent across crash/repair interleavings. Called by
+  /// the router at reinstatement, the scrubber after repair, and the
+  /// insert path before a post-quarantine insert.
   Status DrainRedo(int i);
 
   bool failure_domains() const { return options_.failure_domains; }
@@ -246,20 +248,25 @@ class ShardedEngine {
              options.speed_split_threshold) {}
 
   /// The one shard write path, for Insert and each InsertBatch group.
-  /// Takes the exclusive gate once: parks `group` while the breaker is
-  /// open, otherwise drains parked writes and then inserts. Durable shards
-  /// acknowledge only after the guard's release synced the WAL. Every
-  /// failed insert or ack is reported to the breaker.
+  /// Takes the exclusive gate once, applies `group` (ApplyLocked) and, on
+  /// a durable shard, calls DurableIndex::Sync before the guard goes out
+  /// of scope: that Status is the ack. Every failed insert or sync is
+  /// reported to the breaker.
   Status WriteShard(Shard* s, const std::vector<const MotionSegment*>& group);
+  /// Caller holds s->gate exclusively. Parks `group` while the breaker is
+  /// open, otherwise drains parked writes and then inserts.
+  Status ApplyLocked(Shard* s, const std::vector<const MotionSegment*>& group);
   /// Installs `injector` (null clears) in shard `i`'s fault plane; returns
   /// the installed injector.
   FaultInjector* SwapInjector(int i, std::unique_ptr<FaultInjector> injector);
   /// Wires shard `i`'s read stack over its file and tree: a BufferPool of
-  /// `pool_pages`, the decoded-node cache, the gate (syncing the shard's
-  /// WAL when durable), and with failure_domains the breaker / retry /
-  /// fault chain under the pool plus the redo queue.
+  /// `pool_pages`, the decoded-node cache, the gate, and with
+  /// failure_domains the breaker / retry / fault chain under the pool plus
+  /// the redo queue.
   void BuildReadStack(Shard* s, int i, size_t pool_pages);
-  /// Caller holds s->gate exclusively.
+  /// Caller holds s->gate exclusively. ParkLocked logs a durable shard's
+  /// write (DurableIndex::Log) before queueing it; a refused log parks
+  /// nothing.
   Status DrainRedoLocked(Shard* s);
   Status ParkLocked(Shard* s, const MotionSegment& m);
 

@@ -153,6 +153,7 @@ Status DiskPageFile::ReloadFromImage(const std::string& image_path) {
   // The live file is a disposable working copy: truncate, restream from
   // the durable image (verifying page-at-a-time), rewrite the header.
   // The object's address — held by tree, pool, and gate — never changes.
+  ++write_count_;
   frames_.clear();
   frame_fifo_.clear();
   dirty_pages_.clear();
@@ -219,6 +220,7 @@ void DiskPageFile::MarkPageVerified(PageId id) {
 }
 
 PageId DiskPageFile::Allocate() {
+  ++write_count_;
   const PageId id = static_cast<PageId>(num_pages_++);
   verified_.push_back(0);
   Frame& frame = frames_[id];  // Fresh zeroed aligned buffer.
@@ -291,6 +293,7 @@ Result<PageReader::ReadResult> DiskPageFile::Read(PageId id) {
 
 Status DiskPageFile::Write(PageId id, const uint8_t* data) {
   DQMO_RETURN_IF_ERROR(CheckId(id));
+  ++write_count_;
   // Write-through: seal and persist immediately, superseding any frame.
   AlignedPageBuf copy;
   std::memcpy(copy.data(), data, kPageSize);
@@ -324,6 +327,7 @@ Result<DiskPageFile::Frame*> DiskPageFile::EnsureFrame(PageId id,
 
 Result<PageView> DiskPageFile::WritableView(PageId id) {
   DQMO_RETURN_IF_ERROR(CheckId(id));
+  ++write_count_;
   stats_.physical_writes.fetch_add(1, std::memory_order_relaxed);
   DiskMetrics::Get().writes->Add();
   DQMO_ASSIGN_OR_RETURN(Frame * frame, EnsureFrame(id, /*load_existing=*/true));

@@ -26,6 +26,7 @@
 #ifndef DQMO_STORAGE_DISK_FILE_H_
 #define DQMO_STORAGE_DISK_FILE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -151,6 +152,13 @@ class DiskPageFile : public PageStore {
   /// bytes are stale, so speculative disk reads of it must be skipped.
   bool HasDirtyFrame(PageId id) const;
 
+  /// Page mutations so far (Allocate, Write, WritableView, ReloadFromImage).
+  /// The Prefetcher records it at Hint and discards a landing whose count
+  /// moved: the write may have replaced the page after the speculative
+  /// read, and the write guard's SealAllDirty leaves no dirty frame behind
+  /// to say so.
+  uint64_t write_count() const { return write_count_.load(); }
+
   /// Verify-once bookkeeping shared with the Prefetcher: prefetched bytes
   /// bypass Read, so the consumer applies the same first-read checksum
   /// policy through these.
@@ -202,6 +210,10 @@ class DiskPageFile : public PageStore {
   /// Per-page verified flags (atomic_ref on the read path), same
   /// verify-once model as PageFile.
   std::vector<uint8_t> verified_;
+
+  /// See write_count(). Bumped under the writer's exclusion, read by
+  /// speculative readers.
+  std::atomic<uint64_t> write_count_{0};
 
   /// Per-thread scratch buffers for Read results (guarded by scratch_mu_;
   /// the pointer handed out is stable — the map stores unique buffers).

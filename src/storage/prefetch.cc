@@ -151,6 +151,9 @@ void Prefetcher::Hint(const PageId* ids, size_t n, const ChargeFn& charge) {
   std::lock_guard<std::mutex> lock(mu_);
   // Free completed slots first so a steady traversal keeps the pipe full.
   ReapLocked(/*block=*/false);
+  // Hints run under the shared side of the gate, so no write lands while
+  // this batch submits: one count stamps every entry.
+  const uint64_t write_count = file_->write_count();
   for (size_t i = 0; i < n && table_.size() < options_.depth; ++i) {
     const PageId id = ids[i];
     if (id >= file_->num_pages()) continue;
@@ -161,6 +164,7 @@ void Prefetcher::Hint(const PageId* ids, size_t n, const ChargeFn& charge) {
     if (charge && !charge()) break;
     Entry entry;
     entry.tag = next_tag_++;
+    entry.write_count = write_count;
     entry.trace = frame_trace;
     entry.shard = hint_shard;
     entry.submit_ns = submit_ns;
@@ -222,7 +226,7 @@ Result<PageReader::ReadResult> Prefetcher::Read(PageId id) {
         // failed speculation.
         EraseLocked(it);
       } else if (entry.state == EntryState::kLanded &&
-                 !file_->HasDirtyFrame(id)) {
+                 entry.write_count == file_->write_count()) {
         // The hit path. Verify-once exactly like DiskPageFile::Read.
         if (file_->verify_on_read() && !file_->PageVerified(id)) {
           if (!PageChecksumOk(entry.buf.data())) {
@@ -252,8 +256,9 @@ Result<PageReader::ReadResult> Prefetcher::Read(PageId id) {
         }
         EraseLocked(it);
       } else if (entry.state == EntryState::kLanded) {
-        // Landed but the page has since been dirtied: the speculation is
-        // stale. Discard as wasted and read synchronously.
+        // A write came after the hint: the landed bytes may predate it
+        // even though no dirty frame is left (the write guard wrote it
+        // back). Discard as wasted and read synchronously.
         ChargeWasted(entry, id);
         EraseLocked(it);
       }

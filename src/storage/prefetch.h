@@ -23,8 +23,11 @@
 //     store would have charged synchronously — hits are counted exactly
 //     once, and node-level read counts stay identical to the memory
 //     backend.
-//   * A discarded landing (cancel, shed, quiesce) charges prefetch_wasted +
-//     physical_read (the disk really was read).
+//   * A discarded landing (cancel, shed, quiesce, or stale: the file's
+//     write_count() moved since the hint, so a write may have replaced the
+//     page after the speculative read) charges prefetch_wasted +
+//     physical_read (the disk really was read); a stale one is then read
+//     synchronously.
 //   * A failed speculative read charges nothing and the consumer falls
 //     through to the synchronous path — same observable behaviour as if
 //     the hint had never been issued; the frame is never poisoned.
@@ -77,10 +80,11 @@ class Prefetcher : public PageReader {
   Prefetcher(const Prefetcher&) = delete;
   Prefetcher& operator=(const Prefetcher&) = delete;
 
-  /// Reads `id`, consuming a landed speculative read when one exists (the
-  /// hit path), waiting for it when still in flight, or falling through to
-  /// the synchronous store read (miss / failed speculation). Same result
-  /// and error surface as DiskPageFile::Read.
+  /// Reads `id`, consuming a landed speculative read when one exists and
+  /// no write came after its hint (the hit path), waiting for it when
+  /// still in flight, or falling through to the synchronous store read
+  /// (miss / failed or stale speculation). Same result and error surface
+  /// as DiskPageFile::Read.
   Result<ReadResult> Read(PageId id) override;
 
   /// Charging hook: called once per speculative read about to be issued;
@@ -129,6 +133,9 @@ class Prefetcher : public PageReader {
     AlignedPageBuf buf;
     EntryState state = EntryState::kInflight;
     uint64_t tag = 0;
+    // The file's write_count() at Hint; a landing is served only while it
+    // still matches.
+    uint64_t write_count = 0;
     uint64_t delay_us = 0;  // Injected completion delay, served at consume.
     bool inject_fail = false;  // Decision drawn at submit: fail on landing.
     bool canceled = false;     // Discard (as wasted) when it completes.

@@ -62,7 +62,7 @@ struct WalRecord {
   uint64_t lsn = 0;
   WalRecordType type = WalRecordType::kInsert;
   /// kInsert: the stored (float32-quantized) motion segment, so replaying
-  /// through RTree::Insert reproduces the index bit-for-bit.
+  /// it through DurableIndex::Redo reproduces the index bit-for-bit.
   MotionSegment motion;
   /// kCheckpoint: every record with lsn <= checkpoint_lsn is contained in
   /// the checkpoint image this marker follows.
@@ -115,9 +115,10 @@ Result<WalScan> ScanWal(const std::string& path,
 /// never in physical page I/O, so the paper's disk-access metric stays
 /// comparable across benches.
 ///
-/// Not thread-safe: the concurrent engine appends only under the exclusive
-/// side of the TreeGate, whose write guard also drains the batch with
-/// Sync() before readers resume (server/executor.h).
+/// Not thread-safe, and owned by exactly one DurableIndex
+/// (server/durability.h), which appends and syncs under the exclusive side
+/// of its TreeGate and syncs before releasing it; no other src/ code
+/// touches a WalWriter (tools/ci.sh checks this).
 class WalWriter {
  public:
   struct Options {
@@ -166,10 +167,13 @@ class WalWriter {
 
   /// Writes every buffered record and fsyncs. On return all previously
   /// appended records are durable (synced_lsn() == last assigned LSN).
-  /// No-op when nothing is pending. Crash points: kWalBeforeSync fires
-  /// before any byte of the batch reaches the file (the whole batch is
-  /// lost), kWalTornWrite after roughly half the batch's bytes (a torn
-  /// record for recovery to truncate), kWalAfterSync after the fsync.
+  /// No-op when nothing is pending. A failure leaves the batch buffered
+  /// and an unknown prefix of it in the file, so calling Sync again would
+  /// write it after that prefix: the owner treats a failure as final.
+  /// Crash points: kWalBeforeSync fires before any byte of the batch
+  /// reaches the file (the whole batch is lost), kWalTornWrite after
+  /// roughly half the batch's bytes (a torn record for recovery to
+  /// truncate), kWalAfterSync after the fsync.
   Status Sync();
 
   /// Replaces the log with a fresh empty one (write temp header + fsync +

@@ -442,6 +442,39 @@ TEST(PrefetcherTest, DirtyFramedPagesAreSkipped) {
             static_cast<uint8_t>(((2 * 131 + 0) & 0xff) ^ 0xff));
 }
 
+TEST(PrefetcherTest, LandingOlderThanAWriteIsDiscarded) {
+  // A speculation issued before a write to its page must not be served
+  // after it — even once the write guard's SealAllDirty has written the
+  // frame back and dropped it, so no dirty frame is left to say the
+  // landing is stale.
+  PrefetcherFixture fx("stale");
+  ASSERT_NE(fx.prefetcher, nullptr);
+
+  const std::vector<PageId> hints = {5};
+  fx.prefetcher->Hint(hints);
+  ASSERT_EQ(fx.file->stats().prefetch_issued, 1u);
+  auto view = fx.file->WritableView(5);
+  ASSERT_TRUE(view.ok());
+  view->data()[0] ^= 0xff;
+  fx.file->SealAllDirty();
+  ASSERT_FALSE(fx.file->HasDirtyFrame(5));
+  const uint8_t fresh = static_cast<uint8_t>(((5 * 131 + 0) & 0xff) ^ 0xff);
+
+  auto r = fx.prefetcher->Read(5);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->data[0], fresh);
+  // Charged like any discarded landing: wasted plus its disk read, then
+  // the synchronous read that served the page.
+  EXPECT_EQ(fx.file->stats().prefetch_hits, 0u);
+  EXPECT_EQ(fx.file->stats().prefetch_wasted, 1u);
+  EXPECT_EQ(fx.file->stats().physical_reads, 2u);
+  EXPECT_EQ(fx.prefetcher->tracked(), 0u);
+
+  auto direct = fx.file->Read(5);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(direct->data[0], fresh);
+}
+
 TEST(PrefetcherTest, SlowCompletionServedThroughSleeper) {
   FaultInjector::Options fopt;
   fopt.seed = 9;

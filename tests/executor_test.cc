@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/random.h"
+#include "server/durability.h"
 #include "server/executor.h"
 #include "storage/buffer_pool.h"
 #include "storage/wal.h"
@@ -238,30 +240,38 @@ TEST(ExecutorTest, EightReadersOneWriterMatchSerialReplay) {
 }
 
 TEST(ExecutorTest, DurableWritesUnderGateMatchSerialReplayAndSurviveInWal) {
-  // Same readers-vs-writer interleaving as above, but the tree has a WAL
-  // attached and the gate syncs it on every write-guard release. Readers
-  // must still match the serial replay (the WAL work happens while the
-  // writer holds the gate exclusively), every insert must be on disk in
-  // LSN order when the writer finishes, and no sync failure may be parked
-  // on the gate.
+  // Same readers-vs-writer interleaving as above, but the writes go through
+  // a DurableIndex under a plain TreeGate: each Insert and its Sync run in
+  // the write guard's scope, so the log is durable before readers resume.
+  // Readers must still match the serial replay (the WAL work happens while
+  // the writer holds the gate exclusively), every Sync must succeed, and
+  // every insert must be on disk in LSN order when the writer finishes.
   Fixture fx;
   BuildFixture(&fx, 17, 800);
   const std::vector<SessionSpec> specs =
       ReaderSpecs(8, /*include_knn=*/false, /*region_hi=*/70.0);
 
-  const std::string wal_path =
-      std::string(::testing::TempDir()) + "/executor_durable.wal";
+  // The fixture's tree becomes the durable index's checkpoint image.
+  const std::string base =
+      std::string(::testing::TempDir()) + "/executor_durable";
+  const std::string pgf_path = base + ".pgf";
+  const std::string wal_path = base + ".wal";
+  std::remove(pgf_path.c_str());
   std::remove(wal_path.c_str());
-  WalWriter wal;
-  ASSERT_TRUE(wal.Open(wal_path, fx.file.mutable_stats()).ok());
-  fx.tree->AttachWal(&wal);
+  ASSERT_TRUE(fx.tree->Flush().ok());
+  ASSERT_TRUE(fx.file.SaveTo(pgf_path).ok());
+  auto opened =
+      DurableIndex::Open(pgf_path, wal_path, DurableIndex::Options());
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  DurableIndex* index = opened->get();
+  ASSERT_TRUE(index->file()->Publish().ok());
 
-  BufferPool shared_pool(&fx.file, 128, /*num_shards=*/8);
-  TreeGate gate(&fx.file, &shared_pool, &wal);
+  BufferPool shared_pool(index->file(), 128, /*num_shards=*/8);
+  TreeGate gate(index->file(), &shared_pool);
 
   constexpr int kInserts = 64;
   std::atomic<bool> writer_failed{false};
-  std::thread writer([&fx, &gate, &writer_failed] {
+  std::thread writer([index, &gate, &writer_failed] {
     Rng rng(1717);
     for (int i = 0; i < kInserts; ++i) {
       StSegment seg(Vec(rng.Uniform(90, 100), rng.Uniform(90, 100)),
@@ -270,8 +280,10 @@ TEST(ExecutorTest, DurableWritesUnderGateMatchSerialReplayAndSurviveInWal) {
       MotionSegment m(static_cast<ObjectId>(300000 + i), seg);
       {
         auto guard = gate.LockExclusive();
-        if (!fx.tree->Insert(m).ok()) writer_failed.store(true);
-      }  // Guard release appends are synced here, still exclusive.
+        Status st = index->Insert(m);
+        if (st.ok()) st = index->Sync();  // The ack, still exclusive.
+        if (!st.ok()) writer_failed.store(true);
+      }
       std::this_thread::yield();
     }
   });
@@ -282,17 +294,12 @@ TEST(ExecutorTest, DurableWritesUnderGateMatchSerialReplayAndSurviveInWal) {
   copt.gate = &gate;
   copt.pool = &shared_pool;
   const ExecutorReport concurrent =
-      SessionScheduler(fx.tree.get(), copt).Run(specs);
+      SessionScheduler(index->tree(), copt).Run(specs);
   writer.join();
   EXPECT_FALSE(writer_failed.load());
-  EXPECT_TRUE(gate.wal_status().ok()) << gate.wal_status().ToString();
 
   // Every acknowledged insert is durable: the log holds exactly kInserts
-  // records, LSN-contiguous, all synced (nothing left buffered).
-  EXPECT_EQ(wal.pending_records(), 0u);
-  EXPECT_EQ(wal.synced_lsn(), static_cast<uint64_t>(kInserts));
-  wal.Close();
-  fx.tree->AttachWal(nullptr);
+  // records, LSN-contiguous, with nothing torn.
   auto scan = ScanWalRecords(wal_path);
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
   ASSERT_EQ(scan->records.size(), static_cast<size_t>(kInserts));
@@ -302,17 +309,20 @@ TEST(ExecutorTest, DurableWritesUnderGateMatchSerialReplayAndSurviveInWal) {
     EXPECT_EQ(scan->records[i].motion.oid,
               static_cast<ObjectId>(300000 + i));
   }
-  EXPECT_GE(fx.file.stats().wal_syncs.load(),
+  EXPECT_EQ(index->tree()->applied_lsn(), static_cast<uint64_t>(kInserts));
+  EXPECT_GE(index->file()->stats().wal_syncs.load(),
             static_cast<uint64_t>(kInserts));
 
   // Readers saw a consistent tree throughout: serial replay matches.
-  BufferPool serial_pool(&fx.file, 128, /*num_shards=*/8);
+  BufferPool serial_pool(index->file(), 128, /*num_shards=*/8);
   SessionScheduler::Options sopt;
   sopt.num_threads = 1;
   sopt.reader = &serial_pool;
   const ExecutorReport serial =
-      SessionScheduler(fx.tree.get(), sopt).Run(specs);
+      SessionScheduler(index->tree(), sopt).Run(specs);
   ExpectSameResults(concurrent, serial);
+  opened->reset();
+  std::remove(pgf_path.c_str());
   std::remove(wal_path.c_str());
 }
 

@@ -4,20 +4,25 @@
 // brute-force oracles on the surviving prefix of inserts — and that no
 // insert acknowledged after a WAL sync is ever lost.
 //
-// The child workload inserts a deterministic segment sequence with
-// per-insert WAL sync (acknowledging each durable insert by appending one
-// fsynced byte to an ack file) and checkpoints every few inserts, so every
-// crash point — WAL sync paths and checkpoint protocol steps alike — is
-// exercised several times per run via skip counts.
+// The child workload inserts a deterministic segment sequence with a WAL
+// sync after every insert (acknowledging each durable insert by appending
+// one fsynced byte to an ack file) and checkpoints every few inserts, so
+// every crash point — WAL sync paths and checkpoint protocol steps alike —
+// is exercised several times per run via skip counts. A second pair of
+// forked tests caps the log's file size so one WAL sync fails for real and
+// checks that the failure is final until reopen.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <sys/resource.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
@@ -27,6 +32,8 @@
 #include "oracle.h"
 #include "query/knn.h"
 #include "server/durability.h"
+#include "server/health.h"
+#include "server/shard.h"
 #include "storage/fault.h"
 #include "storage/wal.h"
 #include "test_util.h"
@@ -90,6 +97,7 @@ size_t AckedCount(const std::string& ack_path) {
   DurableIndex* index = opened->get();
   for (int i = 0; i < kNumInserts; ++i) {
     if (!index->Insert(data[static_cast<size_t>(i)]).ok()) ::_exit(5);
+    if (!index->Sync().ok()) ::_exit(5);
     // The insert is durable: record the acknowledgment crash-safely.
     const char byte = 1;
     if (::write(fd, &byte, 1) != 1 || ::fsync(fd) != 0) ::_exit(6);
@@ -294,16 +302,178 @@ TEST(CrashRecovery, MidLogCorruptionFailsWithTypedStatus) {
       << opened.status().ToString();
 }
 
+// ---------------------------------------------------------------------------
+// Fail-stop WAL: a sync that failed is final until the index is reopened.
+// A forked child acknowledges kAckedBeforeCap inserts, then caps its file
+// size (RLIMIT_FSIZE, SIGXFSZ ignored) kCapSlack bytes past the synced log,
+// so the next sync lands a torn record and fails. Retrying would write the
+// whole batch again after the torn bytes — a hole with well-formed records
+// after it, which no reopen accepts — so every later write must be refused,
+// even once the cap is lifted.
+
+constexpr int kAckedBeforeCap = 20;
+/// Less than one 2-d insert record (73 bytes): the capped sync tears.
+constexpr off_t kCapSlack = 30;
+
+/// Caps the size of every file this process writes at `path`'s current
+/// size plus kCapSlack; false when the limit cannot be set.
+bool CapFileSizeAfter(const std::string& path) {
+  struct stat st;
+  struct rlimit lim;
+  if (::stat(path.c_str(), &st) != 0 || ::getrlimit(RLIMIT_FSIZE, &lim) != 0) {
+    return false;
+  }
+  lim.rlim_cur = static_cast<rlim_t>(st.st_size + kCapSlack);
+  return ::setrlimit(RLIMIT_FSIZE, &lim) == 0;
+}
+
+bool LiftFileSizeCap() {
+  struct rlimit lim;
+  if (::getrlimit(RLIMIT_FSIZE, &lim) != 0) return false;
+  lim.rlim_cur = lim.rlim_max;
+  return ::setrlimit(RLIMIT_FSIZE, &lim) == 0;
+}
+
+/// Appends one fsynced byte to the ack file: one more acknowledged insert.
+bool Ack(int fd) {
+  const char byte = 1;
+  return ::write(fd, &byte, 1) == 1 && ::fsync(fd) == 0;
+}
+
+/// Runs `body` in a forked child with SIGXFSZ ignored (an over-limit write
+/// then fails with EFBIG instead of killing the process) and returns its
+/// exit code; 0 means every check in the child held.
+template <typename Body>
+int ForkCapped(const Body& body) {
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::signal(SIGXFSZ, SIG_IGN);
+    ::_exit(body());
+  }
+  EXPECT_GT(pid, 0);
+  int status = 0;
+  EXPECT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status)) << "child died abnormally (signal "
+                                 << WTERMSIG(status) << ")";
+  return WEXITSTATUS(status);
+}
+
+/// What a reopen after the failed sync must find: exactly the acknowledged
+/// inserts, and the capped sync's bytes dropped as a torn tail.
+void ExpectAckedPrefixAndTornTail(const RecoveryReport& report, RTree* tree,
+                                  size_t acked,
+                                  const std::vector<MotionSegment>& data) {
+  EXPECT_EQ(acked, static_cast<size_t>(kAckedBeforeCap));
+  EXPECT_EQ(tree->num_segments(), acked) << report.ToString();
+  EXPECT_EQ(report.replayed, acked) << report.ToString();
+  EXPECT_TRUE(report.torn_tail) << report.ToString();
+  EXPECT_EQ(report.torn_bytes_dropped, static_cast<uint64_t>(kCapSlack))
+      << report.ToString();
+  QueryStats stats;
+  auto all = tree->RangeSearch(StBox(Box(Interval(-1e6, 1e6),
+                                         Interval(-1e6, 1e6)),
+                                     Interval(-1e6, 1e6)),
+                               &stats);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(KeysOf(*all),
+            KeysOf({data.begin(), data.begin() + static_cast<long>(acked)}));
+}
+
+TEST(WalFailStop, FailedSyncRefusesEveryWriteUntilReopen) {
+  const std::vector<MotionSegment> data = TestData();
+  const Paths paths = FreshPaths("failstop_index");
+  const int code = ForkCapped([&]() -> int {
+    const int fd =
+        ::open(paths.ack.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd < 0) return 3;
+    auto opened = DurableIndex::Open(paths.pgf, paths.wal,
+                                     DurableIndex::Options());
+    if (!opened.ok()) return 4;
+    DurableIndex* index = opened->get();
+    for (int i = 0; i < kAckedBeforeCap; ++i) {
+      if (!index->Insert(data[static_cast<size_t>(i)]).ok()) return 5;
+      if (!index->Sync().ok()) return 5;
+      if (!Ack(fd)) return 6;
+    }
+    if (!CapFileSizeAfter(paths.wal)) return 7;
+    // The capped write: applied to the tree, but its sync tears.
+    Status capped = index->Insert(data[kAckedBeforeCap]);
+    if (capped.ok()) capped = index->Sync();
+    if (capped.ok()) return 8;
+    if (!LiftFileSizeCap()) return 7;
+    // Fail-stop: every write is refused with the first error, even though
+    // the file could grow again.
+    if (index->Insert(data[kAckedBeforeCap + 1]).ToString() !=
+        capped.ToString()) {
+      return 9;
+    }
+    if (index->Log(data[kAckedBeforeCap + 1]).status().ToString() !=
+        capped.ToString()) {
+      return 10;
+    }
+    if (index->Sync().ToString() != capped.ToString()) return 11;
+    if (index->Checkpoint().ToString() != capped.ToString()) return 12;
+    return 0;
+  });
+  EXPECT_EQ(code, 0);
+  auto reopened = DurableIndex::Open(paths.pgf, paths.wal,
+                                     DurableIndex::Options());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ExpectAckedPrefixAndTornTail((*reopened)->report(), (*reopened)->tree(),
+                               AckedCount(paths.ack), data);
+}
+
+TEST(WalFailStop, FailedSyncOpensTheShardBreakerAndParksNothing) {
+  // The engine's write step on a failure-domain shard. kMemory live pages,
+  // so only the WAL grows while the cap holds.
+  const std::vector<MotionSegment> data = TestData();
+  const Paths paths = FreshPaths("failstop_engine");
+  const std::string dir = paths.pgf + ".shards";
+  std::filesystem::remove_all(dir);
+  ShardedEngineOptions options;
+  options.num_shards = 1;
+  options.durable_dir = dir;
+  options.failure_domains = true;
+  const std::string wal_path = dir + "/shard-0000.wal";
+  const int code = ForkCapped([&]() -> int {
+    const int fd =
+        ::open(paths.ack.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd < 0) return 3;
+    auto engine = ShardedEngine::Create(options);
+    if (!engine.ok()) return 4;
+    for (int i = 0; i < kAckedBeforeCap; ++i) {
+      if (!(*engine)->Insert(data[static_cast<size_t>(i)]).ok()) return 5;
+      if (!Ack(fd)) return 6;
+    }
+    if (!CapFileSizeAfter(wal_path)) return 7;
+    if ((*engine)->Insert(data[kAckedBeforeCap]).ok()) return 8;
+    if ((*engine)->breaker(0)->state() != BreakerState::kOpen) return 9;
+    if (!LiftFileSizeCap()) return 7;
+    // The open breaker would park the next write in the shard's WAL, but
+    // the log refuses it: the write fails and nothing is parked.
+    if ((*engine)->Insert(data[kAckedBeforeCap + 1]).ok()) return 10;
+    const RedoQueue* redo = (*engine)->shard(0).redo.get();
+    if (redo->depth() != 0 || redo->total_parked() != 0) return 11;
+    return 0;
+  });
+  EXPECT_EQ(code, 0);
+  auto reopened = ShardedEngine::Create(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ExpectAckedPrefixAndTornTail((*reopened)->shard(0).durable->report(),
+                               (*reopened)->shard(0).tree,
+                               AckedCount(paths.ack), data);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(CrashRecovery, CheckpointCycleSurvivesReopenWithGroupCommit) {
-  // Group-commit mode: inserts only buffer; Sync() is the acknowledgment
-  // barrier. A reopen after (sync, checkpoint, sync) sees everything the
-  // last Sync covered.
+  // Group commit: inserts only buffer their records; Sync() is the
+  // acknowledgment barrier. A reopen after (sync, checkpoint, sync) sees
+  // everything the last Sync covered.
   Rng rng(9999);
   const std::vector<MotionSegment> data =
       RandomSegments(&rng, 20, 2, 100.0, 20.0);
   const Paths paths = FreshPaths("cycle");
-  DurableIndex::Options options;
-  options.sync_each_insert = false;
+  const DurableIndex::Options options;
   {
     auto opened = DurableIndex::Open(paths.pgf, paths.wal, options);
     ASSERT_TRUE(opened.ok());
@@ -350,7 +520,6 @@ class DurableReload : public ::testing::TestWithParam<IoBackend> {
     std::remove((paths_.pgf + ".live").c_str());
     Rng rng(2468);
     data_ = RandomSegments(&rng, 20, 2, 100.0, 20.0);
-    options_.sync_each_insert = false;
     options_.io_backend = GetParam();
     auto opened = DurableIndex::Open(paths_.pgf, paths_.wal, options_);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();

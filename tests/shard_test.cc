@@ -945,6 +945,73 @@ TEST(ShardedEngineTest, DurableShardsOnDiskBackendsByteIdenticalAndRecover) {
   }
 }
 
+TEST(ShardedEngineTest, DiskShardsMatchMemoryWithWritesBetweenFrames) {
+  // Writes landing between frames on the disk backends. Each batch
+  // rewrites pages a speculation issued by an earlier frame may already
+  // have read, and the write guard writes every dirty frame back and drops
+  // it, so only a write count can tell such a landing is stale. Serving it
+  // would show a session the tree before the write: the disk engines must
+  // answer exactly like the kMemory one.
+  const std::vector<MotionSegment> data =
+      ShapedData(WorkloadShape::kUniform, 11, 800, 60.0);
+  const SessionKind kinds[] = {SessionKind::kSession, SessionKind::kNpdq,
+                               SessionKind::kKnn};
+  std::vector<SessionSpec> specs;
+  for (int i = 0; i < 12; ++i) {
+    SessionSpec spec;
+    spec.kind = kinds[i % 3];
+    spec.seed = 100 + static_cast<uint64_t>(i);
+    spec.frames = 40;
+    spec.t0 = 25.0;
+    spec.mean_leg = 2.0;
+    specs.push_back(spec);
+  }
+
+  auto run = [&](IoBackend backend, const std::string& label) {
+    const std::string dir = std::string(::testing::TempDir()) +
+                            "/dqmo_sharded_writes_" + label;
+    std::filesystem::remove_all(dir);
+    ShardedEngineOptions opt;
+    opt.num_shards = 4;
+    opt.durable_dir = dir;
+    opt.io_backend = backend;
+    opt.prefetch_depth = 8;
+    opt.pool_pages = 32;
+    opt.cache_nodes = 0;  // Every node visit reaches the pool.
+    auto engine = ShardedEngine::Create(opt);
+    EXPECT_TRUE(engine.ok()) << label << ": " << engine.status().ToString();
+    if (!engine.ok()) return ExecutorReport{};
+    EXPECT_TRUE((*engine)->InsertBatch(data).ok()) << label;
+    // Before every even frame, 12 fresh motions inside the sessions' time
+    // window; the same sequence on every backend.
+    Rng rng(2024);
+    ObjectId next_oid = 1'000'000;
+    ShardRouter::Options ropt;
+    ropt.frame_hook = [&](int frame) {
+      if (frame % 2 != 0) return;
+      std::vector<MotionSegment> batch;
+      for (int j = 0; j < 12; ++j) {
+        const Vec p0(rng.Uniform(5, 95), rng.Uniform(5, 95));
+        const Vec p1(p0[0] + rng.Uniform(-3, 3), p0[1] + rng.Uniform(-3, 3));
+        const double t = rng.Uniform(22, 30);
+        batch.emplace_back(next_oid++,
+                           StSegment(p0, p1, Interval(t, t + 3.0)));
+      }
+      EXPECT_TRUE((*engine)->InsertBatch(batch).ok()) << label;
+    };
+    ExecutorReport report = ShardRouter(engine->get(), ropt).Run(specs);
+    engine->reset();
+    std::filesystem::remove_all(dir);
+    return report;
+  };
+
+  const ExecutorReport want = run(IoBackend::kMemory, "memory");
+  ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+  EXPECT_GT(want.total_objects, 0u);
+  ExpectSameResults(run(IoBackend::kPread, "pread"), want, "pread");
+  ExpectSameResults(run(IoBackend::kUring, "uring"), want, "uring");
+}
+
 // ---------------------------------------------------------------------------
 // Failure domains: a predictive session hit mid-stream by its shard's
 // circuit breaker.

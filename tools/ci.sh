@@ -4,18 +4,19 @@
 # memory and UB bugs the optimizer can hide, and a TSan build that runs the
 # concurrency test layer (executor + oracle sweep) against the
 # multi-session query engine — including the durable-writes executor test,
-# whose WAL appends happen under the TreeGate write guard. A
+# whose DurableIndex inserts and syncs run inside the TreeGate write guard. A
 # crash-recovery stage re-runs the fork-based kill tests (every registered
 # CrashPoint) explicitly under the default build and once under ASan, then
 # smoke-runs the CI-size durability ablation. A storage-tools stage drives
 # dqmo_tool's scrub, walinfo and recover on real files, and an explain
 # stage its traced sharded session on both backends. An env stage checks
 # that only the observability and bench-harness files read the
-# environment, and that the docs name no variable nothing reads. A
-# hot-path stage gates the A15 ablation: the zero-copy query hot path must
-# beat the legacy AoS path by >= 2x ns/entry at -O3, with and without
-# SIMD. A bench-check stage holds the committed bench counts and checksums
-# exact (tools/bench.sh --check). All must pass cleanly.
+# environment, that the docs name no variable nothing reads, and that only
+# the log and DurableIndex touch the WAL. A hot-path stage gates the A15
+# ablation: the zero-copy query hot path must beat the legacy AoS path by
+# >= 2x ns/entry at -O3, with and without SIMD. A bench-check stage holds
+# the committed bench counts and checksums exact (tools/bench.sh --check).
+# All must pass cleanly.
 #
 #   tools/ci.sh [jobs]
 #
@@ -65,6 +66,29 @@ for doc in ("README.md", "DESIGN.md"):
         bad = True
 sys.exit(1 if bad else 0)
 PYEOF
+
+# One owner for durability: DurableIndex (server/durability.*) logs, syncs
+# and replays every write. With // comments stripped, no other src/ file
+# but the log itself (storage/wal.*) may name the writer, its appends, or a
+# wal() accessor.
+echo "==== [env] one owner for the WAL ===="
+wal_users=()
+while IFS= read -r f; do
+  case "${f}" in
+    src/storage/wal.h | src/storage/wal.cc | src/server/durability.h | \
+      src/server/durability.cc) continue ;;
+  esac
+  if sed 's|//.*||' "${f}" |
+    grep -E '\b(WalWriter|AppendInsert|AppendCheckpoint)\b|\bwal\(\)' \
+      > /dev/null; then
+    wal_users+=("${f}")
+  fi
+done < <(find src \( -name '*.h' -o -name '*.cc' \) | sort)
+if (( ${#wal_users[@]} > 0 )); then
+  echo "FAIL: only storage/wal.* and server/durability.* may touch the WAL:"
+  printf '%s\n' "${wal_users[@]}"
+  exit 1
+fi
 
 run_pass() {
   local name="$1"
@@ -290,6 +314,11 @@ env DQMO_OBJECTS=60000 DQMO_CHECK_FAILOVER=1 \
 echo "==== [disk] backend-equivalence tests (asan) ===="
 "build-ci/sanitize/tests/disk_file_test"
 "build-ci/sanitize/tests/disk_backend_test"
+# Writes landing between frames on the disk twins (tsan): the prefetcher's
+# queue workers land speculative reads while the writer writes pages back.
+echo "==== [disk] interleaved writes vs prefetch (tsan) ===="
+"${tsan_dir}/tests/shard_test" \
+  --gtest_filter='*.DiskShardsMatchMemoryWithWritesBetweenFrames'
 echo "==== [disk] A19 cold-cache prefetch gate ===="
 disk_log="build-ci/abl_disk.log"
 env DQMO_OBJECTS=60000 DQMO_CHECK_SPEEDUP=1 \

@@ -520,8 +520,7 @@ int CmdRecover(const std::string& pgf_path, const std::string& wal_path) {
   return 0;
 }
 
-int RunStatsWorkload(const std::string& path, PageFile* file_ptr,
-                     RTree* tree);
+int RunStatsWorkload(const std::string& path, DurableIndex* index);
 
 int CmdStats(const std::string& path, int argc, char** argv) {
   bool json = false;
@@ -552,18 +551,24 @@ int CmdStats(const std::string& path, int argc, char** argv) {
     return 1;
   }
 
-  PageFile file;
-  if (Status s = file.LoadFrom(path); !s.ok()) return Fail(s);
-  auto opened = RTree::Open(&file);
+  // The workload's writer logs through a DurableIndex over the image and a
+  // scratch WAL, so sync latency is real. No checkpoint runs: the image at
+  // `path` is never rewritten.
+  const std::string wal_path = path + ".stats-wal";
+  std::remove(wal_path.c_str());
+  auto opened = DurableIndex::Open(path, wal_path, DurableIndex::Options());
   if (!opened.ok()) return Fail(opened.status());
-  std::unique_ptr<RTree> tree = std::move(opened).value();
-  if (tree->dims() != 2) {
+  std::unique_ptr<DurableIndex> index = std::move(opened).value();
+  if (index->tree()->dims() != 2) {
+    std::remove(wal_path.c_str());
     std::fprintf(stderr, "stats command supports 2-d indexes only\n");
     return 2;
   }
 
   auto workload = [&]() -> int {
-    return RunStatsWorkload(path, &file, tree.get());
+    const int rc = RunStatsWorkload(path, index.get());
+    std::remove(wal_path.c_str());
+    return rc;
   };
   if (!watch) {
     if (const int rc = workload(); rc != 0) return rc;
@@ -631,25 +636,20 @@ struct TracerArmGuard {
   ~TracerArmGuard() { Tracer::Global().Configure(saved); }
 };
 
-int RunStatsWorkload(const std::string& path, PageFile* file_ptr,
-                     RTree* tree) {
-  PageFile& file = *file_ptr;
+int RunStatsWorkload(const std::string& path, DurableIndex* index) {
+  PageStore* file = index->file();
+  RTree* tree = index->tree();
   TracerArmGuard trace_arm;
   FlightRecorder::Record(FlightEventKind::kMark, -1, 1);
   // The workload mirrors a small production deployment: shared pool +
-  // decoded-node cache, a writer thread inserting under the gate (logging
-  // to a scratch WAL so sync latency is real), and concurrent sessions of
-  // all three kinds. Every instrumented layer fires.
-  BufferPool pool(&file, /*capacity_pages=*/512, /*num_shards=*/8);
+  // decoded-node cache, a writer thread inserting under the gate (each
+  // batch logged and synced by the DurableIndex before the guard is
+  // released), and concurrent sessions of all three kinds. Every
+  // instrumented layer fires.
+  BufferPool pool(file, /*capacity_pages=*/512, /*num_shards=*/8);
   DecodedNodeCache cache(/*capacity_nodes=*/256, /*num_shards=*/8);
   tree->AttachNodeCache(&cache);
-  const std::string wal_path = path + ".stats-wal";
-  WalWriter wal;
-  if (Status s = wal.Open(wal_path, file.mutable_stats()); !s.ok()) {
-    return Fail(s);
-  }
-  tree->AttachWal(&wal);
-  TreeGate gate(&file, &pool, &wal, &cache);
+  TreeGate gate(file, &pool, &cache);
 
   DataGeneratorOptions gen;
   gen.num_objects = 40;
@@ -665,10 +665,14 @@ int RunStatsWorkload(const std::string& path, PageFile* file_ptr,
       auto guard = gate.LockExclusive();
       const size_t end = std::min(at + kBatch, fresh->size());
       for (size_t i = at; i < end; ++i) {
-        if (Status s = tree->Insert((*fresh)[i]); !s.ok()) {
+        if (Status s = index->Insert((*fresh)[i]); !s.ok()) {
           writer_status = s;
           return;
         }
+      }
+      if (Status s = index->Sync(); !s.ok()) {
+        writer_status = s;
+        return;
       }
     }
   });
@@ -709,10 +713,8 @@ int RunStatsWorkload(const std::string& path, PageFile* file_ptr,
   SessionScheduler scheduler(tree, sched);
   ExecutorReport report = scheduler.Run(specs);
   writer.join();
-  std::remove(wal_path.c_str());
   if (!writer_status.ok()) return Fail(writer_status);
   if (!report.status.ok()) return Fail(report.status);
-  if (Status s = gate.wal_status(); !s.ok()) return Fail(s);
   CheckNodeAccounting();
 
   // Failure-domain families: run a short quarantine -> park -> scrub ->
