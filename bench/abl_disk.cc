@@ -3,17 +3,16 @@
 // index is checkpointed once, then the identical seeded PDQ trajectory
 // sweep runs over it through every backend:
 //
-//   1. Equivalence: memory vs pread vs uring (prefetch on) must produce
+//   1. Equivalence: memory vs pread (prefetch on) must produce
 //      byte-identical result checksums and identical node-level read
 //      counts — the backends differ only in where the bytes live. The
-//      pread and uring arms also report frame p50/p99 on the raw OS page
-//      cache (no latency model); their p99 ratio is EXPERIMENTS.md A19's
-//      case for keeping the io_uring backend.
+//      pread arm also reports frame p50/p99 on the raw OS page cache (no
+//      latency model).
 //   2. Latency: on the pread backend under a deterministic slow-device
 //      model (DiskPageFile::Options::sim_read_delay_us — every pread costs
 //      D extra, served where a real device would serve it: in the caller
-//      for sync reads, in a queue worker for speculative ones), frame p99
-//      with the PDQ-driven prefetch on vs off. The priority queue is a
+//      for sync reads, in a Prefetcher worker for speculative ones), frame
+//      p99 with the PDQ-driven prefetch on vs off. The priority queue is a
 //      declared future-access list; prefetch turns it into overlapped I/O,
 //      and this is the number that shows how much latency it hides.
 //
@@ -44,7 +43,6 @@
 #include "rtree/bulk_load.h"
 #include "rtree/layout.h"
 #include "rtree/rtree.h"
-#include "storage/async_io.h"
 #include "storage/disk_file.h"
 #include "storage/page_file.h"
 #include "storage/prefetch.h"
@@ -153,15 +151,13 @@ void RunSweep(RTree* tree, PageReader* reader, Prefetcher* prefetcher,
   out->node_reads = stats.node_reads + stats.leaf_reads;
 }
 
-/// One backend arm over the shared checkpoint image.
+/// One pread arm over the shared checkpoint image.
 ArmResult RunDiskArm(const std::string& label, const std::string& image,
-                     const std::string& live, IoBackend backend,
-                     bool prefetch, uint64_t sim_delay_us, int trajectories,
-                     int frames) {
+                     const std::string& live, bool prefetch,
+                     uint64_t sim_delay_us, int trajectories, int frames) {
   ArmResult out;
   out.label = label;
   DiskPageFile::Options options;
-  options.backend = backend;
   options.sim_read_delay_us = sim_delay_us;
   auto disk = DiskPageFile::CreateFromImage(live, image, options);
   DQMO_CHECK(disk.ok());
@@ -247,49 +243,40 @@ int Run(int argc, char** argv) {
 
   // Phase 1 — backend equivalence (no latency model; correctness only).
   const ArmResult mem = RunMemoryArm(image, trajectories, frames);
-  const ArmResult pread_eq =
+  const ArmResult eq =
       RunDiskArm("pread", image, (dir / "eq_pread.live").string(),
-                 IoBackend::kPread, /*prefetch=*/true, /*sim=*/0,
-                 trajectories, frames);
-  const ArmResult uring_eq =
-      RunDiskArm(UringAvailable() ? "uring" : "uring(->thread)", image,
-                 (dir / "eq_uring.live").string(), IoBackend::kUring,
                  /*prefetch=*/true, /*sim=*/0, trajectories, frames);
-  bool checksums_ok = true;
-  for (const ArmResult* arm : {&pread_eq, &uring_eq}) {
-    const bool same = arm->checksum == mem.checksum &&
-                      arm->node_reads == mem.node_reads;
-    checksums_ok = checksums_ok && same;
-    std::printf("# equivalence %-16s checksum %016llx node reads %-8llu %s"
-                "  p50 %.1f us  p99 %.1f us\n",
-                arm->label.c_str(),
-                static_cast<unsigned long long>(arm->checksum),
-                static_cast<unsigned long long>(arm->node_reads),
-                same ? "== memory" : "!= memory  <-- MISMATCH",
-                arm->Quantile(0.5), arm->Quantile(0.99));
-    JsonObject& row = json.AddRow();
-    row.Str("phase", "equivalence")
-        .Str("backend", arm->label)
-        .Str("checksum", StrFormat("%016llx", static_cast<unsigned long long>(arm->checksum)))
-        .Num("p50_us", arm->Quantile(0.5))
-        .Num("p99_us", arm->Quantile(0.99))
-        .Int("node_reads", arm->node_reads)
-        .Int("physical_reads", arm->io.physical_reads.load())
-        .Int("prefetch_issued", arm->io.prefetch_issued.load())
-        .Int("prefetch_hits", arm->io.prefetch_hits.load())
-        .Int("prefetch_wasted", arm->io.prefetch_wasted.load())
-        .Int("match", same ? 1 : 0);
-  }
+  const bool same =
+      eq.checksum == mem.checksum && eq.node_reads == mem.node_reads;
+  bool checksums_ok = same;
+  std::printf("# equivalence %-16s checksum %016llx node reads %-8llu %s"
+              "  p50 %.1f us  p99 %.1f us\n",
+              eq.label.c_str(), static_cast<unsigned long long>(eq.checksum),
+              static_cast<unsigned long long>(eq.node_reads),
+              same ? "== memory" : "!= memory  <-- MISMATCH",
+              eq.Quantile(0.5), eq.Quantile(0.99));
+  JsonObject& eq_row = json.AddRow();
+  eq_row.Str("phase", "equivalence")
+      .Str("backend", eq.label)
+      .Str("checksum", StrFormat("%016llx", static_cast<unsigned long long>(eq.checksum)))
+      .Num("p50_us", eq.Quantile(0.5))
+      .Num("p99_us", eq.Quantile(0.99))
+      .Int("node_reads", eq.node_reads)
+      .Int("physical_reads", eq.io.physical_reads.load())
+      .Int("prefetch_issued", eq.io.prefetch_issued.load())
+      .Int("prefetch_hits", eq.io.prefetch_hits.load())
+      .Int("prefetch_wasted", eq.io.prefetch_wasted.load())
+      .Int("match", same ? 1 : 0);
 
   // Phase 2 — cold-cache frame latency, prefetch off vs on (pread).
   const ArmResult off =
       RunDiskArm("pread, prefetch off", image,
-                 (dir / "lat_off.live").string(), IoBackend::kPread,
-                 /*prefetch=*/false, sim_delay_us, trajectories, frames);
+                 (dir / "lat_off.live").string(), /*prefetch=*/false,
+                 sim_delay_us, trajectories, frames);
   const ArmResult on =
       RunDiskArm("pread, prefetch on", image,
-                 (dir / "lat_on.live").string(), IoBackend::kPread,
-                 /*prefetch=*/true, sim_delay_us, trajectories, frames);
+                 (dir / "lat_on.live").string(), /*prefetch=*/true,
+                 sim_delay_us, trajectories, frames);
   const bool latency_identical =
       off.checksum == on.checksum && on.checksum == mem.checksum;
   checksums_ok = checksums_ok && latency_identical;

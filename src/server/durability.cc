@@ -54,16 +54,14 @@ Result<std::unique_ptr<DurableIndex>> DurableIndex::Open(
   // so a crash mid-build costs nothing.
   const bool had_image = FileExists(pgf_path);
   if (options.io_backend != IoBackend::kMemory) {
-    DiskPageFile::Options disk_options = options.disk;
-    disk_options.backend = options.io_backend;
     const std::string live_path = pgf_path + ".live";
     if (had_image) {
       DQMO_ASSIGN_OR_RETURN(index->disk_,
                             DiskPageFile::CreateFromImage(
-                                live_path, pgf_path, disk_options));
+                                live_path, pgf_path, options.disk));
     } else {
       DQMO_ASSIGN_OR_RETURN(index->disk_,
-                            DiskPageFile::Create(live_path, disk_options));
+                            DiskPageFile::Create(live_path, options.disk));
     }
     index->store_ = index->disk_.get();
   } else {

@@ -47,6 +47,7 @@
 #ifndef DQMO_SERVER_DURABILITY_H_
 #define DQMO_SERVER_DURABILITY_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -54,12 +55,18 @@
 #include "common/status.h"
 #include "motion/motion_segment.h"
 #include "rtree/rtree.h"
-#include "storage/async_io.h"
 #include "storage/disk_file.h"
 #include "storage/page_file.h"
 #include "storage/wal.h"
 
 namespace dqmo {
+
+/// Where a durable index keeps its live pages.
+enum class IoBackend : uint8_t {
+  kMemory,  // In-process PageFile (the seed backend; I/O is a counter).
+  kPread,   // DiskPageFile: sync pread/pwrite, plus the Prefetcher's pread
+            // workers for speculative reads.
+};
 
 /// What recovery found and did; returned by DurableIndex::Open and printed
 /// by `dqmo_tool recover`.
@@ -93,15 +100,15 @@ class DurableIndex {
     /// Tree geometry for a fresh index (ignored when a checkpoint loads).
     RTree::Options tree;
     /// Where the live pages reside. kMemory (the default): an in-process
-    /// PageFile, the original behavior. kPread/kUring: a DiskPageFile at
+    /// PageFile, the original behavior. kPread: a DiskPageFile at
     /// pgf_path + ".live" — a disposable working copy rebuilt from the
     /// checkpoint image on every Open (a crash mid-build costs nothing).
     /// The durable contract is unchanged either way: the durable state is
     /// always (installed image, synced WAL tail); only where the *live*
     /// pages sit moves.
     IoBackend io_backend = IoBackend::kMemory;
-    /// Disk-mode tuning (dirty_frame_budget); `backend` is overwritten
-    /// with io_backend above. Ignored for kMemory.
+    /// Disk-mode tuning (dirty frame budget, slow-device model). Ignored
+    /// for kMemory.
     DiskPageFile::Options disk;
   };
 

@@ -176,9 +176,9 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
       s->file = s->durable->file();
       s->tree = s->durable->tree();
       if (s->durable->disk_file() != nullptr && options.prefetch_depth > 0) {
-        // Each shard gets its own Prefetcher over its own fd + async queue;
+        // Each shard gets its own Prefetcher over its own fd and workers;
         // shards share nothing, so speculation in one never steals another's
-        // queue slots.
+        // read slots.
         Prefetcher::Options popt;
         popt.depth = options.prefetch_depth;
         s->prefetcher = std::make_unique<Prefetcher>(

@@ -43,7 +43,6 @@
 #include "server/durability.h"
 #include "server/executor.h"
 #include "server/health.h"
-#include "storage/async_io.h"
 #include "storage/buffer_pool.h"
 #include "storage/fault.h"
 #include "storage/io_stats.h"
@@ -120,11 +119,11 @@ struct ShardedEngineOptions {
   /// with one DurableIndex::Sync before its shard gate is released. Empty:
   /// in-memory page files.
   std::string durable_dir;
-  /// Live-page backend for durable shards (storage/async_io.h). kMemory
-  /// (default) keeps the PR-7 in-process PageFile. kPread/kUring give each
-  /// shard its own DiskPageFile (shard-NNNN.pgf.live, own fd + async read
-  /// queue) plus a Prefetcher the per-shard query sessions hint. Ignored
-  /// for in-memory (non-durable) engines.
+  /// Live-page backend for durable shards (server/durability.h). kMemory
+  /// (default) keeps the PR-7 in-process PageFile. kPread gives each shard
+  /// its own DiskPageFile (shard-NNNN.pgf.live, own fd) plus a Prefetcher,
+  /// with its own pread workers, that the per-shard query sessions hint.
+  /// Ignored for in-memory (non-durable) engines.
   IoBackend io_backend = IoBackend::kMemory;
   /// Speculative reads outstanding per shard (0 disables prefetch).
   size_t prefetch_depth = 8;
@@ -162,7 +161,7 @@ class ShardedEngine {
     std::unique_ptr<TreeGate> gate;
 
     /// Disk mode only: speculative read driver over the shard's own
-    /// DiskPageFile (own fd + async queue). Sits at the bottom of the read
+    /// DiskPageFile (own fd + pread workers). Sits at the bottom of the read
     /// chain — pool (or the failure-domain chain) reads through it — and
     /// is hinted by this shard's query sessions.
     std::unique_ptr<Prefetcher> prefetcher;

@@ -129,8 +129,6 @@ Result<std::unique_ptr<DiskPageFile>> DiskPageFile::Create(
     const std::string& path, const Options& options) {
   auto file = std::unique_ptr<DiskPageFile>(new DiskPageFile());
   file->path_ = path;
-  file->backend_ = options.backend == IoBackend::kMemory ? IoBackend::kPread
-                                                         : options.backend;
   file->dirty_frame_budget_ = options.dirty_frame_budget;
   file->sim_read_delay_us_ = options.sim_read_delay_us;
   file->fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
@@ -267,8 +265,9 @@ Result<PageReader::ReadResult> DiskPageFile::Read(PageId id) {
     DQMO_RETURN_IF_ERROR(RawRead(id, scratch));
     if (sim_read_delay_us_ > 0) {
       // Slow-device model (Options::sim_read_delay_us): the synchronous
-      // path pays the full latency in the caller, the async path pays it
-      // in a queue worker — the asymmetry prefetch exists to exploit.
+      // path pays the full latency in the caller, the speculative path
+      // pays it in a Prefetcher worker — the asymmetry prefetch exists to
+      // exploit.
       std::this_thread::sleep_for(
           std::chrono::microseconds(sim_read_delay_us_));
     }

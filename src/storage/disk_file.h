@@ -4,7 +4,7 @@
 //
 // File layout: the one image layout of storage/image_format.h — a PgfHeader
 // padded to one full 4 KiB block, then the pages, each at a 4 KiB-aligned
-// file offset, the alignment io_uring reads prefer. The live file, the
+// file offset, one device block per page read. The live file, the
 // checkpoint images SaveTo writes, and PageFile's images share it byte for
 // byte.
 //
@@ -39,7 +39,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "storage/async_io.h"
 #include "storage/image_format.h"
 #include "storage/io_stats.h"
 #include "storage/page.h"
@@ -70,18 +69,14 @@ class AlignedPageBuf {
 class DiskPageFile : public PageStore {
  public:
   struct Options {
-    /// Async machinery for this store's prefetch queues (kPread/kUring;
-    /// kMemory is treated as kPread — a DiskPageFile is disk by
-    /// definition).
-    IoBackend backend = IoBackend::kPread;
     /// Dirty frames resident before the oldest is written back (FIFO).
     /// This is the store's share of ShardedEngineOptions::page_budget_mb;
     /// 0 means a minimal working set of one frame.
     size_t dirty_frame_budget = 256;
     /// Deterministic slow-device model (bench/abl_disk.cc's cold-cache
     /// knob, not a production setting): every pread costs this much extra,
-    /// served in the caller thread on synchronous reads and in the async
-    /// queue's workers on speculative reads — so prefetch can genuinely
+    /// served in the caller thread on synchronous reads and in the
+    /// Prefetcher's workers on speculative reads — so prefetch can genuinely
     /// hide it, exactly like real device latency. Dirty-frame hits are
     /// memory and stay free. 0 disables.
     uint64_t sim_read_delay_us = 0;
@@ -136,17 +131,12 @@ class DiskPageFile : public PageStore {
 
   const std::string& path() const { return path_; }
   int fd() const { return fd_; }
-  IoBackend backend() const { return backend_; }
+  /// Options::sim_read_delay_us; the Prefetcher's workers serve it after
+  /// each speculative pread.
+  uint64_t sim_read_delay_us() const { return sim_read_delay_us_; }
 
   /// File offset of page `id`'s first byte.
   static uint64_t PageOffset(PageId id) { return PgfPageOffset(id); }
-
-  /// Builds an AsyncReadQueue over this store's fd for `depth` in-flight
-  /// reads, using the store's configured backend (uring degrades to the
-  /// thread queue when unavailable) and slow-device model.
-  std::unique_ptr<AsyncReadQueue> MakeReadQueue(size_t depth) const {
-    return CreateAsyncReadQueue(backend_, fd_, depth, sim_read_delay_us_);
-  }
 
   /// True when `id` currently has an unflushed dirty frame — its on-disk
   /// bytes are stale, so speculative disk reads of it must be skipped.
@@ -195,7 +185,6 @@ class DiskPageFile : public PageStore {
 
   std::string path_;
   int fd_ = -1;
-  IoBackend backend_ = IoBackend::kPread;
   size_t num_pages_ = 0;
   size_t dirty_frame_budget_ = 256;
   uint64_t sim_read_delay_us_ = 0;

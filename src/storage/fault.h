@@ -179,7 +179,7 @@ class FaultInjector {
   /// drawn from a separately-seeded Rng stream with its own read counter,
   /// so arming a prefetcher never shifts the synchronous schedule (which
   /// chaos_test replays bit-for-bit) and a seeded slow-read storm delays
-  /// io_uring completions exactly as it delays synchronous reads.
+  /// speculative landings exactly as it delays synchronous reads.
   /// Page-targeted faults (bit flips, dead pages) stay on the synchronous
   /// stream: a failed speculative read merely degrades to the sync path,
   /// where those are injected, retried, and repaired as usual. Never

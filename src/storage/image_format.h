@@ -5,7 +5,8 @@
 // Layout (format v3, the only one): a PgfHeader zero-padded to one full
 // 4 KiB block, then the pages, each carrying a CRC32C trailer
 // (storage/page.h). Every page therefore sits at a 4 KiB-aligned file
-// offset — page N at 4096 + N * 4096 — the layout io_uring reads want.
+// offset — page N at 4096 + N * 4096 — so one page read is one aligned
+// device block.
 // Images with any other version fail to load with NotSupported.
 //
 // WritePgfImage installs an image atomically (temp file + fsync + rename);

@@ -3,8 +3,8 @@
 // Until PR 9 the only store was the in-memory PageFile, and every layer —
 // RTree, BufferPool, TreeGate, DurableIndex, ShardedEngine — held a
 // concrete PageFile*. This interface lifts exactly the surface those layers
-// use, so a disk-resident backend (storage/disk_file.h: pread/pwrite or
-// io_uring over a 4 KiB-aligned file) can slot in underneath all of them
+// use, so a disk-resident backend (storage/disk_file.h: pread/pwrite over
+// a 4 KiB-aligned file) can slot in underneath all of them
 // without changing query or server code.
 //
 // Contract (inherited verbatim from PageFile; see its header for the full

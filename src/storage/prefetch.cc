@@ -1,5 +1,8 @@
 #include "storage/prefetch.h"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -46,17 +49,31 @@ struct PrefetchMetrics {
 }  // namespace
 
 Prefetcher::Prefetcher(DiskPageFile* file, const Options& options)
-    : file_(file),
-      options_(options),
-      queue_(file->MakeReadQueue(options.depth == 0 ? 1 : options.depth)) {
+    : file_(file), options_(options) {
   if (!options_.sleeper) {
     options_.sleeper = [](uint64_t delay_us) {
       std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
     };
   }
+  // Workers scale with depth — idle ones just sleep — so up to `depth`
+  // reads (or modelled delays) really are in flight at once, like a device
+  // queue.
+  const size_t workers = std::clamp<size_t>(options_.depth, 2, 8);
+  workers_.reserve(workers);
+  for (size_t i = 0; i < workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
+  }
 }
 
-Prefetcher::~Prefetcher() { Quiesce(); }
+Prefetcher::~Prefetcher() {
+  Quiesce();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  work_cv_.notify_all();
+  for (std::thread& t : workers_) t.join();
+}
 
 void Prefetcher::set_injector(FaultInjector* injector) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -97,42 +114,56 @@ void Prefetcher::ChargeWasted(const Entry& entry, PageId id) {
 
 void Prefetcher::EraseLocked(
     std::unordered_map<PageId, Entry>::iterator it) {
-  tag_to_page_.erase(it->second.tag);
   table_.erase(it);
   PrefetchMetrics::Get().inflight->Set(static_cast<int64_t>(table_.size()));
 }
 
-size_t Prefetcher::ReapLocked(bool block) {
-  reap_scratch_.clear();
-  const size_t n = queue_->Reap(&reap_scratch_, block);
-  for (const AsyncCompletion& done : reap_scratch_) {
-    auto tag_it = tag_to_page_.find(done.tag);
-    if (tag_it == tag_to_page_.end()) continue;  // Already force-erased.
-    auto it = table_.find(tag_it->second);
-    if (it == table_.end() || it->second.tag != done.tag) continue;
-    Entry& entry = it->second;
-    const bool io_ok = done.result == static_cast<int32_t>(kPageSize);
-    if (entry.canceled) {
-      // Doomed while in flight: the buffer is safe to free now; the read
-      // happened, so it is wasted, not failed.
-      if (io_ok) {
-        ChargeWasted(entry, tag_it->second);
-      } else {
-        ++failed_;
-        PrefetchMetrics::Get().failed->Add();
-      }
-      EraseLocked(it);
-      continue;
+void Prefetcher::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    work_cv_.wait(lock, [this] { return stop_ || !queued_.empty(); });
+    if (queued_.empty()) return;  // stop_ and drained.
+    const PageId id = queued_.front();
+    queued_.pop_front();
+    // The entry stays in the table until this read lands, and node-based
+    // map entries never move, so its buffer is filled outside the lock.
+    uint8_t* buf = table_.find(id)->second.buf.data();
+    lock.unlock();
+    const ssize_t n = ::pread(file_->fd(), buf, kPageSize,
+                              static_cast<off_t>(file_->PageOffset(id)));
+    if (file_->sim_read_delay_us() > 0) {
+      // Slow-device model: the landing arrives late, in this worker, so
+      // the traversal's concurrent CPU work genuinely overlaps it.
+      std::this_thread::sleep_for(
+          std::chrono::microseconds(file_->sim_read_delay_us()));
     }
-    if (!io_ok || entry.inject_fail) {
-      entry.state = EntryState::kFailed;
+    lock.lock();
+    LandLocked(id, n == static_cast<ssize_t>(kPageSize));
+    landed_cv_.notify_all();
+  }
+}
+
+void Prefetcher::LandLocked(PageId id, bool io_ok) {
+  auto it = table_.find(id);
+  Entry& entry = it->second;
+  --inflight_;
+  if (entry.canceled) {
+    // Doomed while in flight: the read happened, so it is wasted, not
+    // failed.
+    if (io_ok) {
+      ChargeWasted(entry, id);
+    } else {
       ++failed_;
       PrefetchMetrics::Get().failed->Add();
-    } else {
-      entry.state = EntryState::kLanded;
     }
+    EraseLocked(it);
+  } else if (!io_ok || entry.inject_fail) {
+    entry.state = EntryState::kFailed;
+    ++failed_;
+    PrefetchMetrics::Get().failed->Add();
+  } else {
+    entry.state = EntryState::kLanded;
   }
-  return n;
 }
 
 void Prefetcher::Hint(const PageId* ids, size_t n, const ChargeFn& charge) {
@@ -148,11 +179,10 @@ void Prefetcher::Hint(const PageId* ids, size_t n, const ChargeFn& charge) {
     hint_shard = internal::ThreadCurrentShard();
     submit_ns = NowNs();
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  // Free completed slots first so a steady traversal keeps the pipe full.
-  ReapLocked(/*block=*/false);
+  std::unique_lock<std::mutex> lock(mu_);
+  size_t queued = 0;
   // Hints run under the shared side of the gate, so no write lands while
-  // this batch submits: one count stamps every entry.
+  // this batch queues: one count stamps every entry.
   const uint64_t write_count = file_->write_count();
   for (size_t i = 0; i < n && table_.size() < options_.depth; ++i) {
     const PageId id = ids[i];
@@ -163,15 +193,14 @@ void Prefetcher::Hint(const PageId* ids, size_t n, const ChargeFn& charge) {
     if (file_->HasDirtyFrame(id)) continue;
     if (charge && !charge()) break;
     Entry entry;
-    entry.tag = next_tag_++;
     entry.write_count = write_count;
     entry.trace = frame_trace;
     entry.shard = hint_shard;
     entry.submit_ns = submit_ns;
     if (options_.injector != nullptr) {
-      // Decision drawn at submit: submission order is deterministic (it
-      // follows the traversal's hint order), so the async schedule
-      // replays even though kernel completion order does not.
+      // Decision drawn here: hint order is deterministic (it follows the
+      // traversal's queue), so the async schedule replays even though the
+      // workers' completion order does not.
       const FaultInjector::Decision d =
           options_.injector->NextAsyncRead(id);
       using Kind = FaultInjector::Decision::Kind;
@@ -182,23 +211,18 @@ void Prefetcher::Hint(const PageId* ids, size_t n, const ChargeFn& charge) {
         entry.delay_us = d.delay_us;
       }
     }
-    auto [it, inserted] = table_.emplace(id, std::move(entry));
-    AsyncRead read;
-    read.tag = it->second.tag;
-    read.offset = file_->PageOffset(id);
-    read.buf = it->second.buf.data();
-    read.len = kPageSize;
-    if (!queue_->Submit(read).ok()) {
-      table_.erase(it);  // Queue full: drop the speculation silently.
-      break;
-    }
-    tag_to_page_[read.tag] = id;
+    table_.emplace(id, std::move(entry));
+    queued_.push_back(id);
+    ++inflight_;
+    ++queued;
     file_->mutable_stats()->prefetch_issued.fetch_add(
         1, std::memory_order_relaxed);
     PrefetchMetrics::Get().issued->Add();
     PrefetchMetrics::Get().inflight->Set(
         static_cast<int64_t>(table_.size()));
   }
+  lock.unlock();
+  for (size_t i = 0; i < queued; ++i) work_cv_.notify_one();
 }
 
 Result<PageReader::ReadResult> Prefetcher::Read(PageId id) {
@@ -209,13 +233,14 @@ Result<PageReader::ReadResult> Prefetcher::Read(PageId id) {
     auto it = table_.find(id);
     if (it != table_.end() && it->second.state == EntryState::kInflight) {
       const uint64_t tick = TickNs();
-      while (it->second.state == EntryState::kInflight) {
-        if (ReapLocked(/*block=*/true) == 0) break;  // Queue drained.
+      // Other threads may rehash the table while this one waits: look the
+      // entry up again on every wake. A doomed entry is gone once landed.
+      landed_cv_.wait(lock, [&] {
         it = table_.find(id);
-        if (it == table_.end()) break;
-      }
+        return it == table_.end() ||
+               it->second.state != EntryState::kInflight;
+      });
       PrefetchMetrics::Get().wait_ns->RecordSince(tick);
-      it = table_.find(id);
     }
     if (it != table_.end()) {
       Entry& entry = it->second;
@@ -275,7 +300,6 @@ Result<PageReader::ReadResult> Prefetcher::Read(PageId id) {
 
 size_t Prefetcher::CancelPending() {
   std::lock_guard<std::mutex> lock(mu_);
-  ReapLocked(/*block=*/false);
   size_t affected = 0;
   for (auto it = table_.begin(); it != table_.end();) {
     Entry& entry = it->second;
@@ -285,14 +309,10 @@ size_t Prefetcher::CancelPending() {
       ++it;
       continue;
     }
-    if (entry.state == EntryState::kLanded) {
-      ChargeWasted(entry, it->first);
-    } else {
-      ++failed_;
-      PrefetchMetrics::Get().failed->Add();
-    }
+    // A failed entry was counted when its read finished; dropping it
+    // charges nothing more.
+    if (entry.state == EntryState::kLanded) ChargeWasted(entry, it->first);
     ++affected;
-    tag_to_page_.erase(entry.tag);
     it = table_.erase(it);
   }
   PrefetchMetrics::Get().inflight->Set(static_cast<int64_t>(table_.size()));
@@ -303,18 +323,12 @@ size_t Prefetcher::CancelPending() {
 }
 
 void Prefetcher::Quiesce() {
-  std::lock_guard<std::mutex> lock(mu_);
-  while (queue_->inflight() > 0) {
-    if (ReapLocked(/*block=*/true) == 0) break;
-  }
+  std::unique_lock<std::mutex> lock(mu_);
+  landed_cv_.wait(lock, [this] { return inflight_ == 0; });
   for (auto it = table_.begin(); it != table_.end();) {
     if (it->second.state == EntryState::kLanded) {
       ChargeWasted(it->second, it->first);
-    } else if (it->second.state == EntryState::kInflight) {
-      // Unreachable after the drain above, but never leak silently.
-      ChargeWasted(it->second, it->first);
     }
-    tag_to_page_.erase(it->second.tag);
     it = table_.erase(it);
   }
   PrefetchMetrics::Get().inflight->Set(0);

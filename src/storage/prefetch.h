@@ -1,10 +1,17 @@
 // Prefetcher: speculative page reads driven by the query's own declared
 // future — PDQ/kNN peek the next k entries of their priority queues, NPDQ
-// its recursion frontier, and hand those page ids here; the Prefetcher
-// issues async reads (storage/async_io.h) that land while the traversal
-// chews on the current node. By the time the traversal pops the next entry,
-// its page is (ideally) already resident: the disk latency was hidden
-// behind CPU work instead of serialized after it.
+// its recursion frontier, and hand those page ids here; the Prefetcher's
+// own pread workers read them while the traversal chews on the current
+// node. By the time the traversal pops the next entry, its page is
+// (ideally) already resident: the disk latency was hidden behind CPU work
+// instead of serialized after it.
+//
+// One mechanism: Hint creates a table entry per page and queues its id;
+// one of clamp(depth, 2, 8) worker threads preads the page straight into
+// that entry's buffer, serves the store's modelled device delay
+// (DiskPageFile::sim_read_delay_us), and lands it. An in-flight entry is
+// never erased before its read finishes, so a page id names exactly one
+// read.
 //
 // Position in the read chain — at the BOTTOM, directly over the
 // DiskPageFile:
@@ -18,7 +25,7 @@
 // never shifts the synchronous one.
 //
 // Accounting (the differential-test contract, tests/disk_backend_test.cc):
-//   * Hint charges prefetch_issued at submit.
+//   * Hint charges prefetch_issued when it queues the read.
 //   * A consumed landing charges prefetch_hits + the one physical_read the
 //     store would have charged synchronously — hits are counted exactly
 //     once, and node-level read counts stay identical to the memory
@@ -34,9 +41,10 @@
 #ifndef DQMO_STORAGE_PREFETCH_H_
 #define DQMO_STORAGE_PREFETCH_H_
 
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -57,10 +65,10 @@ class Prefetcher : public PageReader {
  public:
   struct Options {
     /// Max speculative reads outstanding (landed + in flight). Also sizes
-    /// the async queue.
+    /// the worker pool: clamp(depth, 2, 8) threads.
     size_t depth = 8;
     /// Optional fault plane: speculative reads draw decisions from
-    /// injector->NextAsyncRead at submit (deterministic order); kSlow
+    /// injector->NextAsyncRead at Hint (deterministic order); kSlow
     /// delays are served at consumption through `sleeper`, so a seeded
     /// slow-read storm delays async completions exactly like sync reads.
     /// May be swapped later via set_injector (under shard exclusion, like
@@ -71,9 +79,8 @@ class Prefetcher : public PageReader {
     std::function<void(uint64_t delay_us)> sleeper;
   };
 
-  /// `file` is not owned and must outlive the Prefetcher. The async queue
-  /// is created from the file's configured backend (uring degrades to the
-  /// thread queue automatically).
+  /// `file` is not owned and must outlive the Prefetcher. Starts the
+  /// worker threads; the destructor quiesces and joins them.
   Prefetcher(DiskPageFile* file, const Options& options);
   ~Prefetcher() override;
 
@@ -104,7 +111,8 @@ class Prefetcher : public PageReader {
     Hint(ids.data(), ids.size(), charge);
   }
 
-  /// Discards every tracked speculation (landed ones charge wasted;
+  /// Discards every tracked speculation (landed ones charge wasted; failed
+  /// ones were counted when their read finished and charge nothing more;
   /// in-flight ones are marked canceled and discarded on completion).
   /// Called when a frame is shed or a session canceled. Returns the number
   /// of entries discarded or doomed.
@@ -124,7 +132,6 @@ class Prefetcher : public PageReader {
   size_t tracked() const;
   /// Speculative reads that failed (I/O error or injected) so far.
   uint64_t failed() const;
-  const char* queue_name() const { return queue_->name(); }
 
  private:
   enum class EntryState : uint8_t { kInflight, kLanded, kFailed };
@@ -132,12 +139,11 @@ class Prefetcher : public PageReader {
   struct Entry {
     AlignedPageBuf buf;
     EntryState state = EntryState::kInflight;
-    uint64_t tag = 0;
     // The file's write_count() at Hint; a landing is served only while it
     // still matches.
     uint64_t write_count = 0;
     uint64_t delay_us = 0;  // Injected completion delay, served at consume.
-    bool inject_fail = false;  // Decision drawn at submit: fail on landing.
+    bool inject_fail = false;  // Decision drawn at Hint: fail on landing.
     bool canceled = false;     // Discard (as wasted) when it completes.
     // Causal attribution: the armed frame (if any) whose traversal hinted
     // this page, the shard it was hinted under, and the submit tick. A
@@ -149,8 +155,13 @@ class Prefetcher : public PageReader {
     uint64_t submit_ns = 0;
   };
 
-  /// Drains queue completions into the table. mu_ held.
-  size_t ReapLocked(bool block);
+  /// One worker: takes queued page ids in hint order, preads each into
+  /// its entry's buffer outside the lock, then lands it.
+  void WorkerLoop();
+  /// Records the finished read of `id` in its entry: a doomed entry is
+  /// discarded, a failed one kept (kFailed) for Read to fall through, the
+  /// rest marked kLanded. mu_ held.
+  void LandLocked(PageId id, bool io_ok);
   /// Charges a wasted discard (physical_read + prefetch_wasted) and reports
   /// the entry's kPrefetchWaste span to its hinting frame. mu_ held.
   void ChargeWasted(const Entry& entry, PageId id);
@@ -160,14 +171,16 @@ class Prefetcher : public PageReader {
 
   DiskPageFile* file_;
   Options options_;
-  std::unique_ptr<AsyncReadQueue> queue_;
 
   mutable std::mutex mu_;
+  std::condition_variable work_cv_;    // queued_ grew, or stop_ was set.
+  std::condition_variable landed_cv_;  // An in-flight read finished.
   std::unordered_map<PageId, Entry> table_;
-  std::unordered_map<uint64_t, PageId> tag_to_page_;
-  uint64_t next_tag_ = 1;
+  std::deque<PageId> queued_;  // Hinted, not yet taken by a worker.
+  size_t inflight_ = 0;        // Entries whose read has not finished.
   uint64_t failed_ = 0;
-  std::vector<AsyncCompletion> reap_scratch_;
+  bool stop_ = false;
+  std::vector<std::thread> workers_;
 
   mutable std::mutex scratch_mu_;
   std::unordered_map<std::thread::id, AlignedPageBuf> scratch_;

@@ -1,7 +1,7 @@
 // Backend-equivalence differential tests: the same tree image queried
-// through the in-memory PageFile, the pread DiskPageFile, and the io_uring
-// DiskPageFile (degrading to the thread queue where the kernel refuses)
-// must produce byte-identical results with exact IoStats accounting —
+// through the in-memory PageFile and the pread DiskPageFile (speculative
+// reads through the Prefetcher's pread workers) must produce
+// byte-identical results with exact IoStats accounting —
 // node-level read counts equal across backends, speculative reads charged
 // per the Prefetcher contract (hits counted exactly once; after Quiesce,
 // issued == hits + wasted + failed), and a failed speculative read
@@ -21,7 +21,7 @@
 #include "query/npdq.h"
 #include "query/pdq.h"
 #include "rtree/rtree.h"
-#include "storage/async_io.h"
+#include "server/durability.h"
 #include "storage/disk_file.h"
 #include "storage/fault.h"
 #include "storage/page_file.h"
@@ -95,9 +95,8 @@ void OpenBundle(IoBackend backend, const std::string& image,
     b->store = &b->mem;
     b->reader = &b->mem;
   } else {
-    DiskPageFile::Options options;
-    options.backend = backend;
-    auto disk = DiskPageFile::CreateFromImage(live, image, options);
+    auto disk =
+        DiskPageFile::CreateFromImage(live, image, DiskPageFile::Options());
     ASSERT_TRUE(disk.ok()) << disk.status().ToString();
     b->disk = std::move(disk).value();
     Prefetcher::Options popt;
@@ -229,7 +228,7 @@ using Runner = RunResult (*)(IoBackend, const std::string&,
                              const std::string&, FaultInjector*);
 
 /// The equivalence contract, per kind: identical results and node counts
-/// across all three backends, physical reads related exactly by
+/// across both backends, physical reads related exactly by
 ///   disk = memory + prefetch_wasted
 /// (a prefetch hit charges the one read the sync path would have; a wasted
 /// landing charges its real disk read on top), and the prefetch closure
@@ -242,23 +241,19 @@ void CheckBackends(Runner run, uint64_t seed, const std::string& kind) {
 
   const RunResult mem =
       run(IoBackend::kMemory, image, tmp.path("mem.live"), nullptr);
-  const RunResult pread =
+  const RunResult disk =
       run(IoBackend::kPread, image, tmp.path("pread.live"), nullptr);
-  const RunResult uring =
-      run(IoBackend::kUring, image, tmp.path("uring.live"), nullptr);
 
-  for (const RunResult* disk : {&pread, &uring}) {
-    EXPECT_EQ(disk->checksum, mem.checksum) << kind << " seed " << seed;
-    EXPECT_EQ(disk->node_reads, mem.node_reads);
-    EXPECT_EQ(disk->leaf_reads, mem.leaf_reads);
-    EXPECT_EQ(disk->objects, mem.objects);
-    EXPECT_EQ(disk->io.physical_reads,
-              mem.io.physical_reads + disk->io.prefetch_wasted);
-    EXPECT_EQ(disk->io.prefetch_issued,
-              disk->io.prefetch_hits + disk->io.prefetch_wasted +
-                  disk->prefetch_failed);
-    EXPECT_EQ(disk->io.checksum_failures, 0u);
-  }
+  EXPECT_EQ(disk.checksum, mem.checksum) << kind << " seed " << seed;
+  EXPECT_EQ(disk.node_reads, mem.node_reads);
+  EXPECT_EQ(disk.leaf_reads, mem.leaf_reads);
+  EXPECT_EQ(disk.objects, mem.objects);
+  EXPECT_EQ(disk.io.physical_reads,
+            mem.io.physical_reads + disk.io.prefetch_wasted);
+  EXPECT_EQ(disk.io.prefetch_issued,
+            disk.io.prefetch_hits + disk.io.prefetch_wasted +
+                disk.prefetch_failed);
+  EXPECT_EQ(disk.io.checksum_failures, 0u);
   EXPECT_EQ(mem.io.prefetch_issued, 0u);
 }
 

@@ -4,8 +4,9 @@
 // interoperate byte-for-byte with PageFile checkpoint images, and reject
 // corrupt images at open. Plus the Prefetcher charging contract (hits
 // counted exactly once; cancel/quiesce charge wasted; failed speculation
-// falls through without poisoning anything) and the one WAL scanner's
-// summary, with and without a record sink.
+// is counted once and falls through without poisoning anything), its
+// pread workers landing every hint of a full table, and the one WAL
+// scanner's summary, with and without a record sink.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -17,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "storage/async_io.h"
 #include "storage/disk_file.h"
 #include "storage/fault.h"
 #include "storage/image_format.h"
@@ -266,64 +266,6 @@ TEST(DiskPageFileTest, ReloadFromImageRestores) {
   EXPECT_TRUE(PayloadMatches(0, r->data));
 }
 
-TEST(AsyncReadQueueTest, SubmitReapRoundtrip) {
-  TempDir tmp("queue");
-  auto file = MakeDiskFile(tmp.path("f.pgf"), 6);
-  ASSERT_NE(file, nullptr);
-
-  auto queue = file->MakeReadQueue(4);
-  ASSERT_NE(queue, nullptr);
-  std::vector<AlignedPageBuf> bufs(4);
-  for (uint64_t i = 0; i < 4; ++i) {
-    AsyncRead read;
-    read.tag = 100 + i;
-    read.offset = file->PageOffset(i);
-    read.buf = bufs[i].data();
-    read.len = kPageSize;
-    ASSERT_TRUE(queue->Submit(read).ok());
-  }
-  std::vector<AsyncCompletion> done;
-  while (done.size() < 4) {
-    ASSERT_GT(queue->Reap(&done, /*block=*/true), 0u);
-  }
-  EXPECT_EQ(queue->inflight(), 0u);
-  for (const AsyncCompletion& c : done) {
-    ASSERT_GE(c.tag, 100u);
-    const uint64_t id = c.tag - 100;
-    ASSERT_LT(id, 4u);
-    EXPECT_EQ(c.result, static_cast<int32_t>(kPageSize)) << "tag " << c.tag;
-    EXPECT_TRUE(PayloadMatches(id, bufs[id].data())) << "page " << id;
-  }
-}
-
-TEST(AsyncReadQueueTest, UringSelectionDegradesSafely) {
-  TempDir tmp("uring");
-  auto file = MakeDiskFile(tmp.path("f.pgf"), 2);
-  ASSERT_NE(file, nullptr);
-
-  // Whatever the kernel allows, asking for uring must yield a working
-  // queue — io_uring when the probe passes, the thread pool otherwise.
-  auto queue = CreateAsyncReadQueue(IoBackend::kUring, file->fd(), 2);
-  ASSERT_NE(queue, nullptr);
-  if (!UringAvailable()) {
-    EXPECT_STREQ(queue->name(),
-                 CreateAsyncReadQueue(IoBackend::kPread, file->fd(), 2)
-                     ->name());
-  }
-  AlignedPageBuf buf;
-  AsyncRead read;
-  read.tag = 7;
-  read.offset = file->PageOffset(1);
-  read.buf = buf.data();
-  read.len = kPageSize;
-  ASSERT_TRUE(queue->Submit(read).ok());
-  std::vector<AsyncCompletion> done;
-  while (done.empty()) queue->Reap(&done, /*block=*/true);
-  EXPECT_EQ(done[0].tag, 7u);
-  EXPECT_EQ(done[0].result, static_cast<int32_t>(kPageSize));
-  EXPECT_TRUE(PayloadMatches(1, buf.data()));
-}
-
 struct PrefetcherFixture {
   TempDir tmp;
   std::unique_ptr<DiskPageFile> file;
@@ -342,6 +284,26 @@ struct PrefetcherFixture {
     prefetcher = std::make_unique<Prefetcher>(file.get(), options);
   }
 };
+
+TEST(PrefetcherTest, HintReadRoundtripAtFullDepth) {
+  PrefetcherFixture fx("roundtrip");
+  ASSERT_NE(fx.prefetcher, nullptr);
+
+  // A full table of hints: every worker reads into its own entry, and each
+  // Read is served from the landing of its own page.
+  std::vector<PageId> hints;
+  for (PageId id = 0; id < 8; ++id) hints.push_back(id);
+  fx.prefetcher->Hint(hints);
+  EXPECT_EQ(fx.file->stats().prefetch_issued, 8u);
+  for (PageId id : hints) {
+    auto r = fx.prefetcher->Read(id);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(PayloadMatches(id, r->data)) << "page " << id;
+  }
+  EXPECT_EQ(fx.file->stats().prefetch_hits, 8u);
+  EXPECT_EQ(fx.file->stats().physical_reads, 8u);
+  EXPECT_EQ(fx.prefetcher->tracked(), 0u);
+}
 
 TEST(PrefetcherTest, HitChargedExactlyOnce) {
   PrefetcherFixture fx("hit");
@@ -407,6 +369,27 @@ TEST(PrefetcherTest, FailedSpeculationFallsThroughToSync) {
   auto again = fx.prefetcher->Read(6);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(PayloadMatches(6, again->data));
+}
+
+TEST(PrefetcherTest, CancelPendingCountsAFailedSpeculationOnce) {
+  FaultInjector::Options fopt;
+  fopt.seed = 3;
+  fopt.fail_every_kth = 1;  // Every speculative read fails.
+  FaultInjector injector(fopt);
+  PrefetcherFixture fx("cancel_failed", 16, &injector);
+  ASSERT_NE(fx.prefetcher, nullptr);
+
+  // A tracked page is never hinted twice, so re-hinting only waits for the
+  // one speculation to fail.
+  const std::vector<PageId> hints = {6};
+  while (fx.prefetcher->failed() == 0) fx.prefetcher->Hint(hints);
+  fx.prefetcher->CancelPending();
+  fx.prefetcher->Quiesce();
+  EXPECT_EQ(fx.file->stats().prefetch_issued, 1u);
+  EXPECT_EQ(fx.file->stats().prefetch_hits, 0u);
+  EXPECT_EQ(fx.file->stats().prefetch_wasted, 0u);
+  EXPECT_EQ(fx.prefetcher->failed(), 1u);
+  EXPECT_EQ(fx.prefetcher->tracked(), 0u);
 }
 
 TEST(PrefetcherTest, ChargeFnBoundsSpeculation) {

@@ -858,7 +858,7 @@ TEST(ShardedEngineTest, DurableShardsRecoverAcrossReopen) {
 
 TEST(ShardedEngineTest, DurableShardsOnDiskBackendsByteIdenticalAndRecover) {
   // The disk wiring end-to-end: a durable sharded engine on
-  // io_backend=kPread/kUring gives every shard its own DiskPageFile (live
+  // io_backend=kPread gives every shard its own DiskPageFile (live
   // file rebuilt from the checkpoint image) plus a Prefetcher the router's
   // sessions hint — and the whole stack must answer byte-identically to
   // the kMemory durable engine, survive a reopen with a WAL tail, and
@@ -887,70 +887,65 @@ TEST(ShardedEngineTest, DurableShardsOnDiskBackendsByteIdenticalAndRecover) {
   }
   std::filesystem::remove_all(mem_dir);
 
-  for (IoBackend backend : {IoBackend::kPread, IoBackend::kUring}) {
-    const std::string label =
-        backend == IoBackend::kPread ? "pread" : "uring";
-    const std::string dir = std::string(::testing::TempDir()) +
-                            "/dqmo_sharded_disk_" + label;
-    std::filesystem::remove_all(dir);
-    ShardedEngineOptions dopt = base;
-    dopt.durable_dir = dir;
-    dopt.io_backend = backend;
-    dopt.prefetch_depth = 8;
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/dqmo_sharded_disk_pread";
+  std::filesystem::remove_all(dir);
+  ShardedEngineOptions dopt = base;
+  dopt.durable_dir = dir;
+  dopt.io_backend = IoBackend::kPread;
+  dopt.prefetch_depth = 8;
 
-    ExecutorReport before;
-    {
-      auto engine = ShardedEngine::Create(dopt);
-      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-      // First half checkpointed into each shard's image, second half left
-      // in the WAL tail so the reopen replays both layers through the
-      // disk store.
-      const size_t half = data.size() / 2;
-      ASSERT_TRUE((*engine)
-                      ->InsertBatch({data.begin(), data.begin() + half})
-                      .ok());
-      ASSERT_TRUE((*engine)->Checkpoint().ok());
-      ASSERT_TRUE(
-          (*engine)->InsertBatch({data.begin() + half, data.end()}).ok());
-      for (int s = 0; s < 3; ++s) {
-        ASSERT_NE((*engine)->shard(s).durable->disk_file(), nullptr)
-            << label;
-        ASSERT_NE((*engine)->shard(s).prefetcher, nullptr) << label;
-      }
-      before = ShardRouter(engine->get()).Run(specs);
-      ExpectSameResults(before, want, label + " vs memory backend");
-      // Speculation ran and its ledger closes: after Quiesce, every issue
-      // is a hit, a wasted landing, or a failure.
-      uint64_t issued = 0, hits = 0, wasted = 0, failed = 0;
-      for (int s = 0; s < 3; ++s) {
-        Prefetcher* pf = (*engine)->shard(s).prefetcher.get();
-        pf->Quiesce();
-        const IoStats& io = (*engine)->shard(s).file->stats();
-        issued += io.prefetch_issued.load();
-        hits += io.prefetch_hits.load();
-        wasted += io.prefetch_wasted.load();
-        failed += pf->failed();
-      }
-      EXPECT_GT(issued, 0u) << label;
-      EXPECT_EQ(issued, hits + wasted + failed) << label;
+  ExecutorReport before;
+  {
+    auto engine = ShardedEngine::Create(dopt);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    // First half checkpointed into each shard's image, second half left
+    // in the WAL tail so the reopen replays both layers through the
+    // disk store.
+    const size_t half = data.size() / 2;
+    ASSERT_TRUE((*engine)
+                    ->InsertBatch({data.begin(), data.begin() + half})
+                    .ok());
+    ASSERT_TRUE((*engine)->Checkpoint().ok());
+    ASSERT_TRUE(
+        (*engine)->InsertBatch({data.begin() + half, data.end()}).ok());
+    for (int s = 0; s < 3; ++s) {
+      ASSERT_NE((*engine)->shard(s).durable->disk_file(), nullptr);
+      ASSERT_NE((*engine)->shard(s).prefetcher, nullptr);
     }
-    {
-      auto engine = ShardedEngine::Create(dopt);
-      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-      EXPECT_EQ((*engine)->num_segments(), data.size()) << label;
-      const ExecutorReport after = ShardRouter(engine->get()).Run(specs);
-      ExpectSameResults(after, before, label + " durable reopen");
+    before = ShardRouter(engine->get()).Run(specs);
+    ExpectSameResults(before, want, "pread vs memory backend");
+    // Speculation ran and its ledger closes: after Quiesce, every issue
+    // is a hit, a wasted landing, or a failure.
+    uint64_t issued = 0, hits = 0, wasted = 0, failed = 0;
+    for (int s = 0; s < 3; ++s) {
+      Prefetcher* pf = (*engine)->shard(s).prefetcher.get();
+      pf->Quiesce();
+      const IoStats& io = (*engine)->shard(s).file->stats();
+      issued += io.prefetch_issued.load();
+      hits += io.prefetch_hits.load();
+      wasted += io.prefetch_wasted.load();
+      failed += pf->failed();
     }
-    std::filesystem::remove_all(dir);
+    EXPECT_GT(issued, 0u);
+    EXPECT_EQ(issued, hits + wasted + failed);
   }
+  {
+    auto engine = ShardedEngine::Create(dopt);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    EXPECT_EQ((*engine)->num_segments(), data.size());
+    const ExecutorReport after = ShardRouter(engine->get()).Run(specs);
+    ExpectSameResults(after, before, "pread durable reopen");
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShardedEngineTest, DiskShardsMatchMemoryWithWritesBetweenFrames) {
-  // Writes landing between frames on the disk backends. Each batch
+  // Writes landing between frames on the disk backend. Each batch
   // rewrites pages a speculation issued by an earlier frame may already
   // have read, and the write guard writes every dirty frame back and drops
   // it, so only a write count can tell such a landing is stale. Serving it
-  // would show a session the tree before the write: the disk engines must
+  // would show a session the tree before the write: the disk engine must
   // answer exactly like the kMemory one.
   const std::vector<MotionSegment> data =
       ShapedData(WorkloadShape::kUniform, 11, 800, 60.0);
@@ -1009,7 +1004,6 @@ TEST(ShardedEngineTest, DiskShardsMatchMemoryWithWritesBetweenFrames) {
   ASSERT_TRUE(want.status.ok()) << want.status.ToString();
   EXPECT_GT(want.total_objects, 0u);
   ExpectSameResults(run(IoBackend::kPread, "pread"), want, "pread");
-  ExpectSameResults(run(IoBackend::kUring, "uring"), want, "uring");
 }
 
 // ---------------------------------------------------------------------------

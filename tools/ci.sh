@@ -11,10 +11,13 @@
 # dqmo_tool's scrub, walinfo and recover on real files, and an explain
 # stage its traced sharded session on both backends. An env stage checks
 # that only the observability and bench-harness files read the
-# environment, that the docs name no variable nothing reads, and that only
-# the log and DurableIndex touch the WAL. A hot-path stage gates the A15
-# ablation: the zero-copy query hot path must beat the legacy AoS path by
-# >= 2x ns/entry at -O3, with and without SIMD. A bench-check stage holds
+# environment, that the docs name no variable nothing reads, that only
+# the log and DurableIndex touch the WAL, and that no committed bench
+# artifact names a metric family the code no longer registers. The TSan
+# pass also runs disk_file_test, whose Prefetcher owns its pread worker
+# threads. A hot-path stage gates the A15 ablation: the zero-copy query
+# hot path must beat the legacy AoS path by >= 2x ns/entry at -O3, with
+# and without SIMD. A bench-check stage holds
 # the committed bench counts and checksums exact (tools/bench.sh --check).
 # All must pass cleanly.
 #
@@ -90,6 +93,38 @@ if (( ${#wal_users[@]} > 0 )); then
   exit 1
 fi
 
+# Every metric family a committed BENCH_*.json reports must still exist:
+# a string literal in src/, or dqmo_span_<kind>_ns for a kind that
+# SpanKindName (src/common/trace.cc) names. A family the code stopped
+# registering means the artifact predates that change and needs a rerun.
+echo "==== [env] committed bench artifacts name live metric families ===="
+python3 - <<'PYEOF'
+import json
+import pathlib
+import re
+import sys
+
+literals = set()
+for path in pathlib.Path("src").rglob("*"):
+    if path.suffix in (".cc", ".h"):
+        literals |= set(re.findall(r'"(dqmo_\w+)"', path.read_text()))
+trace = pathlib.Path("src/common/trace.cc").read_text()
+body = re.search(r"const char\* SpanKindName\(SpanKind kind\) \{(.*?)\n\}",
+                 trace, re.S).group(1)
+literals |= {f"dqmo_span_{kind}_ns"
+             for kind in re.findall(r'return "(\w+)";', body)}
+bad = False
+for path in sorted(pathlib.Path(".").glob("BENCH_*.json")):
+    metrics = json.loads(path.read_text()).get("metrics") or {}
+    for kind in ("counters", "gauges", "histograms"):
+        for family in sorted(metrics.get(kind) or {}):
+            if family not in literals:
+                print(f"FAIL: {path} names {family}, which src/ no longer "
+                      "registers")
+                bad = True
+sys.exit(1 if bad else 0)
+PYEOF
+
 run_pass() {
   local name="$1"
   shift
@@ -141,6 +176,8 @@ echo "==== [tsan] overload: cancellation/deadline hammer + chaos sweep ===="
 echo "==== [tsan] tracer remote-attribution + flight-recorder ring hammer ===="
 "${tsan_dir}/tests/trace_test"
 "${tsan_dir}/tests/recorder_test"
+echo "==== [tsan] prefetcher: pread workers vs hint/read/cancel/quiesce ===="
+"${tsan_dir}/tests/disk_file_test"
 
 # Crash-recovery stage: the fork-based kill tests kill a child at every
 # registered CrashPoint and assert recovery matches the oracle on the
@@ -304,30 +341,21 @@ env DQMO_OBJECTS=60000 DQMO_CHECK_FAILOVER=1 \
 
 # Disk stage: the disk-resident page store's differential layer under ASan
 # (page-level round-trips, image interop, prefetch accounting closure, and
-# the 8-seed x {PDQ,NPDQ,kNN} x {memory,pread,uring} sweep that holds
-# checksums and node-level read counts byte-identical across backends),
-# then the A19 cold-cache ablation with its gate armed: under the modeled
-# device latency, the PDQ-driven prefetch must cut frame p99 by >= 1.5x
-# with all arm checksums identical. When io_uring is unavailable the kUring
-# arm degrades to the thread-pool queue — still a correctness pass, but
-# uring-specific coverage is skipped, with notice.
+# the 8-seed x {PDQ,NPDQ,kNN} x {memory,pread} sweep that holds checksums
+# and node-level read counts byte-identical across backends), then the A19
+# cold-cache ablation with its gate armed: under the modeled device
+# latency, the PDQ-driven prefetch must cut frame p99 by >= 1.5x with all
+# arm checksums identical.
 echo "==== [disk] backend-equivalence tests (asan) ===="
 "build-ci/sanitize/tests/disk_file_test"
 "build-ci/sanitize/tests/disk_backend_test"
 # Writes landing between frames on the disk twins (tsan): the prefetcher's
-# queue workers land speculative reads while the writer writes pages back.
+# pread workers land speculative reads while the writer writes pages back.
 echo "==== [disk] interleaved writes vs prefetch (tsan) ===="
 "${tsan_dir}/tests/shard_test" \
   --gtest_filter='*.DiskShardsMatchMemoryWithWritesBetweenFrames'
 echo "==== [disk] A19 cold-cache prefetch gate ===="
-disk_log="build-ci/abl_disk.log"
-env DQMO_OBJECTS=60000 DQMO_CHECK_SPEEDUP=1 \
-  "build-ci/release/bench/abl_disk" | tee "${disk_log}"
-if grep -q 'uring(->thread)' "${disk_log}"; then
-  echo "NOTICE: io_uring unavailable on this host; the kUring equivalence"
-  echo "arm ran on the thread-pool fallback (uring-specific coverage"
-  echo "skipped — the degradation path itself is what was exercised)."
-fi
+env DQMO_OBJECTS=60000 DQMO_CHECK_SPEEDUP=1 "build-ci/release/bench/abl_disk"
 
 # Bench-check stage: the paper's cost axes and every answer must match the
 # committed numbers exactly. tools/bench.sh --check re-runs figs 06-13,
