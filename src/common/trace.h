@@ -92,7 +92,7 @@ enum class SpanKind : uint8_t {
   kWalSync,       // WalWriter::Sync (group commit + fsync).
   kQueueWait,     // Scheduler queue wait before the session ran.
   kShardEval,     // One shard's lockstep evaluation inside a routed frame.
-  kMerge,         // Cross-shard k-way merge of per-shard streams.
+  kMerge,         // Union of the targets' answers into the frame's.
   kRedoDrain,     // Draining parked redo writes before a frame.
   kPrefetchRead,  // Speculative read: submit->consume (worker thread).
   kPrefetchWaste, // Speculative read discarded unconsumed (worker thread).

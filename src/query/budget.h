@@ -46,7 +46,7 @@ const char* BudgetStopName(BudgetStop stop);
 class QueryBudget {
  public:
   /// Monotonic nanosecond clock; injectable so deadline behaviour is
-  /// testable without sleeping (same pattern as RetryingPageReader::Clock).
+  /// testable without sleeping.
   using Clock = std::function<uint64_t()>;
 
   struct Limits {

@@ -209,7 +209,7 @@ Result<std::vector<Neighbor>> MovingKnnQuery::At(double t,
     }
   }
 
-  // Full search: fetch k + m candidates and rebuild the fence.
+  // Full search: fetch 2k candidates and rebuild the fence.
   KnnOptions knn_options(options_);
   knn_options.skip_report = &skip_report_;
   const uint64_t loads0 = stats_.node_reads.load(std::memory_order_relaxed) +

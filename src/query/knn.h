@@ -77,10 +77,10 @@ Result<std::vector<Neighbor>> KnnAt(const RTree& tree, const Vec& point,
 /// applied to nearest-neighbor search (in the spirit of the paper's
 /// reference [24], Song & Roussopoulos).
 ///
-/// Each full index search fetches k + m candidates and remembers the
-/// (k+m)-th distance as a *fence*. For a later instant t1 with query point
-/// q1, every object outside the cached candidate set was at distance
-/// >= fence from q0 at time t0, so its distance at t1 is at least
+/// Each full index search fetches 2k candidates and remembers the 2k-th
+/// distance as a *fence*. For a later instant t1 with query point q1,
+/// every object outside the cached candidate set was at distance >= fence
+/// from q0 at time t0, so its distance at t1 is at least
 ///   fence - |q1 - q0| - max_speed * (t1 - t0) - margin,
 /// where max_speed is the tree's maximum stored motion speed. While the
 /// k-th candidate distance stays strictly below that bound, the answer is
@@ -106,9 +106,6 @@ class MovingKnnQuery {
     explicit Options(const TraversalOptions& traversal)
         : TraversalOptions(traversal) {}
 
-    /// Extra candidates fetched per full search (m above). Larger values
-    /// widen the fence (fewer full searches) at higher per-search cost.
-    int extra_candidates = -1;  // -1: use k (fetch 2k).
     /// Slack subtracted from the fence for per-update trajectory jumps.
     double discontinuity_margin = 0.0;
   };
@@ -136,10 +133,7 @@ class MovingKnnQuery {
   ResultIntegrity integrity() const { return skip_report_.integrity(); }
 
  private:
-  int fetch_count() const {
-    return k_ + (options_.extra_candidates < 0 ? k_
-                                               : options_.extra_candidates);
-  }
+  int fetch_count() const { return 2 * k_; }
 
   const RTree* tree_;
   int k_;
@@ -147,7 +141,7 @@ class MovingKnnQuery {
   // Cache state from the last full search.
   bool has_cache_ = false;
   std::vector<Neighbor> cached_;
-  double fence_ = kInf;      // (k+m)-th distance; +inf if fewer returned.
+  double fence_ = kInf;      // 2k-th distance; +inf if fewer returned.
   double cache_t_ = 0.0;     // Instant of the last full search.
   Vec cache_point_;          // Query point of the last full search.
   UpdateStamp cache_stamp_ = 0;

@@ -26,8 +26,8 @@
 // frame. Every decision a session makes — hand-off, refit, horizon renewal
 // — depends only on the observer's motion, never on what the frame
 // delivered, so N lockstep sessions stay in the same mode on the same
-// frames and their per-frame streams union (deduplicated, entry-time
-// merged) to exactly the single-tree session's stream. Keep it that way:
+// frames and their per-frame streams union (key-sorted, deduplicated) to
+// exactly the single-tree session's stream. Keep it that way:
 // a future heuristic that consults delivered results would silently break
 // the router's exactness argument.
 #ifndef DQMO_QUERY_SESSION_H_

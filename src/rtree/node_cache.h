@@ -8,14 +8,13 @@
 // shared_ptr<const SoaNode>; a traversal holding one is immune to
 // concurrent eviction (refcount pinning), exactly like a pinned pool frame.
 //
-// Invalidation protocol (mirrors the PR2 frame-invalidation protocol):
+// Invalidation protocol:
 //  * RTree::StoreNode / RTree::FreePage invalidate the attached cache
-//    directly on every page write/free — this covers single-threaded use
-//    where no TreeGate exists.
-//  * Under the concurrent engine, the TreeGate write guard additionally
-//    invalidates every dirtied page id before readers resume
-//    (server/executor.cc), symmetric with how it invalidates BufferPool
-//    frames — belt and braces for writers that bypass RTree helpers.
+//    directly on every page write/free. They are the only writes to node
+//    pages, so this one path covers single-threaded use and the concurrent
+//    engine alike.
+//  * A bulk rewrite of the page store (DurableIndex::ReloadFromDisk under
+//    the scrubber) bypasses the tree; its caller clears the cache.
 // Readers never observe a stale decode: invalidation happens while writers
 // hold the tree exclusively, before any reader can run.
 #ifndef DQMO_RTREE_NODE_CACHE_H_

@@ -120,10 +120,9 @@ TreeGate::WriteGuard::~WriteGuard() {
   // sealed, so the next shared section reads fresh, checksummed bytes
   // without mutating anything but atomic counters.
   if (gate_->file_ != nullptr) {
-    if (gate_->pool_ != nullptr || gate_->node_cache_ != nullptr) {
+    if (gate_->pool_ != nullptr) {
       for (PageId id : gate_->file_->dirty_page_ids()) {
-        if (gate_->pool_ != nullptr) gate_->pool_->Invalidate(id);
-        if (gate_->node_cache_ != nullptr) gate_->node_cache_->Invalidate(id);
+        gate_->pool_->Invalidate(id);
       }
     }
     gate_->file_->SealAllDirty();

@@ -114,17 +114,12 @@ class ThreadPool {
 /// first, then the tree's internal listeners mutex.
 class TreeGate {
  public:
-  /// No pointer is owned; `pool` may be null (no cache to invalidate) and
-  /// `node_cache` may be null (no decoded-node cache in use). `file` may be
-  /// null only if no writer ever runs.
-  ///
-  /// Passing the decoded-node cache here is belt-and-braces: the tree
-  /// already invalidates it synchronously on every StoreNode/FreePage (see
-  /// RTree::AttachNodeCache), so the guard's sweep over the dirty page ids
-  /// only matters for pages dirtied behind the tree's back.
-  explicit TreeGate(PageStore* file, BufferPool* pool = nullptr,
-                    DecodedNodeCache* node_cache = nullptr)
-      : file_(file), pool_(pool), node_cache_(node_cache) {}
+  /// No pointer is owned; `pool` may be null (no cache to invalidate).
+  /// `file` may be null only if no writer ever runs. A decoded-node cache
+  /// needs no sweep here: the tree invalidates it on every StoreNode and
+  /// FreePage (RTree::AttachNodeCache), the only writes to node pages.
+  explicit TreeGate(PageStore* file, BufferPool* pool = nullptr)
+      : file_(file), pool_(pool) {}
 
   TreeGate(const TreeGate&) = delete;
   TreeGate& operator=(const TreeGate&) = delete;
@@ -155,7 +150,6 @@ class TreeGate {
   std::shared_mutex mu_;
   PageStore* file_;
   BufferPool* pool_;
-  DecodedNodeCache* node_cache_;
 };
 
 /// Which query algorithm a session runs.

@@ -1,8 +1,7 @@
 #include "server/router.h"
 
 #include <algorithm>
-#include <queue>
-#include <unordered_set>
+#include <iterator>
 #include <utility>
 
 #include "server/session_runner.h"
@@ -12,43 +11,26 @@ namespace dqmo {
 // ---------------------------------------------------------------------------
 // Merges.
 
-std::vector<MotionSegment> MergeStreamsByEntryTime(
+std::vector<MotionSegment> MergeStreamsByKey(
     std::vector<std::vector<MotionSegment>>* streams) {
-  struct Cursor {
-    size_t stream;
-    size_t pos;
-  };
-  // Min-heap by (entry time, key, stream index); position order within one
-  // stream is automatic (a stream's cursor advances monotonically).
-  auto after = [streams](const Cursor& a, const Cursor& b) {
-    const MotionSegment& ma = (*streams)[a.stream][a.pos];
-    const MotionSegment& mb = (*streams)[b.stream][b.pos];
-    if (ma.seg.time.lo != mb.seg.time.lo) {
-      return ma.seg.time.lo > mb.seg.time.lo;
-    }
-    const MotionSegment::Key ka = ma.key();
-    const MotionSegment::Key kb = mb.key();
-    if (ka < kb) return false;
-    if (kb < ka) return true;
-    return a.stream > b.stream;
-  };
-  std::priority_queue<Cursor, std::vector<Cursor>, decltype(after)> heap(
-      after);
-  size_t total = 0;
-  for (size_t s = 0; s < streams->size(); ++s) {
-    total += (*streams)[s].size();
-    if (!(*streams)[s].empty()) heap.push(Cursor{s, 0});
-  }
   std::vector<MotionSegment> out;
-  out.reserve(total);
-  std::unordered_set<MotionSegment::Key, MotionKeyHash> seen;
-  while (!heap.empty()) {
-    Cursor c = heap.top();
-    heap.pop();
-    MotionSegment& m = (*streams)[c.stream][c.pos];
-    if (seen.insert(m.key()).second) out.push_back(std::move(m));
-    if (++c.pos < (*streams)[c.stream].size()) heap.push(c);
+  if (streams->empty()) return out;
+  // The first stream moves in: one shard's union costs only its sort.
+  out = std::move(streams->front());
+  for (size_t s = 1; s < streams->size(); ++s) {
+    std::vector<MotionSegment>& stream = (*streams)[s];
+    out.insert(out.end(), std::make_move_iterator(stream.begin()),
+               std::make_move_iterator(stream.end()));
   }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const MotionSegment& a, const MotionSegment& b) {
+                     return a.key() < b.key();
+                   });
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const MotionSegment& a, const MotionSegment& b) {
+                          return a.key() == b.key();
+                        }),
+            out.end());
   return out;
 }
 

@@ -10,12 +10,13 @@
 // shard's gate, evaluates the relevant shards, and merges the per-shard
 // answers:
 //
-//  * PDQ/NPDQ streams: a k-way heap merge ordered by window entry time
-//    (segment start time, key-tiebroken), duplicate-free. Shards partition
-//    the segment set, and every delivery rule in the engines is
-//    per-segment and trajectory-driven, so the union of per-shard frame
-//    deliveries equals the single-tree frame delivery — the differential
-//    sweeps in tests/shard_test.cc assert byte-identical checksums.
+//  * PDQ/NPDQ streams: the key-sorted, key-deduplicated union of the
+//    per-shard deliveries, at every shard count — the order the session
+//    checksum folds. Shards partition the segment set, and every delivery
+//    rule in the engines is per-segment and trajectory-driven, so the
+//    union of per-shard frame deliveries equals the single-tree frame
+//    delivery — the differential sweeps in tests/shard_test.cc assert
+//    byte-identical checksums.
 //  * kNN candidates: merged by (distance, key), the one kNN order
 //    (NeighborBefore, query/knn.h), and truncated to k, at every shard
 //    count. Every true global neighbor is in its shard's local top-k by
@@ -66,12 +67,11 @@
 
 namespace dqmo {
 
-/// Stable k-way heap merge of per-shard result streams by window entry
-/// time. Each input stream must be sorted by (seg.time.lo, key); the
-/// output is sorted the same way, with exact-tie stability by (stream
-/// index, position) and duplicates (same key) dropped keeping the first
-/// occurrence in merge order. Empty streams are fine. Consumes the inputs.
-std::vector<MotionSegment> MergeStreamsByEntryTime(
+/// Union of per-shard result streams, sorted by key with duplicates (same
+/// key) dropped: the streams are concatenated in index order and
+/// stable-sorted, so the lowest-index stream's copy of a key survives.
+/// Inputs need not be sorted; empty streams are fine. Consumes the inputs.
+std::vector<MotionSegment> MergeStreamsByKey(
     std::vector<std::vector<MotionSegment>>* streams);
 
 /// Merges per-shard kNN candidate lists into the global top-k by

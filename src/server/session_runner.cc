@@ -68,12 +68,16 @@ void FoldDouble(uint64_t* h, double v) {
   FoldU64(h, bits);
 }
 
-void FoldSegments(uint64_t* h, std::vector<MotionSegment>* fresh) {
-  SortByKey(fresh);
-  for (const MotionSegment& m : *fresh) {
+void FoldKeySorted(uint64_t* h, const std::vector<MotionSegment>& sorted) {
+  for (const MotionSegment& m : sorted) {
     FoldU64(h, m.oid);
     FoldDouble(h, m.seg.time.lo);
   }
+}
+
+void FoldSegments(uint64_t* h, std::vector<MotionSegment>* fresh) {
+  SortByKey(fresh);
+  FoldKeySorted(h, *fresh);
 }
 
 void FoldNeighbors(uint64_t* h, const std::vector<Neighbor>& neighbors) {
@@ -310,8 +314,8 @@ class Evaluator {
   virtual void Finish(ShardedSessionResult* out) const = 0;
 };
 
-/// Delivery streams (PDQ/SPDQ sessions and NPDQ), merged by window entry
-/// time when there are several targets.
+/// Delivery streams (PDQ/SPDQ sessions and NPDQ): the frame's answer is
+/// the key-sorted, key-deduplicated union of the targets' deliveries.
 class StreamEvaluator : public Evaluator {
  public:
   explicit StreamEvaluator(size_t n) : streams_(n) {}
@@ -325,32 +329,14 @@ class StreamEvaluator : public Evaluator {
   }
 
   size_t Merge(uint64_t evaluated) override {
-    if (streams_.size() == 1) {
-      merged_ = std::move(streams_[0]);
-    } else {
-      Tracer::SpanScope merge_span(SpanKind::kMerge, evaluated);
-      merged_ = MergeStreamsByEntryTime(&streams_);
-    }
+    Tracer::SpanScope merge_span(SpanKind::kMerge, evaluated);
+    merged_ = MergeStreamsByKey(&streams_);
     return merged_.size();
   }
 
-  void Fold(uint64_t* h) override { FoldSegments(h, &merged_); }
+  void Fold(uint64_t* h) override { FoldKeySorted(h, merged_); }
 
  protected:
-  /// Stores target s's delivery, in the order the merge expects.
-  void Keep(size_t s, std::vector<MotionSegment>* fresh) {
-    if (streams_.size() > 1) {
-      std::stable_sort(fresh->begin(), fresh->end(),
-                       [](const MotionSegment& a, const MotionSegment& b) {
-                         if (a.seg.time.lo != b.seg.time.lo) {
-                           return a.seg.time.lo < b.seg.time.lo;
-                         }
-                         return a.key() < b.key();
-                       });
-    }
-    streams_[s] = std::move(*fresh);
-  }
-
   std::vector<std::vector<MotionSegment>> streams_;
   std::vector<MotionSegment> merged_;
 };
@@ -388,7 +374,7 @@ class HandoffEvaluator : public StreamEvaluator {
     if (!frame.ok()) return frame.status();
     out->partial = frame->integrity == ResultIntegrity::kPartial;
     out->clean = session.skip_report().pages_skipped() == skips0;
-    Keep(s, &frame->fresh);
+    streams_[s] = std::move(frame->fresh);
     return Status::OK();
   }
 
@@ -480,7 +466,7 @@ class NpdqEvaluator : public StreamEvaluator {
     out->partial = npdq.integrity() == ResultIntegrity::kPartial;
     out->clean = npdq.skip_report().pages_skipped() == 0;
     out->skips = &npdq.skip_report();
-    Keep(s, &*fresh);
+    streams_[s] = std::move(*fresh);
     return Status::OK();
   }
 

@@ -204,8 +204,7 @@ void ShardedEngine::BuildReadStack(Shard* s, int i, size_t pool_pages) {
     s->node_cache = std::make_unique<DecodedNodeCache>(options_.cache_nodes);
     s->tree->AttachNodeCache(s->node_cache.get());
   }
-  s->gate = std::make_unique<TreeGate>(s->file, s->pool.get(),
-                                       s->node_cache.get());
+  s->gate = std::make_unique<TreeGate>(s->file, s->pool.get());
   if (!options_.failure_domains) return;
   s->breaker = std::make_unique<CircuitBreaker>(i, options_.breaker);
   // Disk mode slots the Prefetcher at the BOTTOM of the chain (directly
@@ -215,7 +214,8 @@ void ShardedEngine::BuildReadStack(Shard* s, int i, size_t pool_pages) {
       s->prefetcher != nullptr ? static_cast<PageReader*>(s->prefetcher.get())
                                : static_cast<PageReader*>(s->file);
   s->faulty = std::make_unique<FaultyPageReader>(bottom, nullptr);
-  // The default policy verifies checksums: the integrity net under the pool.
+  // The retrying reader verifies every page: the integrity net under the
+  // pool.
   s->retry = std::make_unique<RetryingPageReader>(
       s->faulty.get(), RetryingPageReader::RetryPolicy(),
       s->file->mutable_stats());

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/metrics.h"
-#include "common/string_util.h"
 
 namespace dqmo {
 namespace {
@@ -90,10 +89,7 @@ Result<PageReader::ReadResult> BufferPool::Read(PageId id) {
   if (source_ != nullptr && !PageChecksumOk(read.data)) {
     file_->mutable_stats()->checksum_failures.fetch_add(
         1, std::memory_order_relaxed);
-    return Status::Corruption(
-        StrFormat("page %u checksum mismatch (stored %08x, computed %08x)",
-                  id, StoredPageChecksum(read.data),
-                  ComputePageChecksum(read.data)));
+    return PageChecksumError(id, read.data);
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   std::memcpy(ScratchPage(), read.data, kPageSize);

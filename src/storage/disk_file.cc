@@ -281,9 +281,7 @@ Result<PageReader::ReadResult> DiskPageFile::Read(PageId id) {
   if (verify_on_read_ && LoadFlag(verified_, id) == 0) {
     if (!PageChecksumOk(scratch)) {
       ++stats_.checksum_failures;
-      return Status::Corruption(StrFormat(
-          "page %u checksum mismatch (stored %08x, computed %08x)", id,
-          StoredPageChecksum(scratch), ComputePageChecksum(scratch)));
+      return PageChecksumError(id, scratch);
     }
     StoreFlag(verified_, id, 1);
   }
@@ -395,9 +393,7 @@ Status DiskPageFile::Publish() {
     DQMO_RETURN_IF_ERROR(RawRead(id, buf.data()));
     if (!PageChecksumOk(buf.data())) {
       ++stats_.checksum_failures;
-      return Status::Corruption(StrFormat(
-          "page %u checksum mismatch (stored %08x, computed %08x)", id,
-          StoredPageChecksum(buf.data()), ComputePageChecksum(buf.data())));
+      return PageChecksumError(id, buf.data());
     }
     StoreFlag(verified_, id, 1);
   }
@@ -420,9 +416,7 @@ Status DiskPageFile::VerifyPage(PageId id) {
   // Scrub semantics: always recompute, never trust the verified_ cache.
   if (!PageChecksumOk(buf.data())) {
     ++stats_.checksum_failures;
-    return Status::Corruption(StrFormat(
-        "page %u checksum mismatch (stored %08x, computed %08x)", id,
-        StoredPageChecksum(buf.data()), ComputePageChecksum(buf.data())));
+    return PageChecksumError(id, buf.data());
   }
   StoreFlag(verified_, id, 1);
   return Status::OK();

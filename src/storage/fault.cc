@@ -2,11 +2,11 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "common/check.h"
 #include "common/string_util.h"
@@ -227,84 +227,25 @@ Result<PageReader::ReadResult> FaultyPageReader::Read(PageId id) {
 
 RetryingPageReader::RetryingPageReader(PageReader* base,
                                        const RetryPolicy& policy,
-                                       IoStats* stats, Clock clock,
-                                       Sleeper sleeper)
-    : base_(base),
-      policy_(policy),
-      stats_(stats),
-      clock_(std::move(clock)),
-      sleeper_(std::move(sleeper)),
-      backoff_rng_(policy.backoff_seed) {
+                                       IoStats* stats)
+    : base_(base), policy_(policy), stats_(stats) {
   DQMO_CHECK(base != nullptr);
   DQMO_CHECK(policy.max_attempts >= 1);
-  DQMO_CHECK(policy.backoff_base >= 0.0);
-  DQMO_CHECK(policy.backoff_max >= policy.backoff_base);
-  if (!clock_) {
-    clock_ = [] {
-      return std::chrono::duration<double>(
-                 std::chrono::steady_clock::now().time_since_epoch())
-          .count();
-    };
-  }
-  if (!sleeper_) {
-    sleeper_ = [](double seconds) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-    };
-  }
 }
 
 Result<PageReader::ReadResult> RetryingPageReader::Read(PageId id) {
-  const double start = clock_();
   Status last = Status::OK();
-  double prev_delay = policy_.backoff_base;
-  for (int attempt = 1;; ++attempt) {
+  for (int attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
     if (attempt > 1 && stats_ != nullptr) ++stats_->retries;
     Result<ReadResult> r = base_->Read(id);
     if (r.ok()) {
       const ReadResult read = *r;
-      if (!policy_.verify_checksums || PageChecksumOk(read.data)) {
-        return read;
-      }
+      if (PageChecksumOk(read.data)) return read;
       if (stats_ != nullptr) ++stats_->checksum_failures;
-      last = Status::Corruption(StrFormat(
-          "page %u checksum mismatch (stored %08x, computed %08x)", id,
-          StoredPageChecksum(read.data), ComputePageChecksum(read.data)));
+      last = PageChecksumError(id, read.data);
     } else {
       last = r.status();
       if (!Retryable(last)) return last;  // e.g. OutOfRange: a bad request.
-    }
-    if (attempt >= policy_.max_attempts) break;
-    const double elapsed = clock_() - start;
-    if (policy_.per_read_deadline > 0.0 &&
-        elapsed >= policy_.per_read_deadline) {
-      last = Status(last.code(),
-                    last.message() + StrFormat(" (deadline %.3fs exceeded "
-                                               "after %d attempts)",
-                                               policy_.per_read_deadline,
-                                               attempt));
-      break;
-    }
-    if (policy_.backoff_base > 0.0) {
-      // Decorrelated jitter: each delay is drawn from [base, 3 * previous],
-      // capped at backoff_max — spreads concurrent retriers apart instead of
-      // marching them in exponential lockstep.
-      const double hi = std::max(policy_.backoff_base, 3.0 * prev_delay);
-      const double delay = std::min(policy_.backoff_max,
-                                    backoff_rng_.Uniform(policy_.backoff_base,
-                                                         hi));
-      if (policy_.per_read_deadline > 0.0 &&
-          elapsed + delay >= policy_.per_read_deadline) {
-        // The sleep alone would blow the deadline: give up now rather than
-        // sleep past it and discover the overrun afterwards.
-        last = Status(last.code(),
-                      last.message() + StrFormat(" (deadline %.3fs exceeded "
-                                                 "after %d attempts)",
-                                                 policy_.per_read_deadline,
-                                                 attempt));
-        break;
-      }
-      sleeper_(delay);
-      prev_delay = delay;
     }
   }
   ++exhausted_reads_;

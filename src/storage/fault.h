@@ -284,53 +284,22 @@ class FaultyPageReader : public PageReader {
 /// checksums on every delivered page, and converts unrecoverable failures
 /// into typed errors for the degraded-result machinery above it.
 ///
-/// Retry policy: IOError / Corruption results are retried up to
-/// max_attempts total attempts or until the per-read deadline (measured by
-/// the injectable clock) expires, whichever is first; other codes (e.g.
-/// OutOfRange for a bad page id) are returned immediately — retrying a
-/// malformed request cannot help.
+/// Retry policy: IOError / Corruption results are retried back to back, up
+/// to max_attempts total attempts; other codes (e.g. OutOfRange for a bad
+/// page id) are returned immediately — retrying a malformed request cannot
+/// help.
 class RetryingPageReader : public PageReader {
  public:
   struct RetryPolicy {
     /// Total attempts per read, including the first. Must be >= 1.
     int max_attempts = 3;
-    /// Wall-clock budget per read in seconds; once exceeded, no further
-    /// attempts are made (the attempt in flight is not interrupted).
-    /// <= 0 means no deadline.
-    double per_read_deadline = 0.0;
-    /// Verify the delivered page's checksum even when the base reader
-    /// claims success; a mismatch counts as a retryable corruption.
-    bool verify_checksums = true;
-    /// Decorrelated-jitter backoff between attempts, seconds. 0 (default)
-    /// keeps the legacy back-to-back retries (no sleeps, no Rng draws).
-    /// With base > 0, the delay before retry k is
-    ///   min(backoff_max, Uniform(backoff_base, 3 * previous_delay))
-    /// — the AWS "decorrelated jitter" scheme, which spreads retry storms
-    /// without the lockstep of plain exponential backoff. A sleep is never
-    /// started when it would overrun per_read_deadline; the read gives up
-    /// with the deadline message instead.
-    double backoff_base = 0.0;
-    double backoff_max = 0.1;
-    /// Seed for the jitter stream (deterministic per reader).
-    uint64_t backoff_seed = 1;
   };
-
-  /// Serves a backoff delay (seconds); injectable so backoff tests run
-  /// without real sleeps. A null sleeper sleeps for real.
-  using Sleeper = std::function<void(double seconds)>;
-
-  /// Seconds-valued monotonic clock; injectable so deadline behaviour is
-  /// testable without sleeping.
-  using Clock = std::function<double()>;
 
   /// `base` is not owned. `stats` (may be null) receives retry and
   /// checksum-failure counts; pass the PageFile's mutable_stats() to fold
-  /// them into the experiment accounting. A default clock (steady_clock)
-  /// is used when `clock` is null; a default real sleep when `sleeper` is
-  /// null.
+  /// them into the experiment accounting.
   RetryingPageReader(PageReader* base, const RetryPolicy& policy,
-                     IoStats* stats = nullptr, Clock clock = nullptr,
-                     Sleeper sleeper = nullptr);
+                     IoStats* stats = nullptr);
 
   Result<ReadResult> Read(PageId id) override;
 
@@ -347,9 +316,6 @@ class RetryingPageReader : public PageReader {
   PageReader* base_;
   RetryPolicy policy_;
   IoStats* stats_;
-  Clock clock_;
-  Sleeper sleeper_;
-  Rng backoff_rng_;
   uint64_t exhausted_reads_ = 0;
 };
 

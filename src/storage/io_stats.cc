@@ -4,18 +4,6 @@
 
 namespace dqmo {
 
-bool IoStats::SnapshotConsistent(const IoStats& live, IoStats* snapshot,
-                                 int attempts) {
-  IoStats first = live;
-  for (int i = 0; i < attempts; ++i) {
-    IoStats second = live;
-    *snapshot = second;
-    if (first == second) return true;
-    first = second;
-  }
-  return false;
-}
-
 std::string IoStats::ToString() const {
   return StrFormat(
       "io{reads=%llu, writes=%llu, crc_fail=%llu, retries=%llu, "

@@ -117,17 +117,6 @@ struct IoStats {
 
   std::string ToString() const;
 
-  /// Takes a snapshot of `live` and certifies its cross-counter
-  /// consistency. The header comment above requires quiescence for a
-  /// consistent view (copies snapshot each counter individually); this
-  /// helper makes that requirement checkable: it reads the counters twice,
-  /// up to `attempts` times, and succeeds only when two consecutive reads
-  /// agree — which proves no increment landed between them, so the counters
-  /// in `*snapshot` belong to one moment. Returns false (leaving the last
-  /// attempt in `*snapshot`) when the storage layer never went quiescent.
-  static bool SnapshotConsistent(const IoStats& live, IoStats* snapshot,
-                                 int attempts = 3);
-
  private:
   void CopyFrom(const IoStats& other) {
     physical_reads.store(

@@ -1,6 +1,7 @@
 #include "storage/page.h"
 
 #include "common/crc32c.h"
+#include "common/string_util.h"
 
 namespace dqmo {
 
@@ -21,6 +22,12 @@ uint32_t StoredPageChecksum(const uint8_t* page) {
 
 bool PageChecksumOk(const uint8_t* page) {
   return StoredPageChecksum(page) == ComputePageChecksum(page);
+}
+
+Status PageChecksumError(PageId id, const uint8_t* page) {
+  return Status::Corruption(
+      StrFormat("page %u checksum mismatch (stored %08x, computed %08x)", id,
+                StoredPageChecksum(page), ComputePageChecksum(page)));
 }
 
 }  // namespace dqmo

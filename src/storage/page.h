@@ -7,6 +7,8 @@
 #include <type_traits>
 
 #include "common/check.h"
+#include "common/status.h"
+#include "common/types.h"
 
 namespace dqmo {
 
@@ -37,6 +39,10 @@ bool PageChecksumOk(const uint8_t* page);
 
 /// Checksum currently stored in a page's trailer.
 uint32_t StoredPageChecksum(const uint8_t* page);
+
+/// The Corruption status every reader returns for page `id` whose trailer
+/// does not match its payload; the message names both checksums.
+Status PageChecksumError(PageId id, const uint8_t* page);
 
 /// View over one page's bytes with bounds-checked typed reads/writes.
 ///

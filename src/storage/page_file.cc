@@ -107,10 +107,7 @@ Status PageFile::Publish() {
     if (LoadFlag(verified_, id) != 0) continue;
     if (!PageChecksumOk(PageData(id))) {
       ++stats_.checksum_failures;
-      return Status::Corruption(StrFormat(
-          "page %u checksum mismatch (stored %08x, computed %08x)", id,
-          StoredPageChecksum(PageData(id)),
-          ComputePageChecksum(PageData(id))));
+      return PageChecksumError(id, PageData(id));
     }
     StoreFlag(verified_, id, 1);
   }
@@ -131,9 +128,7 @@ Result<PageReader::ReadResult> PageFile::Read(PageId id) {
     if (!PageChecksumOk(data)) {
       ++stats_.checksum_failures;
       StorageMetrics::Get().checksum_failures->Add();
-      return Status::Corruption(
-          StrFormat("page %u checksum mismatch (stored %08x, computed %08x)",
-                    id, StoredPageChecksum(data), ComputePageChecksum(data)));
+      return PageChecksumError(id, data);
     }
     StoreFlag(verified_, id, 1);
   }
@@ -181,9 +176,7 @@ Status PageFile::VerifyPage(PageId id) {
   // Scrub semantics: always recompute, never trust the verified_ cache.
   if (!PageChecksumOk(data)) {
     ++stats_.checksum_failures;
-    return Status::Corruption(
-        StrFormat("page %u checksum mismatch (stored %08x, computed %08x)",
-                  id, StoredPageChecksum(data), ComputePageChecksum(data)));
+    return PageChecksumError(id, data);
   }
   StoreFlag(verified_, id, 1);
   return Status::OK();

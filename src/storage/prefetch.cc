@@ -9,7 +9,6 @@
 
 #include "common/metrics.h"
 #include "common/recorder.h"
-#include "common/string_util.h"
 #include "storage/fault.h"
 
 namespace dqmo {
@@ -258,10 +257,7 @@ Result<PageReader::ReadResult> Prefetcher::Read(PageId id) {
             file_->mutable_stats()->checksum_failures.fetch_add(
                 1, std::memory_order_relaxed);
             EraseLocked(it);
-            return Status::Corruption(StrFormat(
-                "page %u checksum mismatch (stored %08x, computed %08x)",
-                id, StoredPageChecksum(entry.buf.data()),
-                ComputePageChecksum(entry.buf.data())));
+            return PageChecksumError(id, entry.buf.data());
           }
           file_->MarkPageVerified(id);
         }

@@ -216,26 +216,6 @@ TEST(RetryingPageReaderTest, NonRetryableErrorsPassThroughImmediately) {
   EXPECT_EQ(retrying.exhausted_reads(), 0u);
 }
 
-TEST(RetryingPageReaderTest, DeadlineStopsRetriesViaInjectedClock) {
-  PageFile file = MakeFile(1);
-  FaultInjector injector(FaultInjector::Options{});
-  injector.AddPermanentFault(0);
-  FaultyPageReader faulty(&file, &injector);
-  RetryingPageReader::RetryPolicy policy;
-  policy.max_attempts = 100;
-  policy.per_read_deadline = 1.0;
-  double now = 0.0;
-  // Each clock inspection advances fake time by 0.4s: the deadline expires
-  // after a few attempts, far short of max_attempts.
-  RetryingPageReader retrying(&faulty, policy, file.mutable_stats(),
-                              [&now] { return now += 0.4; });
-  const Status s = retrying.Read(0).status();
-  EXPECT_TRUE(s.IsIOError()) << s.ToString();
-  EXPECT_NE(s.message().find("deadline"), std::string::npos) << s.message();
-  EXPECT_LT(file.stats().retries, 10u);
-  EXPECT_EQ(retrying.exhausted_reads(), 1u);
-}
-
 TEST(RetryingPageReaderTest, EndToEndStackIsDeterministic) {
   // Same seed, same logical read sequence => identical outcomes through the
   // whole PageFile -> FaultyPageReader -> RetryingPageReader stack.
@@ -361,83 +341,6 @@ TEST(FaultyPageReaderTest, SlowReadsDeliverIntactPagesThroughTheSleeper) {
     EXPECT_EQ(std::memcmp(r->data, direct->data, kPageSize), 0);
   }
   EXPECT_EQ(slept, (std::vector<uint64_t>{1234, 1234, 1234}));
-}
-
-// ---------------------------------------------------------------------------
-// Retry backoff.
-
-TEST(RetryingPageReaderTest, DecorrelatedJitterBackoffIsSeededAndBounded) {
-  auto run = [](uint64_t seed) {
-    PageFile file = MakeFile(1);
-    FaultInjector injector(FaultInjector::Options{});
-    injector.AddPermanentFault(0);
-    FaultyPageReader faulty(&file, &injector);
-    RetryingPageReader::RetryPolicy policy;
-    policy.max_attempts = 6;
-    policy.backoff_base = 0.001;
-    policy.backoff_max = 0.020;
-    policy.backoff_seed = seed;
-    std::vector<double> slept;
-    RetryingPageReader retrying(
-        &faulty, policy, file.mutable_stats(), /*clock=*/nullptr,
-        [&slept](double seconds) { slept.push_back(seconds); });
-    EXPECT_FALSE(retrying.Read(0).ok());
-    return slept;
-  };
-  const auto a = run(7);
-  const auto b = run(7);
-  const auto c = run(8);
-  // One delay between each pair of attempts; deterministic per seed.
-  ASSERT_EQ(a.size(), 5u);
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, c);
-  for (const double d : a) {
-    EXPECT_GE(d, 0.001);
-    EXPECT_LE(d, 0.020);
-  }
-}
-
-TEST(RetryingPageReaderTest, BackoffNeverSleepsPastTheDeadline) {
-  // Fake clock + fake sleeper: the reader must give up with the deadline
-  // message the moment a planned sleep would overrun per_read_deadline —
-  // it never starts that sleep.
-  PageFile file = MakeFile(1);
-  FaultInjector injector(FaultInjector::Options{});
-  injector.AddPermanentFault(0);
-  FaultyPageReader faulty(&file, &injector);
-  RetryingPageReader::RetryPolicy policy;
-  policy.max_attempts = 1000;
-  policy.per_read_deadline = 0.050;
-  policy.backoff_base = 0.015;
-  policy.backoff_max = 0.015;  // Every delay is exactly 15 ms.
-  double now = 0.0;
-  double slept_total = 0.0;
-  RetryingPageReader retrying(
-      &faulty, policy, file.mutable_stats(), [&now] { return now; },
-      [&now, &slept_total](double seconds) {
-        now += seconds;
-        slept_total += seconds;
-      });
-  const Status s = retrying.Read(0).status();
-  EXPECT_TRUE(s.IsIOError()) << s.ToString();
-  EXPECT_NE(s.message().find("deadline"), std::string::npos) << s.message();
-  // 3 sleeps of 15 ms fit in 50 ms; the 4th would overrun and is refused.
-  EXPECT_DOUBLE_EQ(slept_total, 0.045);
-  EXPECT_LE(now, policy.per_read_deadline);
-}
-
-TEST(RetryingPageReaderTest, ZeroBackoffBaseNeverSleeps) {
-  PageFile file = MakeFile(1);
-  FaultInjector injector(FaultInjector::Options{});
-  injector.AddPermanentFault(0);
-  FaultyPageReader faulty(&file, &injector);
-  RetryingPageReader::RetryPolicy policy;  // backoff_base defaults to 0.
-  policy.max_attempts = 5;
-  RetryingPageReader retrying(&faulty, policy, file.mutable_stats(),
-                              /*clock=*/nullptr, [](double) {
-                                FAIL() << "legacy policy must not sleep";
-                              });
-  EXPECT_FALSE(retrying.Read(0).ok());
 }
 
 }  // namespace

@@ -213,7 +213,7 @@ TEST(ShardedOracleTest, PartitionExactAndMergedAnswersMatchFlatOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// K-way merge properties.
+// Stream union properties.
 
 MotionSegment Tagged(ObjectId oid, double t_lo, double marker) {
   // The marker rides in the geometry (not the key), so a test can tell
@@ -224,11 +224,12 @@ MotionSegment Tagged(ObjectId oid, double t_lo, double marker) {
 
 TEST(MergeStreamsTest, EmptyStreamsAndPassthrough) {
   std::vector<std::vector<MotionSegment>> empty(4);
-  EXPECT_TRUE(MergeStreamsByEntryTime(&empty).empty());
+  EXPECT_TRUE(MergeStreamsByKey(&empty).empty());
 
+  // A lone stream behind an empty first stream comes back key-sorted.
   std::vector<std::vector<MotionSegment>> one(3);
-  one[1] = {Tagged(1, 0.0, 1), Tagged(2, 0.5, 2), Tagged(3, 0.5, 3)};
-  const auto merged = MergeStreamsByEntryTime(&one);
+  one[1] = {Tagged(3, 0.5, 3), Tagged(1, 0.0, 1), Tagged(2, 0.5, 2)};
+  const auto merged = MergeStreamsByKey(&one);
   ASSERT_EQ(merged.size(), 3u);
   EXPECT_EQ(merged[0].oid, 1u);
   EXPECT_EQ(merged[1].oid, 2u);
@@ -240,24 +241,26 @@ TEST(MergeStreamsTest, DuplicateKeysKeepFirstStreamOccurrence) {
   // (tie-stability by stream index), observable through the marker.
   std::vector<std::vector<MotionSegment>> streams(3);
   streams[2] = {Tagged(7, 1.0, /*marker=*/222)};
-  streams[0] = {Tagged(7, 1.0, /*marker=*/0)};
-  const auto merged = MergeStreamsByEntryTime(&streams);
-  ASSERT_EQ(merged.size(), 1u);
+  streams[0] = {Tagged(9, 0.0, /*marker=*/1), Tagged(7, 1.0, /*marker=*/0)};
+  const auto merged = MergeStreamsByKey(&streams);
+  ASSERT_EQ(merged.size(), 2u);
+  EXPECT_EQ(merged[0].oid, 7u);
   EXPECT_EQ(merged[0].seg.p0[0], 0.0);
+  EXPECT_EQ(merged[1].oid, 9u);
 }
 
 TEST(MergeStreamsTest, AdversarialTieFuzzMatchesReferenceMerge) {
   // Heavily tied keys (3 distinct entry times x 10 oids) scattered over a
-  // random number of streams, including within-stream duplicates. The
-  // merge must equal an independently computed reference: stable-sort all
-  // (stream, pos) entries by (time.lo, key, stream, pos), then keep the
-  // first occurrence of each key.
+  // random number of unsorted streams, including within-stream duplicates.
+  // The union must equal the reference: stable-sort the concatenation of
+  // the streams (in stream order) by key, then keep the first occurrence
+  // of each key.
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
     const int num_streams = 1 + static_cast<int>(rng.UniformU64(6));
     std::vector<std::vector<MotionSegment>> streams(
         static_cast<size_t>(num_streams));
-    std::vector<std::vector<MotionSegment>> copy(streams.size());
+    std::vector<MotionSegment> all;
     for (size_t s = 0; s < streams.size(); ++s) {
       const int count = static_cast<int>(rng.UniformU64(30));
       for (int i = 0; i < count; ++i) {
@@ -266,43 +269,20 @@ TEST(MergeStreamsTest, AdversarialTieFuzzMatchesReferenceMerge) {
         streams[s].push_back(
             Tagged(oid, t_lo, static_cast<double>(s) * 1000 + i));
       }
-      std::stable_sort(streams[s].begin(), streams[s].end(),
-                       [](const MotionSegment& a, const MotionSegment& b) {
-                         if (a.seg.time.lo != b.seg.time.lo) {
-                           return a.seg.time.lo < b.seg.time.lo;
-                         }
-                         return a.key() < b.key();
-                       });
-      copy[s] = streams[s];
+      all.insert(all.end(), streams[s].begin(), streams[s].end());
     }
-
-    struct Ref {
-      MotionSegment m;
-      size_t stream;
-      size_t pos;
-    };
-    std::vector<Ref> all;
-    for (size_t s = 0; s < copy.size(); ++s) {
-      for (size_t i = 0; i < copy[s].size(); ++i) {
-        all.push_back(Ref{copy[s][i], s, i});
-      }
-    }
-    std::stable_sort(all.begin(), all.end(), [](const Ref& a, const Ref& b) {
-      if (a.m.seg.time.lo != b.m.seg.time.lo) {
-        return a.m.seg.time.lo < b.m.seg.time.lo;
-      }
-      if (a.m.key() < b.m.key()) return true;
-      if (b.m.key() < a.m.key()) return false;
-      if (a.stream != b.stream) return a.stream < b.stream;
-      return a.pos < b.pos;
-    });
+    std::stable_sort(all.begin(), all.end(),
+                     [](const MotionSegment& a, const MotionSegment& b) {
+                       return a.key() < b.key();
+                     });
     std::vector<MotionSegment> expected;
-    std::set<MotionSegment::Key> seen;
-    for (const Ref& r : all) {
-      if (seen.insert(r.m.key()).second) expected.push_back(r.m);
+    for (const MotionSegment& m : all) {
+      if (expected.empty() || !(expected.back().key() == m.key())) {
+        expected.push_back(m);
+      }
     }
 
-    const auto merged = MergeStreamsByEntryTime(&streams);
+    const auto merged = MergeStreamsByKey(&streams);
     ASSERT_EQ(merged.size(), expected.size()) << "seed " << seed;
     for (size_t i = 0; i < merged.size(); ++i) {
       EXPECT_EQ(merged[i].key(), expected[i].key()) << "seed " << seed;
@@ -946,7 +926,9 @@ TEST(ShardedEngineTest, DiskShardsMatchMemoryWithWritesBetweenFrames) {
   // have read, and the write guard writes every dirty frame back and drops
   // it, so only a write count can tell such a landing is stale. Serving it
   // would show a session the tree before the write: the disk engine must
-  // answer exactly like the kMemory one.
+  // answer exactly like the kMemory one. The cached legs hold decoded nodes
+  // across the same writes; the tree's StoreNode/FreePage invalidation is
+  // the only thing keeping them fresh.
   const std::vector<MotionSegment> data =
       ShapedData(WorkloadShape::kUniform, 11, 800, 60.0);
   const SessionKind kinds[] = {SessionKind::kSession, SessionKind::kNpdq,
@@ -962,7 +944,8 @@ TEST(ShardedEngineTest, DiskShardsMatchMemoryWithWritesBetweenFrames) {
     specs.push_back(spec);
   }
 
-  auto run = [&](IoBackend backend, const std::string& label) {
+  auto run = [&](IoBackend backend, size_t cache_nodes,
+                 const std::string& label) {
     const std::string dir = std::string(::testing::TempDir()) +
                             "/dqmo_sharded_writes_" + label;
     std::filesystem::remove_all(dir);
@@ -972,7 +955,8 @@ TEST(ShardedEngineTest, DiskShardsMatchMemoryWithWritesBetweenFrames) {
     opt.io_backend = backend;
     opt.prefetch_depth = 8;
     opt.pool_pages = 32;
-    opt.cache_nodes = 0;  // Every node visit reaches the pool.
+    // 0: every node visit reaches the pool.
+    opt.cache_nodes = cache_nodes;
     auto engine = ShardedEngine::Create(opt);
     EXPECT_TRUE(engine.ok()) << label << ": " << engine.status().ToString();
     if (!engine.ok()) return ExecutorReport{};
@@ -1000,10 +984,14 @@ TEST(ShardedEngineTest, DiskShardsMatchMemoryWithWritesBetweenFrames) {
     return report;
   };
 
-  const ExecutorReport want = run(IoBackend::kMemory, "memory");
+  const ExecutorReport want = run(IoBackend::kMemory, 0, "memory");
   ASSERT_TRUE(want.status.ok()) << want.status.ToString();
   EXPECT_GT(want.total_objects, 0u);
-  ExpectSameResults(run(IoBackend::kPread, "pread"), want, "pread");
+  ExpectSameResults(run(IoBackend::kPread, 0, "pread"), want, "pread");
+  ExpectSameResults(run(IoBackend::kPread, 64, "pread_cached"), want,
+                    "pread, 64 decoded nodes");
+  ExpectSameResults(run(IoBackend::kMemory, 64, "memory_cached"), want,
+                    "memory, 64 decoded nodes");
 }
 
 // ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@
 //       Run one traced query session against a sharded twin of the index
 //       (durable, pread-backed, prefetching — unless --memory) and render
 //       the slowest frame's merged cross-shard span tree: per-shard
-//       subtrees with gate waits, redo drains, the k-way merge, and
+//       subtrees with gate waits, redo drains, the merge, and
 //       worker-thread prefetch spans, followed by per-shard
 //       nodes-visited / prune-effectiveness / prefetch attribution.
 //
@@ -649,7 +649,7 @@ int RunStatsWorkload(const std::string& path, DurableIndex* index) {
   BufferPool pool(file, /*capacity_pages=*/512, /*num_shards=*/8);
   DecodedNodeCache cache(/*capacity_nodes=*/256, /*num_shards=*/8);
   tree->AttachNodeCache(&cache);
-  TreeGate gate(file, &pool, &cache);
+  TreeGate gate(file, &pool);
 
   DataGeneratorOptions gen;
   gen.num_objects = 40;
