@@ -156,7 +156,7 @@ class TreeGate {
 enum class SessionKind {
   kSession,  // DynamicQuerySession: automated PDQ <-> NPDQ hand-off.
   kNpdq,     // Raw NPDQ snapshot sequence over the observer's window.
-  kKnn,      // MovingKnnQuery along the observer trajectory.
+  kKnn,      // Stateless bounded KnnAt per frame along the trajectory.
 };
 
 /// One deterministic client session: an observer flying a seed-derived

@@ -34,13 +34,11 @@ std::vector<MotionSegment> MergeStreamsByKey(
   return out;
 }
 
-std::vector<Neighbor> MergeNeighborsByDistance(
-    const std::vector<std::vector<Neighbor>>& streams, size_t k) {
-  std::vector<Neighbor> all;
-  for (const auto& s : streams) all.insert(all.end(), s.begin(), s.end());
-  std::stable_sort(all.begin(), all.end(), NeighborBefore);
-  if (all.size() > k) all.resize(k);
-  return all;
+void MergeNeighborsByDistance(std::vector<Neighbor>* top,
+                              const std::vector<Neighbor>& more, size_t k) {
+  top->insert(top->end(), more.begin(), more.end());
+  std::sort(top->begin(), top->end(), NeighborBefore);
+  if (top->size() > k) top->resize(k);
 }
 
 // ---------------------------------------------------------------------------

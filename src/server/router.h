@@ -7,8 +7,8 @@
 // same seed-derived observer trajectory as the single tree, but drives one
 // engine instance per shard (DynamicQuerySession, NonPredictiveDynamicQuery
 // or a stateless KnnAt). Per frame the loop takes the shared side of every
-// shard's gate, evaluates the relevant shards, and merges the per-shard
-// answers:
+// shard's gate, evaluates the shards the frame can reach, and merges the
+// per-shard answers:
 //
 //  * PDQ/NPDQ streams: the key-sorted, key-deduplicated union of the
 //    per-shard deliveries, at every shard count — the order the session
@@ -17,14 +17,18 @@
 //    union of per-shard frame deliveries equals the single-tree frame
 //    delivery — the differential sweeps in tests/shard_test.cc assert
 //    byte-identical checksums.
-//  * kNN candidates: merged by (distance, key), the one kNN order
-//    (NeighborBefore, query/knn.h), and truncated to k, at every shard
-//    count. Every true global neighbor is in its shard's local top-k by
-//    that order, and distances are computed on identical quantized
-//    geometry, so the merged answer is bit-identical to the single tree's
-//    fenced MovingKnnQuery, exact distance ties included. A shard-local
-//    fence cache would be unsound, so every shard runs a stateless search
-//    each frame.
+//  * kNN: one bounded search over the shards, at every shard count, one
+//    included. The frame visits shards in ascending root-MBR distance at
+//    t (ties by shard index) and folds each shard's answer into a running
+//    top-k by (distance, key), the one kNN order (NeighborBefore,
+//    query/knn.h). Each shard's stateless KnnAt gets the running k-th
+//    distance as its prune bound, and a shard whose root distance exceeds
+//    it is skipped unread. The bound is the k-th distance of k real
+//    objects, so it never falls below the true k-th; both tests are
+//    strict, so ties survive; and distances are computed on identical
+//    quantized geometry. So the answer is bit-identical to the single
+//    tree's, exact distance ties included. No fence cache: a shard-local
+//    one would be unsound across a segment rollover.
 //
 // Overload semantics are preserved: one FrameController arms one
 // QueryBudget per frame and hands the same pointer to every shard's
@@ -34,22 +38,24 @@
 // answers kPartial, the merged frame is kPartial, and the per-shard
 // SkipReports say which shard lost what.
 //
-// NPDQ fan-out is pruned by shard root bounds: a shard whose root MBR
+// NPDQ fan-out is pruned by shard root bounds too: a shard whose root MBR
 // misses the snapshot provably contributes nothing, and the router tells
 // its NPDQ instance via NoteSkippedSnapshot so later deltas stay exact
-// (see that method's soundness note).
+// (see that method's soundness note). Both prunes read each shard's root
+// bounds from a cache keyed by the shard's update stamp.
 //
 // Failure domains (server/health.h, when the engine runs with them): the
 // router is the breakers' frame plane. Each frame it advances every
 // shard's breaker (OnFrameStart), drains any pending redo queue of an
 // unblocked shard *before* taking the read locks, and keeps calling every
-// shard's session — a quarantined shard's reads short-circuit at the
-// breaker gate, so its frames come back as attributed kPartial through
-// the ordinary kSkipSubtree machinery while the per-shard control state
-// stays in observer lockstep for a clean resync at reinstatement. On
-// half-open probe frames the shard serves reads normally and the router
-// reports the verdict (frame completed with zero new skips) back via
-// OnProbeOutcome; enough healthy probes close the breaker.
+// shard's session that the frame reaches — a quarantined shard's reads
+// short-circuit at the breaker gate, so its frames come back as
+// attributed kPartial through the ordinary kSkipSubtree machinery while
+// the per-shard control state stays in observer lockstep for a clean
+// resync at reinstatement. On half-open probe frames the shard serves
+// reads normally, no prune skips it, and the router reports the verdict
+// (frame completed with zero new skips) back via OnProbeOutcome; enough
+// healthy probes close the breaker.
 #ifndef DQMO_SERVER_ROUTER_H_
 #define DQMO_SERVER_ROUTER_H_
 
@@ -74,11 +80,12 @@ namespace dqmo {
 std::vector<MotionSegment> MergeStreamsByKey(
     std::vector<std::vector<MotionSegment>>* streams);
 
-/// Merges per-shard kNN candidate lists into the global top-k by
-/// NeighborBefore (distance, then key). Inputs need not be sorted; the
-/// result is.
-std::vector<Neighbor> MergeNeighborsByDistance(
-    const std::vector<std::vector<Neighbor>>& streams, size_t k);
+/// Folds one shard's kNN answer into a running answer: `top` becomes the
+/// k first of both lists by NeighborBefore (distance, then key), sorted.
+/// Inputs need not be sorted. Folding every shard's answer, in any order,
+/// leaves the global top-k.
+void MergeNeighborsByDistance(std::vector<Neighbor>* top,
+                              const std::vector<Neighbor>& more, size_t k);
 
 /// SessionResult plus the per-shard detail the aggregate hides.
 struct ShardedSessionResult {
@@ -93,7 +100,9 @@ struct ShardedSessionResult {
   /// injected into one shard shows up in exactly that slot — the
   /// never-silently-wrong contract the fault tests pin down.
   std::vector<SkipReport> shard_skips;
-  /// Shard evaluations skipped by the NPDQ root-bounds prune.
+  /// Shard evaluations skipped unread by a root-bounds prune: NPDQ's
+  /// (root MBR misses the snapshot) or kNN's (root distance beyond the
+  /// frame's running k-th distance).
   uint64_t shard_frames_pruned = 0;
   /// Frames evaluated while at least one shard's breaker blocked reads.
   uint64_t frames_quarantined = 0;
@@ -129,7 +138,8 @@ class ShardRouter {
     OverloadGovernor* governor = nullptr;
     /// Skip NPDQ evaluation of shards whose root bounds miss the snapshot
     /// (exactness preserved; see header comment). The differential tests
-    /// sweep both settings.
+    /// sweep both settings. kNN's bound needs no switch: it is exact and
+    /// always on.
     bool spatial_prune = true;
     /// Called at the top of every session frame (shed or not), before any
     /// shard gate is held — the injection point for chaos programs, which

@@ -33,7 +33,7 @@ struct RouterMetrics {
           r.GetHistogram("dqmo_shard_fanout_width",
                          "Shards evaluated per sharded query frame"),
           r.GetCounter("dqmo_shard_frames_pruned_total",
-                       "Shard evaluations skipped by the root-bounds prune"),
+                       "Shard evaluations skipped by a root-bounds prune"),
           r.GetCounter("dqmo_shard_frames_partial_total",
                        "Sharded frames whose merged answer was kPartial"),
           r.GetCounter("dqmo_shard_sessions_total",
@@ -291,8 +291,8 @@ struct TargetOutcome {
 };
 
 /// One query kind's per-frame work over a session's targets. Per evaluated
-/// frame the loop calls Prepare before taking the gates, Evaluate for each
-/// target under them, then Merge, Fold and EndFrame.
+/// frame the loop calls Prepare before taking the gates, Order under them,
+/// Evaluate for each target in that order, then Merge, Fold and EndFrame.
 class Evaluator {
  public:
   Evaluator() = default;
@@ -302,11 +302,17 @@ class Evaluator {
   virtual void ScaleHorizon(double /*scale*/) {}
   virtual void Prepare(double /*t*/, const Observer& /*obs*/,
                        const std::vector<uint8_t>& /*reinstated*/) {}
+  /// Permutes `order` (every target index once) into this frame's visit
+  /// order. The default keeps the order as it is: target index.
+  virtual void Order(double /*t*/, const Observer& /*obs*/,
+                     std::vector<size_t>* /*order*/) {}
+  /// `may_prune` false: read target s even where a prune would skip it.
   virtual Status Evaluate(size_t s, double t, const Observer& obs,
-                          TargetOutcome* out) = 0;
+                          bool may_prune, TargetOutcome* out) = 0;
   /// Fold of target s's own (pre-merge) answer, for FrameRecords.
   virtual uint64_t TargetChecksum(size_t s) const = 0;
-  /// Combines the targets' answers into the frame's; returns its size.
+  /// Completes the frame's answer from the targets' (kNN folds each one
+  /// as it is evaluated); returns its size.
   virtual size_t Merge(uint64_t evaluated) = 0;
   virtual void Fold(uint64_t* h) = 0;
   virtual void EndFrame(bool /*degraded*/) {}
@@ -366,7 +372,7 @@ class HandoffEvaluator : public StreamEvaluator {
     }
   }
 
-  Status Evaluate(size_t s, double t, const Observer& obs,
+  Status Evaluate(size_t s, double t, const Observer& obs, bool /*may_prune*/,
                   TargetOutcome* out) override {
     DynamicQuerySession& session = *sessions_[s];
     const uint64_t skips0 = session.skip_report().pages_skipped();
@@ -390,30 +396,50 @@ class HandoffEvaluator : public StreamEvaluator {
   double base_horizon_ = 0.0;
 };
 
-/// Per-target root-bounds cache for the NPDQ prune, refreshed when the
-/// tree's update stamp moves (inserts; removals only shrink bounds, so a
-/// stale cover stays conservative).
-struct BoundsCache {
-  UpdateStamp stamp = 0;
-  bool valid = false;
-  StBox bounds;
-};
-
-/// True iff the tree provably contributes nothing to `q`: empty, or root
-/// bounds (a cover of every stored match box) disjoint from q. Called
-/// under the target's shared gate.
-bool CanPrune(RTree* tree, BoundsCache* cache, const StBox& q) {
-  if (tree->num_segments() == 0) return true;
-  const UpdateStamp stamp = tree->stamp();
-  if (!cache->valid || cache->stamp != stamp) {
-    auto bounds = tree->RootBounds();
-    if (!bounds.ok()) return false;  // Let the traversal surface the error.
-    cache->bounds = *bounds;
-    cache->stamp = stamp;
-    cache->valid = true;
+/// One target's root bounds (a cover of every stored match box), behind
+/// both root-bounds prunes: NPDQ's window test and kNN's root distance.
+/// Refreshed when the tree's update stamp moves (inserts; removals only
+/// shrink bounds, so a stale cover stays conservative). Called under the
+/// target's shared gate. Where the root cannot be read, neither prune
+/// fires, so the traversal surfaces the error.
+class RootBounds {
+ public:
+  /// True iff the tree provably contributes nothing to `q`: empty, or its
+  /// root cover disjoint from q.
+  bool Misses(const RTree& tree, const StBox& q) {
+    if (tree.num_segments() == 0) return true;
+    const StBox* root = Get(tree);
+    return root != nullptr && !root->Overlaps(q);
   }
-  return !cache->bounds.Overlaps(q);
-}
+
+  /// Lower bound on the distance from `point` at `t` of every object the
+  /// tree holds alive at t: +inf when it is empty or its root's time span
+  /// misses t, 0 when the root cannot be read.
+  double Distance(const RTree& tree, double t, const Vec& point) {
+    if (tree.num_segments() == 0) return kInf;
+    const StBox* root = Get(tree);
+    if (root == nullptr) return 0.0;
+    if (!root->time.Contains(t)) return kInf;
+    return root->spatial.MinDistance(point);
+  }
+
+ private:
+  const StBox* Get(const RTree& tree) {
+    const UpdateStamp stamp = tree.stamp();
+    if (!valid_ || stamp_ != stamp) {
+      auto bounds = tree.RootBounds();
+      if (!bounds.ok()) return nullptr;
+      bounds_ = *bounds;
+      stamp_ = stamp;
+      valid_ = true;
+    }
+    return &bounds_;
+  }
+
+  UpdateStamp stamp_ = 0;
+  bool valid_ = false;
+  StBox bounds_;
+};
 
 /// kNpdq: the observer's window as a snapshot sequence, one
 /// NonPredictiveDynamicQuery per target.
@@ -450,9 +476,9 @@ class NpdqEvaluator : public StreamEvaluator {
   }
 
   Status Evaluate(size_t s, double /*t*/, const Observer& /*obs*/,
-                  TargetOutcome* out) override {
+                  bool may_prune, TargetOutcome* out) override {
     NonPredictiveDynamicQuery& npdq = *npdq_[s];
-    if (prune_ && CanPrune(targets_[s].tree, &bounds_[s], q_)) {
+    if (prune_ && may_prune && bounds_[s].Misses(*targets_[s].tree, q_)) {
       // The target provably matches nothing; install q as its previous
       // snapshot so later deltas stay exact (NoteSkippedSnapshot's
       // soundness note).
@@ -489,104 +515,120 @@ class NpdqEvaluator : public StreamEvaluator {
   double prev_t_;
   bool prune_;
   StBox q_;
-  std::vector<BoundsCache> bounds_;
+  std::vector<RootBounds> bounds_;
   std::vector<std::unique_ptr<NonPredictiveDynamicQuery>> npdq_;
 };
 
-/// kKnn. The single tree keeps MovingKnnQuery's fence cache. A routed
-/// session runs a stateless KnnAt per shard, at every shard count: the
-/// fence argument ("anything outside the cached candidates was farther
-/// than the fence at cache time and cannot have closed the gap") is only
-/// sound for objects whose alive-at-cache-time segment lives in the SAME
-/// tree. A segment rollover that crosses a grid cell or speed class makes
-/// the object appear in a shard whose cache never saw it, with no distance
-/// constraint at all, so a shard-local fence would silently drop true
-/// neighbors. A stateless search per shard is exact by construction; the
-/// merged global top-k is exact because every true global neighbor is in
-/// its own shard's local top-k.
+/// kKnn: one stateless KnnAt per target, bounded by the frame's running
+/// answer, at every target count. Targets are visited in ascending root
+/// distance at t, ties by index. Each search gets the running k-th
+/// distance as its prune bound (+inf until k objects are known), and a
+/// target whose root distance exceeds that bound is skipped unread.
+///
+/// Exact: the running k-th distance is that of k real objects, so it is
+/// never below the true k-th distance. Neither prune drops an object at or
+/// inside it (both tests are strict, so ties at the k-th distance
+/// survive), and every true neighbour is among its own target's bounded
+/// top-k by (distance, key). A degraded target still returns real objects
+/// at correct distances, so it can only loosen the bound. No answer state
+/// outlives a frame: a fence cache is unsound across shards (a segment
+/// rollover that crosses a shard boundary makes an object appear in a
+/// shard whose cache never saw it, with no distance constraint).
 class KnnEvaluator : public Evaluator {
  public:
   KnnEvaluator(const SessionSpec& spec,
-               const std::vector<FrameTarget>& targets, QueryBudget* budget,
-               bool fenced)
+               const std::vector<FrameTarget>& targets, QueryBudget* budget)
       : spec_(spec),
         targets_(targets),
         budget_(budget),
+        k_(static_cast<size_t>(spec.k)),
+        bounds_(targets.size()),
+        root_distance_(targets.size(), 0.0),
         skips_(targets.size()),
         stats_(targets.size()),
-        candidates_(targets.size()) {
-    if (!fenced) return;
-    DQMO_CHECK(targets.size() == 1);
-    fenced_ = std::make_unique<MovingKnnQuery>(
-        targets[0].tree, spec.k,
-        MovingKnnQuery::Options(TargetTraversal(spec, targets[0], budget)));
+        answers_(targets.size()) {}
+
+  void Prepare(double /*t*/, const Observer& /*obs*/,
+               const std::vector<uint8_t>& /*reinstated*/) override {
+    top_.clear();
   }
 
-  Status Evaluate(size_t s, double t, const Observer& obs,
+  void Order(double t, const Observer& obs,
+             std::vector<size_t>* order) override {
+    // One target: nothing to order, and its bound is +inf, so it is never
+    // skipped and its root is never read.
+    if (order->size() < 2) return;
+    for (size_t s = 0; s < targets_.size(); ++s) {
+      root_distance_[s] = bounds_[s].Distance(*targets_[s].tree, t, obs.pos);
+    }
+    std::sort(order->begin(), order->end(), [this](size_t a, size_t b) {
+      if (root_distance_[a] != root_distance_[b]) {
+        return root_distance_[a] < root_distance_[b];
+      }
+      return a < b;
+    });
+  }
+
+  Status Evaluate(size_t s, double t, const Observer& obs, bool may_prune,
                   TargetOutcome* out) override {
-    Result<std::vector<Neighbor>> neighbors = [&] {
-      if (fenced_ != nullptr) return fenced_->At(t, obs.pos);
-      KnnOptions kopt(TargetTraversal(spec_, targets_[s], budget_));
-      skips_[s].Reset();
-      kopt.skip_report = &skips_[s];
-      return KnnAt(*targets_[s].tree, obs.pos, t, spec_.k, &stats_[s], kopt);
-    }();
-    if (!neighbors.ok()) return neighbors.status();
-    out->skips = fenced_ != nullptr ? &fenced_->skip_report() : &skips_[s];
-    out->partial = out->skips->pages_skipped() > 0;
+    const double bound = top_.size() < k_ ? kInf : top_.back().distance;
+    if (may_prune && root_distance_[s] > bound) {
+      out->evaluated = false;
+      return Status::OK();
+    }
+    KnnOptions kopt(TargetTraversal(spec_, targets_[s], budget_));
+    skips_[s].Reset();
+    kopt.skip_report = &skips_[s];
+    kopt.prune_bound = bound;
+    DQMO_ASSIGN_OR_RETURN(answers_[s], KnnAt(*targets_[s].tree, obs.pos, t,
+                                             spec_.k, &stats_[s], kopt));
+    out->skips = &skips_[s];
+    out->partial = skips_[s].pages_skipped() > 0;
     out->clean = !out->partial;
-    candidates_[s] = std::move(*neighbors);
+    Tracer::SpanScope merge_span(SpanKind::kMerge, answers_[s].size());
+    MergeNeighborsByDistance(&top_, answers_[s], k_);
     return Status::OK();
   }
 
   uint64_t TargetChecksum(size_t s) const override {
     uint64_t h = kFnvOffset;
-    FoldNeighbors(&h, candidates_[s]);
+    FoldNeighbors(&h, answers_[s]);
     return h;
   }
 
-  size_t Merge(uint64_t evaluated) override {
-    if (fenced_ != nullptr) {
-      merged_ = std::move(candidates_[0]);
-    } else {
-      // Over one shard too: (distance, key) is the tie order routed
-      // sessions fold.
-      Tracer::SpanScope merge_span(SpanKind::kMerge, evaluated);
-      merged_ = MergeNeighborsByDistance(candidates_,
-                                         static_cast<size_t>(spec_.k));
-    }
-    return merged_.size();
-  }
+  size_t Merge(uint64_t /*evaluated*/) override { return top_.size(); }
 
-  void Fold(uint64_t* h) override { FoldNeighbors(h, merged_); }
+  void Fold(uint64_t* h) override { FoldNeighbors(h, top_); }
 
   void Finish(ShardedSessionResult* out) const override {
-    for (size_t s = 0; s < stats_.size(); ++s) {
-      out->shard_stats[s] = fenced_ != nullptr ? fenced_->stats() : stats_[s];
-    }
+    for (size_t s = 0; s < stats_.size(); ++s) out->shard_stats[s] = stats_[s];
   }
 
  private:
   const SessionSpec& spec_;
   const std::vector<FrameTarget>& targets_;
   QueryBudget* budget_;
-  std::unique_ptr<MovingKnnQuery> fenced_;
-  // Stateless search state, one slot per target.
+  size_t k_;
+  std::vector<RootBounds> bounds_;
+  /// This frame's root distances; 0 (read) until Order computes them.
+  std::vector<double> root_distance_;
   std::vector<SkipReport> skips_;
   std::vector<QueryStats> stats_;
-  std::vector<std::vector<Neighbor>> candidates_;
-  std::vector<Neighbor> merged_;
+  /// Each evaluated target's own answer this frame.
+  std::vector<std::vector<Neighbor>> answers_;
+  /// The running answer: the k first by NeighborBefore of every answer
+  /// folded so far this frame.
+  std::vector<Neighbor> top_;
 };
 
 std::unique_ptr<Evaluator> MakeEvaluator(
     const SessionSpec& spec, const std::vector<FrameTarget>& targets,
-    QueryBudget* budget, bool routed, bool prune) {
+    QueryBudget* budget, bool prune) {
   if (spec.kind == SessionKind::kNpdq) {
     return std::make_unique<NpdqEvaluator>(spec, targets, budget, prune);
   }
   if (spec.kind == SessionKind::kKnn) {
-    return std::make_unique<KnnEvaluator>(spec, targets, budget,
-                                          /*fenced=*/!routed);
+    return std::make_unique<KnnEvaluator>(spec, targets, budget);
   }
   return std::make_unique<HandoffEvaluator>(spec, targets, budget);
 }
@@ -608,9 +650,15 @@ ShardedSessionResult RunFrames(const SessionSpec& spec,
   Rng rng(spec.seed);
   Observer obs = MakeObserver(&rng, spec);
   FrameController ctl(spec, options.governor);
-  const std::unique_ptr<Evaluator> eval = MakeEvaluator(
-      spec, targets, ctl.engine_budget(), routed, options.spatial_prune);
+  const std::unique_ptr<Evaluator> eval =
+      MakeEvaluator(spec, targets, ctl.engine_budget(), options.spatial_prune);
   BreakerFramePlane plane(engine, n);
+  // Per-frame buffers, reused by every frame.
+  std::vector<std::shared_lock<std::shared_mutex>> locks;
+  locks.reserve(n);
+  std::vector<size_t> order(n);
+  for (size_t s = 0; s < n; ++s) order[s] = s;
+  std::vector<uint64_t> target_checksums;
 
   for (int i = 1; i <= spec.frames; ++i) {
     const double t = spec.t0 + i * spec.frame_dt;
@@ -635,8 +683,6 @@ ShardedSessionResult RunFrames(const SessionSpec& spec,
     FrameLatencyScope latency(spec, &res);
     // Shared side of every gate, ascending. Writers hold a single gate at
     // a time, so the order cannot deadlock.
-    std::vector<std::shared_lock<std::shared_mutex>> locks;
-    locks.reserve(n);
     for (size_t s = 0; s < n; ++s) {
       if (targets[s].gate == nullptr) continue;
       // Routed: the gate-wait span lands in this shard's trace subtree.
@@ -647,13 +693,15 @@ ShardedSessionResult RunFrames(const SessionSpec& spec,
 
     bool partial = false;
     uint64_t evaluated = 0;
-    std::vector<uint64_t> target_checksums;
     if (options.record_frames) target_checksums.assign(n, kFnvOffset);
-    for (size_t s = 0; s < n; ++s) {
+    eval->Order(t, obs, &order);
+    for (size_t s : order) {
       std::optional<Tracer::ShardScope> shard_scope;
       if (routed) shard_scope.emplace(static_cast<int>(s));
       TargetOutcome o;
-      res.status = eval->Evaluate(s, t, obs, &o);
+      // The breaker closes only on probe verdicts, and only an evaluated
+      // target reports one: a probing target is never pruned.
+      res.status = eval->Evaluate(s, t, obs, plane.probe[s] == 0, &o);
       if (!res.status.ok()) break;
       if (!o.evaluated) {
         ++out.shard_frames_pruned;
@@ -692,7 +740,7 @@ ShardedSessionResult RunFrames(const SessionSpec& spec,
       FoldU64(&rec.merged_checksum, static_cast<uint64_t>(i));
       eval->Fold(&rec.merged_checksum);
       rec.partial = partial;
-      rec.shard_checksums = std::move(target_checksums);
+      rec.shard_checksums = target_checksums;
       rec.shard_blocked = plane.blocked;
       out.frames.push_back(std::move(rec));
     }
@@ -700,7 +748,9 @@ ShardedSessionResult RunFrames(const SessionSpec& spec,
     if (degraded) ++res.frames_degraded;
     eval->EndFrame(degraded);
     ctl.EndFrame();
+    locks.clear();
   }
+  locks.clear();  // A failed frame leaves the loop holding its gates.
   if (ctl.cancelled()) {
     res.outcome = SessionResult::Outcome::kCancelled;
     ExecMetrics::Get().sessions_cancelled->Add();

@@ -87,10 +87,10 @@ struct FrameTarget {
 
 /// Runs one session over `targets` on the calling thread. `engine` is the
 /// router's engine, whose shard i is targets[i]; null for the single tree,
-/// which then gets no shard span tags or dqmo_shard_* metrics and keeps
-/// the fence-cached MovingKnnQuery instead of a stateless KnnAt per shard.
-/// Of `options` only governor, frame_hook, spatial_prune and record_frames
-/// are read.
+/// which then gets no shard span tags or dqmo_shard_* metrics. Every kNN
+/// session runs one bounded search over its targets, whatever their
+/// number. Of `options` only governor, frame_hook, spatial_prune and
+/// record_frames are read.
 ShardedSessionResult RunFrames(const SessionSpec& spec,
                                const std::vector<FrameTarget>& targets,
                                const ShardRouter::Options& options,

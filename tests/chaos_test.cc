@@ -10,8 +10,12 @@
 //      (open -> half-open -> closed) and stays closed; a fresh
 //      differential sweep is byte-identical to the twin.
 //   3. Healthy-shard isolation: quarantining shard X never changes a byte
-//      of shard Y's per-frame answers (FrameRecord::shard_checksums,
-//      compared frame by frame against the twin).
+//      of shard Y's answers. NPDQ holds it per shard
+//      (FrameRecord::shard_checksums, compared frame by frame against the
+//      twin). A kNN search on one shard is bounded by the other shards'
+//      answers, so kNN holds it on merged answers: equal to the twin's
+//      outside the fault window, and, on every frame where X served
+//      nothing, equal to a twin that never held X's segments or writes.
 //
 // Programs: shard death (every read fails), at-rest corruption bursts
 // (repaired online from checkpoint + WAL), slow-I/O storms (never
@@ -53,6 +57,11 @@ constexpr int kFrames = 30;
 constexpr int kFaultFrame = 8;
 constexpr int kHealFrame = 18;
 constexpr int kExtrasPerFrame = 2;
+// FrameRecords: frames[] position f holds 1-based frame f + 1, and the
+// fault and heal events fire before their frames read, so positions
+// [kFaultPos, kHealPos) are the fault window.
+constexpr size_t kFaultPos = kFaultFrame - 1;
+constexpr size_t kHealPos = kHealFrame - 1;
 
 std::vector<MotionSegment> ShapedData(WorkloadShape shape, uint64_t seed,
                                       int objects = 220,
@@ -120,23 +129,43 @@ SessionSpec ChaosSpec(SessionKind kind, uint64_t seed, int frames = kFrames) {
   return spec;
 }
 
+/// The FrameRecord entry of a shard that served nothing on a frame: the
+/// FNV-1a offset basis, the fold of an empty answer.
+constexpr uint64_t kEmptyFold = 1469598103934665603ULL;
+
+/// A kNN frame reads only the shards its running k-th distance reaches,
+/// so the programs fly their kNN observer over the sick shard: inside the
+/// diagonal square [lo, hi]^2 of the shard's root MBR (the observer
+/// bounces inside such a square). Bounds only grow with inserts, so the
+/// shard's root distance stays 0 and every kNN frame reads it.
+void FlyOver(ShardedEngine* engine, int shard, SessionSpec* spec) {
+  auto root = engine->shard(shard).tree->RootBounds();
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  const Box& box = root->spatial;
+  spec->region_lo = std::max(box.extent(0).lo, box.extent(1).lo);
+  spec->region_hi = std::min(box.extent(0).hi, box.extent(1).hi);
+  ASSERT_LT(spec->region_lo, spec->region_hi);
+}
+
 /// Runs `spec` against `engine` with per-frame inserts from `extras`
 /// (kExtrasPerFrame per frame — both engines of a differential pair get
 /// the identical schedule) plus an optional chaos-event callback that
-/// fires after the frame's inserts.
+/// fires after the frame's inserts. Extras routed to `drop_shard` are left
+/// out (a twin that never held that shard's writes).
 ShardedSessionResult RunWithSchedule(
     ShardedEngine* engine, const SessionSpec& spec,
     const std::vector<MotionSegment>& extras,
-    std::function<void(int frame)> events = nullptr) {
+    std::function<void(int frame)> events = nullptr, int drop_shard = -1) {
   ShardRouter::Options ropt;
   ropt.spatial_prune = false;  // Every shard evaluated every frame.
   ropt.record_frames = true;
-  ropt.frame_hook = [&extras, engine, events](int frame) {
+  ropt.frame_hook = [&extras, engine, events, drop_shard](int frame) {
     // Router frames are 1-based.
     for (int j = 0; j < kExtrasPerFrame; ++j) {
       const size_t idx = static_cast<size_t>(frame - 1) * kExtrasPerFrame +
                          static_cast<size_t>(j);
-      if (idx < extras.size()) {
+      if (idx < extras.size() &&
+          engine->map().ShardOf(extras[idx]) != drop_shard) {
         EXPECT_TRUE(engine->Insert(extras[idx]).ok())
             << "insert at frame " << frame;
       }
@@ -146,7 +175,25 @@ ShardedSessionResult RunWithSchedule(
   return ShardRouter(engine, ropt).RunOne(spec);
 }
 
-/// Invariant 3: every healthy shard's pre-merge frame answer is
+/// Runs `spec` on a twin that never held shard `sick`'s segments (of
+/// `data`) or writes (of `extras`): what a frame that read nothing from
+/// `sick` must deliver.
+ShardedSessionResult RunWithoutShard(const ShardMap& map,
+                                     const std::vector<MotionSegment>& data,
+                                     const SessionSpec& spec,
+                                     const std::vector<MotionSegment>& extras,
+                                     int sick) {
+  std::vector<MotionSegment> kept;
+  for (const MotionSegment& m : data) {
+    if (map.ShardOf(m) != sick) kept.push_back(m);
+  }
+  std::unique_ptr<ShardedEngine> bare = MakeEngine(ChaosOptions(), kept);
+  EXPECT_NE(bare, nullptr);
+  if (bare == nullptr) return {};
+  return RunWithSchedule(bare.get(), spec, extras, nullptr, sick);
+}
+
+/// Invariant 3 for NPDQ: every healthy shard's pre-merge frame answer is
 /// byte-identical to the twin's, on every frame, chaos or not.
 void ExpectHealthyShardsIdentical(const ShardedSessionResult& got,
                                   const ShardedSessionResult& want, int sick,
@@ -161,6 +208,34 @@ void ExpectHealthyShardsIdentical(const ShardedSessionResult& got,
                 want.frames[f].shard_checksums[s])
           << label << " frame " << f << " healthy shard " << s;
       EXPECT_EQ(got.frames[f].shard_blocked[s], 0) << label << " frame " << f;
+    }
+  }
+}
+
+/// Invariant 3 for kNN, on merged answers. Outside the fault window every
+/// frame equals the twin's. On every frame where the sick shard served
+/// nothing, it equals `bare`'s (RunWithoutShard). Healthy shards are never
+/// blocked.
+void ExpectKnnFramesExact(const ShardedSessionResult& got,
+                          const ShardedSessionResult& want,
+                          const ShardedSessionResult& bare, int sick,
+                          const std::string& label) {
+  ASSERT_EQ(got.frames.size(), want.frames.size()) << label;
+  ASSERT_EQ(got.frames.size(), bare.frames.size()) << label;
+  const size_t sick_slot = static_cast<size_t>(sick);
+  for (size_t f = 0; f < got.frames.size(); ++f) {
+    const ShardedSessionResult::FrameRecord& frame = got.frames[f];
+    if (f < kFaultPos || f >= kHealPos) {
+      EXPECT_EQ(frame.merged_checksum, want.frames[f].merged_checksum)
+          << label << " frame " << f << " outside the fault window";
+    }
+    if (frame.shard_checksums[sick_slot] == kEmptyFold) {
+      EXPECT_EQ(frame.merged_checksum, bare.frames[f].merged_checksum)
+          << label << " frame " << f << " without the sick shard";
+    }
+    for (size_t s = 0; s < frame.shard_blocked.size(); ++s) {
+      if (s == sick_slot) continue;
+      EXPECT_EQ(frame.shard_blocked[s], 0) << label << " frame " << f;
     }
   }
 }
@@ -227,11 +302,13 @@ TEST(ChaosShardDeathTest, QuarantineServesPartialThenRecoversByteIdentical) {
     const int sick = engine->map().ShardOf(
         extras[static_cast<size_t>((kFaultFrame + 3) * kExtrasPerFrame)]);
     ShardScrubber scrubber(engine.get(), ScrubOptions());
+    SessionSpec spec = ChaosSpec(kind, seed);
+    if (kind == SessionKind::kKnn) FlyOver(engine.get(), sick, &spec);
 
     const ShardedSessionResult want =
-        RunWithSchedule(twin.get(), ChaosSpec(kind, seed), extras);
+        RunWithSchedule(twin.get(), spec, extras);
     const ShardedSessionResult got = RunWithSchedule(
-        engine.get(), ChaosSpec(kind, seed), extras, [&](int frame) {
+        engine.get(), spec, extras, [&](int frame) {
           if (frame == kFaultFrame) {
             FaultInjector::Options f;
             f.fail_every_kth = 1;  // Every read fails: the shard is dead.
@@ -255,7 +332,20 @@ TEST(ChaosShardDeathTest, QuarantineServesPartialThenRecoversByteIdentical) {
     EXPECT_GE(got.frames_quarantined, 5u) << label;
     ExpectSkipsOnlyIn(got, sick, label);
     EXPECT_EQ(want.frames_partial, 0u) << label;
-    ExpectHealthyShardsIdentical(got, want, sick, label);
+    if (kind == SessionKind::kNpdq) {
+      ExpectHealthyShardsIdentical(got, want, sick, label);
+    } else {
+      ExpectKnnFramesExact(
+          got, want,
+          RunWithoutShard(engine->map(), data, spec, extras, sick), sick,
+          label);
+      // A dead shard serves nothing: every dark frame is the bare twin's.
+      for (size_t f = kFaultPos; f < kHealPos; ++f) {
+        EXPECT_EQ(got.frames[f].shard_checksums[static_cast<size_t>(sick)],
+                  kEmptyFold)
+            << label << " dark frame " << f;
+      }
+    }
 
     // The breaker tripped, the scrub promoted it, probes closed it.
     CircuitBreaker* b = engine->breaker(sick);
@@ -272,10 +362,7 @@ TEST(ChaosShardDeathTest, QuarantineServesPartialThenRecoversByteIdentical) {
     // twin frame-for-frame. kKnn is stateless: equal from the heal frame
     // (the drain ran before its locks). kSession resyncs through the
     // PDQ->NPDQ handoff machinery within a bounded window.
-    // frames[] position f holds 1-based frame f + 1; the heal event fires
-    // at frame kHealFrame = position kHealFrame - 1.
-    const size_t resync = static_cast<size_t>(kHealFrame) -
-                          (kind == SessionKind::kKnn ? 1u : 0u);
+    const size_t resync = kind == SessionKind::kKnn ? kHealPos : kHealPos + 1;
     for (size_t f = resync; f < got.frames.size(); ++f) {
       EXPECT_EQ(got.frames[f].merged_checksum, want.frames[f].merged_checksum)
           << label << " post-resync frame " << f;
@@ -341,10 +428,12 @@ TEST(ChaosCorruptionBurstTest, ScrubRebuildsDamagedPagesAndReinstates) {
 
     const SessionKind kind =
         seed % 2 == 0 ? SessionKind::kNpdq : SessionKind::kKnn;
+    SessionSpec spec = ChaosSpec(kind, seed);
+    if (kind == SessionKind::kKnn) FlyOver(engine.get(), sick, &spec);
     const ShardedSessionResult want =
-        RunWithSchedule(twin.get(), ChaosSpec(kind, seed), extras);
+        RunWithSchedule(twin.get(), spec, extras);
     const ShardedSessionResult got = RunWithSchedule(
-        engine.get(), ChaosSpec(kind, seed), extras, [&](int frame) {
+        engine.get(), spec, extras, [&](int frame) {
           if (frame == kFaultFrame) {
             // Damage the shard at rest: live pages flip bits, the pool is
             // dropped so the damage is what the next read sees. The
@@ -366,7 +455,14 @@ TEST(ChaosCorruptionBurstTest, ScrubRebuildsDamagedPagesAndReinstates) {
     EXPECT_GT(got.frames_partial, 0u) << label;
     EXPECT_GE(got.frames_quarantined, 5u) << label;
     ExpectSkipsOnlyIn(got, sick, label);
-    ExpectHealthyShardsIdentical(got, want, sick, label);
+    if (kind == SessionKind::kNpdq) {
+      ExpectHealthyShardsIdentical(got, want, sick, label);
+    } else {
+      ExpectKnnFramesExact(
+          got, want,
+          RunWithoutShard(engine->map(), data, spec, extras, sick), sick,
+          label);
+    }
 
     // The scrub found the damage and rebuilt it from checkpoint + WAL.
     EXPECT_GT(heal_report.pages_bad, 0u) << label;

@@ -88,7 +88,8 @@ void BuildFlat(FlatFixture* fx, const std::vector<MotionSegment>& data) {
 }
 
 /// The sweep's session specs: kSession exercises the PDQ/SPDQ handoff
-/// machinery, kNpdq the snapshot deltas, kKnn the fence-cached search.
+/// machinery, kNpdq the snapshot deltas, kKnn the bounded best-first
+/// search.
 std::vector<SessionSpec> SweepSpecs(int seeds, int frames = 30,
                                     bool include_knn = true,
                                     double region_hi = 94.0) {
@@ -304,21 +305,58 @@ TEST(MergeNeighborsTest, SortsByDistanceThenKeyAndTruncates) {
       {},
       {nb(2, 1.0), nb(9, 0.5), nb(3, 3.0)},
   };
-  const auto merged = MergeNeighborsByDistance(streams, 4);
+  std::vector<Neighbor> merged;
+  for (const std::vector<Neighbor>& stream : streams) {
+    MergeNeighborsByDistance(&merged, stream, 4);
+  }
   ASSERT_EQ(merged.size(), 4u);
   EXPECT_EQ(merged[0].motion.oid, 9u);  // 0.5
   EXPECT_EQ(merged[1].motion.oid, 2u);  // 1.0, key tie-break: oid 2 < 5
   EXPECT_EQ(merged[2].motion.oid, 5u);  // 1.0
   EXPECT_EQ(merged[3].motion.oid, 1u);  // 3.0, truncates oid 3 away
 
-  EXPECT_TRUE(MergeNeighborsByDistance({}, 8).empty());
+  std::vector<Neighbor> none;
+  MergeNeighborsByDistance(&none, {}, 8);
+  EXPECT_TRUE(none.empty());
+}
+
+/// A kNN session whose observer never leaves (50, 50): a bounce region of
+/// zero size pins it.
+SessionSpec PinnedKnnSpec(int k) {
+  SessionSpec spec;
+  spec.kind = SessionKind::kKnn;
+  spec.seed = 5;
+  spec.frames = 20;
+  spec.k = k;
+  spec.region_lo = 50.0;
+  spec.region_hi = 50.0;
+  return spec;
+}
+
+/// Runs `spec` through the router's bounded search at 1-64 shards; every
+/// run must deliver the single tree's answers, byte for byte.
+void ExpectRoutedKnnMatchesSingleTree(const std::vector<MotionSegment>& data,
+                                      RTree* flat, const SessionSpec& spec,
+                                      const std::string& label) {
+  const ExecutorReport want = FlatSerialRun(flat, {spec});
+  ASSERT_TRUE(want.status.ok()) << label << ": " << want.status.ToString();
+  EXPECT_EQ(want.sessions[0].objects_delivered,
+            static_cast<uint64_t>(spec.frames * spec.k))
+      << label;
+  for (int n : {1, 2, 3, 4, 8, 16, 64}) {
+    std::unique_ptr<ShardedEngine> engine = BuildEngine(n, data);
+    ASSERT_NE(engine, nullptr);
+    ExpectSameResults(ShardRouter(engine.get()).Run({spec}), want,
+                      label + ", " + std::to_string(n) + " shards");
+  }
 }
 
 // Exact distance ties: 24 stationary objects at distance exactly 5 from
 // (50, 50), two oids on each of the 12 integer lattice points of that
 // circle, plus far filler. Every answer path must keep the 5 smallest by
-// (distance, key) — oids 1..5 — whatever the shard count, and so must the
-// single tree's stateless and fence-cached searches.
+// (distance, key) — oids 1..5 — whatever the shard count: per-shard
+// searches folded by hand, the single tree's stateless and fence-cached
+// searches, and a routed session pinned at (50, 50).
 TEST(KnnTieTest, EquidistantObjectsGiveOneAnswerAtEveryShardCount) {
   const Interval alive(0.0, 100.0);
   std::vector<MotionSegment> data;
@@ -359,17 +397,15 @@ TEST(KnnTieTest, EquidistantObjectsGiveOneAnswerAtEveryShardCount) {
   for (int n : {1, 2, 3, 4, 8, 16, 64}) {
     std::unique_ptr<ShardedEngine> engine = BuildEngine(n, data);
     ASSERT_NE(engine, nullptr);
-    std::vector<std::vector<Neighbor>> per_shard;
+    std::vector<Neighbor> merged;
     for (int s = 0; s < engine->num_shards(); ++s) {
       KnnOptions options;
       options.reader = engine->shard(s).reader();
       QueryStats stats;
       auto got = KnnAt(*engine->shard(s).tree, point, t, k, &stats, options);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
-      per_shard.push_back(std::move(got).value());
+      MergeNeighborsByDistance(&merged, *got, k);
     }
-    const std::vector<Neighbor> merged =
-        MergeNeighborsByDistance(per_shard, k);
     ASSERT_EQ(merged.size(), static_cast<size_t>(k)) << n << " shards";
     EXPECT_EQ(oids(merged), want) << n << " shards";
   }
@@ -385,6 +421,46 @@ TEST(KnnTieTest, EquidistantObjectsGiveOneAnswerAtEveryShardCount) {
     auto got = fenced.At(at, point);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_EQ(oids(*got), want) << "single tree, fenced, t=" << at;
+  }
+  ExpectRoutedKnnMatchesSingleTree(data, flat.tree.get(), PinnedKnnSpec(k),
+                                   "pinned lattice session");
+}
+
+// A tie at the k-th distance across shards: k = 1, and two objects 5 from
+// the pinned observer, at (45, 50) and (55, 50), among 200 stationary
+// fillers 20..45 away. From 3 shards on the two land in different shards,
+// and at 16 and 64 shards no filler widens either shard's root box toward
+// the observer, so both root distances are exactly 5. Whichever the
+// router reads first sets the running k-th distance to 5; it must still
+// read the other, which may hold the smaller key. Both key assignments
+// run, so one of them puts the smaller key in the shard visited later.
+TEST(KnnTieTest, KthDistanceTieAcrossShardsKeepsTheSmallerKey) {
+  const Interval alive(0.0, 100.0);
+  std::vector<MotionSegment> fillers;
+  Rng rng(11);
+  for (ObjectId oid = 100; oid < 300; ++oid) {
+    const double angle = rng.Uniform(0, 2 * M_PI);
+    const double radius = rng.Uniform(20.0, 45.0);
+    const Vec p = Vec(50, 50) + Vec(std::cos(angle), std::sin(angle)) * radius;
+    fillers.emplace_back(oid, StSegment(p, p, alive));
+  }
+  const Vec west(45.0, 50.0);
+  const Vec east(55.0, 50.0);
+  for (const ObjectId west_oid : {1, 2}) {
+    std::vector<MotionSegment> data = fillers;
+    data.emplace_back(west_oid, StSegment(west, west, alive));
+    data.emplace_back(3 - west_oid, StSegment(east, east, alive));
+    FlatFixture flat;
+    BuildFlat(&flat, data);
+    QueryStats stats;
+    auto nearest = KnnAt(*flat.tree, Vec(50.0, 50.0), 2.0, 1, &stats);
+    ASSERT_TRUE(nearest.ok()) << nearest.status().ToString();
+    ASSERT_EQ(nearest->size(), 1u);
+    EXPECT_EQ((*nearest)[0].motion.oid, 1u);
+    EXPECT_EQ((*nearest)[0].distance, 5.0);
+    ExpectRoutedKnnMatchesSingleTree(
+        data, flat.tree.get(), PinnedKnnSpec(1),
+        "oid " + std::to_string(west_oid) + " west");
   }
 }
 
@@ -413,15 +489,13 @@ TEST(ShardDifferentialTest, AllShapesAndShardCountsMatchSingleTree) {
       EXPECT_GT(got.total_objects, 0u);
       if (n != 1) continue;
       // The single tree is the one-shard case: the same nodes loaded and
-      // the same distance work, with the root-bounds prune on or off.
-      // kNN is checksum-only: the single tree's fenced search and the
-      // router's stateless per-shard search differ in cost by design.
+      // the same distance work, for every query kind, with the root-bounds
+      // prune on or off.
       ShardRouter::Options unpruned;
       unpruned.spatial_prune = false;
       for (const ExecutorReport& one :
            {got, ShardRouter(engine.get(), unpruned).Run(specs)}) {
         for (size_t i = 0; i < specs.size(); ++i) {
-          if (specs[i].kind == SessionKind::kKnn) continue;
           const QueryStats& g = one.sessions[i].stats;
           const QueryStats& w = want.sessions[i].stats;
           EXPECT_EQ(g.node_reads + g.decoded_hits,
@@ -648,21 +722,31 @@ TEST(ShardFaultTest, FaultyShardDegradesToPartialWithSkipInItsSlot) {
   std::unique_ptr<ShardedEngine> reference = BuildEngine(4, filtered, 0);
   ASSERT_NE(reference, nullptr);
 
-  // Force evaluation of every shard every frame (no root-bounds prune) and
-  // arm a never-stopping budget so traversals skip unreadable subtrees
-  // instead of failing fast.
+  // No NPDQ root-bounds prune, so NPDQ reads every shard every frame, and
+  // a never-stopping budget, so traversals skip unreadable subtrees
+  // instead of failing fast. A kNN frame reads only the shards its running
+  // k-th distance reaches, so its observer flies over shard 0, the slow
+  // grid's west column (x < 33.3 at 4 shards).
   ShardRouter::Options ropt;
   ropt.spatial_prune = false;
   ShardRouter faulty_router(engine.get(), ropt);
   ShardRouter reference_router(reference.get(), ropt);
-
-  for (SessionKind kind :
-       {SessionKind::kNpdq, SessionKind::kSession, SessionKind::kKnn}) {
+  auto make_spec = [](SessionKind kind) {
     SessionSpec spec;
     spec.kind = kind;
     spec.seed = 77;
     spec.frames = 25;
     spec.frame_node_budget = 1000000000;  // Active but never stops.
+    return spec;
+  };
+
+  for (SessionKind kind :
+       {SessionKind::kNpdq, SessionKind::kSession, SessionKind::kKnn}) {
+    SessionSpec spec = make_spec(kind);
+    if (kind == SessionKind::kKnn) {
+      spec.region_lo = 4.0;
+      spec.region_hi = 28.0;
+    }
     const ShardedSessionResult got = faulty_router.RunOne(spec);
     const ShardedSessionResult want = reference_router.RunOne(spec);
 
@@ -684,7 +768,67 @@ TEST(ShardFaultTest, FaultyShardDegradesToPartialWithSkipInItsSlot) {
     // The reference engine never skips anything.
     EXPECT_EQ(want.frames_partial, 0u);
   }
+
+  // Far from shard 0, no kNN frame's bound reaches it: the dead shard is
+  // skipped unread on every frame, no frame is partial, and the answer is
+  // still the reference engine's.
+  SessionSpec far = make_spec(SessionKind::kKnn);
+  far.region_lo = 72.0;
+  far.region_hi = 94.0;
+  const ShardedSessionResult got = faulty_router.RunOne(far);
+  const ShardedSessionResult want = reference_router.RunOne(far);
+  ASSERT_TRUE(got.result.status.ok()) << got.result.status.ToString();
+  EXPECT_EQ(got.result.checksum, want.result.checksum);
+  EXPECT_EQ(got.result.objects_delivered, want.result.objects_delivered);
+  EXPECT_EQ(got.result.frames_completed, want.result.frames_completed);
+  EXPECT_EQ(got.frames_partial, 0u);
+  EXPECT_GE(got.shard_frames_pruned, static_cast<uint64_t>(far.frames));
+  for (int s = 0; s < 4; ++s) {
+    EXPECT_EQ(got.shard_skips[s].pages_skipped(), 0u) << "shard " << s;
+  }
   bad.pool->set_source(bad.file);  // Restore before teardown.
+}
+
+TEST(ShardFaultTest, HalfOpenShardIsReadOnItsProbeFrameDespiteThePrunes) {
+  // A half-open breaker closes only on probe verdicts, and only a shard
+  // the frame evaluates reports one. Every shard goes half-open, then one
+  // session confined to [5, 15]^2 runs: its NPDQ windows miss most shards'
+  // root bounds, and its kNN bound never reaches them. Each shard must
+  // still be read on its probe frames, so every breaker closes.
+  const std::vector<MotionSegment> data =
+      ShapedData(WorkloadShape::kUniform, 19, 800);
+  for (SessionKind kind : {SessionKind::kNpdq, SessionKind::kKnn}) {
+    const std::string label =
+        kind == SessionKind::kNpdq ? "npdq" : "knn";
+    ShardedEngineOptions opt;
+    opt.num_shards = 16;
+    opt.cache_nodes = 0;
+    opt.failure_domains = true;
+    opt.breaker.cooldown_frames = 0;
+    opt.breaker.probe_rate = 1.0;
+    opt.breaker.probe_successes_to_close = 2;
+    auto engine = ShardedEngine::Create(opt);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_TRUE((*engine)->InsertBatch(data).ok());
+    for (int s = 0; s < opt.num_shards; ++s) {
+      (*engine)->breaker(s)->ForceOpen("test");
+      (*engine)->breaker(s)->OnRepairComplete();
+      ASSERT_EQ((*engine)->breaker(s)->state(), BreakerState::kHalfOpen);
+    }
+
+    SessionSpec spec;
+    spec.kind = kind;
+    spec.seed = 5;
+    spec.frames = 6;
+    spec.region_lo = 5.0;
+    spec.region_hi = 15.0;
+    const ShardedSessionResult got = ShardRouter(engine->get()).RunOne(spec);
+    ASSERT_TRUE(got.result.status.ok()) << label;
+    for (int s = 0; s < opt.num_shards; ++s) {
+      EXPECT_EQ((*engine)->breaker(s)->state(), BreakerState::kClosed)
+          << label << " shard " << s;
+    }
+  }
 }
 
 TEST(ShardFaultTest, SlowReaderInOneShardKeepsResultsByteIdentical) {

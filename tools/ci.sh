@@ -261,24 +261,34 @@ done
 # built from the default engine options plus its flags. The durable pread
 # twin and the in-memory one must print the same session checksum and a
 # slowest-frame tree, and the pread run must remove its scratch directory.
+# kNN runs one bounded search at every shard count, so its sessions at 1
+# and 16 shards, on both backends, must all print one checksum.
 echo "==== [explain] dqmo_tool explain on both backends ===="
 ex_img="${st_dir}/explain.pgf"
 "${tool}" build "${ex_img}" --objects 300 --seed 7 > /dev/null
-for backend in pread memory; do
-  ex_args=(--kind=npdq --shards 4 --frames 8)
-  if [[ "${backend}" == memory ]]; then ex_args+=(--memory); fi
-  "${tool}" explain "${ex_img}" "${ex_args[@]}" \
-    > "${st_dir}/explain-${backend}.txt" ||
-    st_fail "explain (${backend}) exited non-zero" \
-      "${st_dir}/explain-${backend}.txt"
-  grep -q '^slowest frame' "${st_dir}/explain-${backend}.txt" ||
-    st_fail "explain (${backend}) printed no slowest frame" \
-      "${st_dir}/explain-${backend}.txt"
-done
-[[ "$(grep '^checksum :' "${st_dir}/explain-pread.txt")" == \
-   "$(grep '^checksum :' "${st_dir}/explain-memory.txt")" ]] ||
+explain_run() {  # $1: output name, then explain's flags.
+  local out="${st_dir}/explain-$1.txt"
+  shift
+  "${tool}" explain "${ex_img}" "$@" > "${out}" ||
+    st_fail "explain ($*) exited non-zero" "${out}"
+  grep -q '^slowest frame' "${out}" ||
+    st_fail "explain ($*) printed no slowest frame" "${out}"
+}
+explain_run npdq-pread --kind=npdq --shards 4 --frames 8
+explain_run npdq-memory --kind=npdq --shards 4 --frames 8 --memory
+[[ "$(grep '^checksum :' "${st_dir}/explain-npdq-pread.txt")" == \
+   "$(grep '^checksum :' "${st_dir}/explain-npdq-memory.txt")" ]] ||
   st_fail "explain checksums differ between pread and memory" \
-    "${st_dir}/explain-pread.txt" "${st_dir}/explain-memory.txt"
+    "${st_dir}/explain-npdq-pread.txt" "${st_dir}/explain-npdq-memory.txt"
+for shards in 1 16; do
+  explain_run "knn-${shards}-pread" --kind=knn --shards "${shards}" --frames 8
+  explain_run "knn-${shards}-memory" --kind=knn --shards "${shards}" \
+    --frames 8 --memory
+done
+[[ "$(grep -h '^checksum :' "${st_dir}"/explain-knn-*.txt | sort -u |
+      wc -l)" -eq 1 ]] ||
+  st_fail "explain kNN checksums differ across shard counts or backends" \
+    "${st_dir}"/explain-knn-*.txt
 if compgen -G "${ex_img}.explain-*" > /dev/null; then
   st_fail "explain left its scratch directory behind" /dev/null
 fi
