@@ -1,21 +1,31 @@
 // Ablation A15 — the zero-copy query hot path, dimension by dimension:
-// decoded-node cache {off, on} x node representation {AoS legacy, SoA} x
-// kernel tier {scalar, vector}. Every configuration answers the *same*
-// seeded PDQ sweep and kNN probe set; the per-config checksums must be
-// identical (the hot path's bit-identity contract), only the cost may move.
+// decoded-node cache {off, on} x kernel tier {scalar, vector}, against the
+// paper's naive snapshot search (RTree::RangeSearch over every frame
+// window: an AoS decode and a per-entry test, sharing no code with the SoA
+// path). Every hot-path configuration answers the *same* seeded PDQ sweep,
+// NPDQ window sweep and kNN probe set; their checksums must be identical
+// (the kernels' bit-identity contract), only the cost may move. The naive
+// row answers each frame window from scratch, so its answers and checksum
+// are its own.
 //
 // Reported metric: node-scan CPU as ns per pruned entry — wall time of the
 // query phase divided by the number of per-entry prune decisions
-// (QueryStats::distance_computations, which both paths count identically) —
-// plus node visits split into physical decodes and decoded-cache hits.
+// (QueryStats::distance_computations: one per entry of every loaded node,
+// the paper's CPU account) — plus node visits split into physical decodes
+// and decoded-cache hits.
+//
+// The speedup gate is same-run: after the table, one process alternates
+// the naive search and the full hot path (cache + SoA + auto SIMD)
+// kGatePasses times each and compares the minimum ns/entry of each.
 //
 // Env knobs, on top of the bench_common ones:
 //   DQMO_HOT_PATH_FRAMES=N    frames per PDQ trajectory (default 60)
-//   DQMO_CHECK_SPEEDUP=1      exit non-zero unless the full hot path
-//                             (cache+SoA+vector) beats legacy AoS by >= 2x
-//                             ns/entry on the PDQ sweep (the CI gate)
+//   DQMO_CHECK_SPEEDUP=1      exit non-zero unless the full hot path beats
+//                             the naive snapshot search by >= kGateSpeedup
+//                             ns/entry (the CI gate)
 #include <chrono>
 #include <cstring>
+#include <optional>
 
 #include "bench_common.h"
 #include "common/random.h"
@@ -45,12 +55,28 @@ void FoldDouble(uint64_t* h, double v) {
   FoldU64(h, bits);
 }
 
+/// Which search answers the workload.
+enum class Search {
+  kNaive,    // RTree::RangeSearch per frame window (no kNN counterpart).
+  kDynamic,  // PDQ + NPDQ per frame and the kNN probes, on the SoA path.
+};
+
 struct Config {
   const char* name;
-  HotPath path;
+  Search search;
   bool cache;
-  bool vector;  // SoA only: auto-dispatch (AVX2 when available) vs scalar.
+  bool vector;  // kDynamic only: auto-dispatch (AVX2 if available) or scalar.
 };
+
+/// Gate passes per side, alternated in one process; the gate compares the
+/// minimum of each side.
+constexpr int kGatePasses = 15;
+/// The gate's threshold on naive / full ns/entry. The gate it replaces
+/// required full >= 2x the deleted per-entry AoS copy of PDQ/NPDQ/kNN;
+/// that copy ran 1.66x the naive search's ns/entry (median of 31
+/// same-process alternations; EXPERIMENTS A15), so 2 / 1.66 trips at the
+/// same full-path cost.
+constexpr double kGateSpeedup = 1.20;
 
 struct RunCost {
   double wall_seconds = 0.0;
@@ -85,9 +111,10 @@ QueryTrajectory MakeTrajectory(Rng* rng) {
 /// kernels), the NPDQ window sweep re-scans overlapping subtrees every
 /// snapshot (classification kernel + repeat decodes, where the cache
 /// applies), and the kNN probes re-run full searches (distance kernels).
+/// The naive search instead runs one RangeSearch per frame window.
 /// Costs accumulate into *cost when non-null (warmup passes discard them).
 void RunWorkload(Workbench* bench, int trajectories, int frames,
-                 HotPath hot_path, RunCost* cost) {
+                 Search search, RunCost* cost) {
   QueryStats stats;
   uint64_t checksum = kFnvOffset;
   uint64_t objects = 0;
@@ -95,15 +122,34 @@ void RunWorkload(Workbench* bench, int trajectories, int frames,
   Rng rng(2002);
   for (int q = 0; q < trajectories; ++q) {
     const QueryTrajectory trajectory = MakeTrajectory(&rng);
-    PredictiveDynamicQuery::Options opt;
-    opt.hot_path = hot_path;
-    auto pdq = PredictiveDynamicQuery::Make(bench->tree(), trajectory, opt);
-    DQMO_CHECK(pdq.ok());
-    NpdqOptions nopt;
-    nopt.hot_path = hot_path;
-    NonPredictiveDynamicQuery npdq(bench->tree(), nopt);
     const Interval span = trajectory.TimeSpan();
     const double dt = span.length() / frames;
+    if (search == Search::kNaive) {
+      double prev = span.lo;
+      for (int i = 1; i <= frames; ++i) {
+        const double t = span.lo + i * dt;
+        auto snapshot =
+            bench->tree()->RangeSearch(trajectory.FrameQuery(prev, t), &stats);
+        DQMO_CHECK(snapshot.ok());
+        for (const MotionSegment& m : *snapshot) {
+          FoldU64(&checksum, m.oid);
+          FoldDouble(&checksum, m.seg.time.lo);
+          ++objects;
+        }
+        prev = t;
+      }
+      // Draw the kNN probes too, so every trajectory matches the dynamic
+      // workload's.
+      for (int p = 0; p < 10; ++p) {
+        rng.Uniform(5, 95);
+        rng.Uniform(5, 95);
+        rng.Uniform(10, 90);
+      }
+      continue;
+    }
+    auto pdq = PredictiveDynamicQuery::Make(bench->tree(), trajectory);
+    DQMO_CHECK(pdq.ok());
+    NonPredictiveDynamicQuery npdq(bench->tree(), NpdqOptions());
     double prev = span.lo;
     for (int i = 1; i <= frames; ++i) {
       const double t = span.lo + i * dt;
@@ -127,12 +173,10 @@ void RunWorkload(Workbench* bench, int trajectories, int frames,
     stats += (*pdq)->stats();
     stats += npdq.stats();
 
-    KnnOptions kopt;
-    kopt.hot_path = hot_path;
     for (int p = 0; p < 10; ++p) {
       const Vec point(rng.Uniform(5, 95), rng.Uniform(5, 95));
       auto neighbors = KnnAt(*bench->tree(), point, rng.Uniform(10, 90), 10,
-                             &stats, kopt);
+                             &stats);
       DQMO_CHECK(neighbors.ok());
       for (const Neighbor& n : *neighbors) {
         FoldU64(&checksum, n.motion.oid);
@@ -161,49 +205,49 @@ int main(int argc, char** argv) {
   const int frames =
       static_cast<int>(GetEnvInt("DQMO_HOT_PATH_FRAMES", 60));
   PrintPreamble("Ablation A15",
-                "zero-copy hot path: decoded-node cache x SoA kernels x "
-                "SIMD tier (same queries, identical checksums required)",
+                "zero-copy hot path: decoded-node cache x SIMD tier vs "
+                "the naive snapshot search (hot-path checksums must agree)",
                 trajectories);
   std::printf("# SIMD auto-dispatch level: %s "
               "(DQMO_DISABLE_SIMD=1 forces scalar)\n",
               SimdLevelName(ActiveSimdLevel()));
 
   const Config configs[] = {
-      {"legacy AoS (pre-optimization)", HotPath::kLegacyAos, false, false},
-      {"SoA kernels, scalar", HotPath::kSoa, false, false},
-      {"SoA kernels, vector", HotPath::kSoa, false, true},
-      {"SoA kernels, scalar + cache", HotPath::kSoa, true, false},
-      {"SoA kernels, vector + cache", HotPath::kSoa, true, true},
+      {"naive snapshot search (RangeSearch)", Search::kNaive, false, false},
+      {"SoA kernels, scalar", Search::kDynamic, false, false},
+      {"SoA kernels, vector", Search::kDynamic, false, true},
+      {"SoA kernels, scalar + cache", Search::kDynamic, true, false},
+      {"SoA kernels, vector + cache", Search::kDynamic, true, true},
   };
 
   Table table({"configuration", "ns/entry", "entries", "node visits",
-               "(reads + cache hits)", "speedup vs AoS", "checksum"});
+               "(reads + cache hits)", "speedup vs naive", "checksum"});
   BenchJsonWriter json("abl_hot_path");
-  double baseline_ns = 0.0;
-  double best_ns = 0.0;
-  uint64_t baseline_checksum = 0;
+  double naive_ns = 0.0;
+  std::optional<uint64_t> hot_checksum;
   bool checksums_agree = true;
   for (const Config& config : configs) {
-    ForceSimdLevel(config.path == HotPath::kSoa && !config.vector
+    const bool naive = config.search == Search::kNaive;
+    ForceSimdLevel(!naive && !config.vector
                        ? std::optional<SimdLevel>(SimdLevel::kScalar)
                        : std::nullopt);
     DecodedNodeCache cache(4096);
     if (config.cache) bench->tree()->AttachNodeCache(&cache);
     // Warmup: populates the decoded cache and faults in the page cache so
     // the timed pass measures node-scan CPU, not first-touch costs.
-    RunWorkload(bench.get(), std::min(trajectories, 3), frames, config.path,
+    RunWorkload(bench.get(), std::min(trajectories, 3), frames, config.search,
                 nullptr);
     RunCost cost;
-    RunWorkload(bench.get(), trajectories, frames, config.path, &cost);
+    RunWorkload(bench.get(), trajectories, frames, config.search, &cost);
     bench->tree()->AttachNodeCache(nullptr);
     ForceSimdLevel(std::nullopt);
 
-    if (baseline_ns == 0.0) {
-      baseline_ns = cost.ns_per_entry();
-      baseline_checksum = cost.checksum;
+    if (naive) {
+      naive_ns = cost.ns_per_entry();
+    } else {
+      if (!hot_checksum.has_value()) hot_checksum = cost.checksum;
+      checksums_agree = checksums_agree && cost.checksum == *hot_checksum;
     }
-    best_ns = cost.ns_per_entry();  // Last config = full hot path.
-    checksums_agree = checksums_agree && cost.checksum == baseline_checksum;
     char checksum_hex[32];
     std::snprintf(checksum_hex, sizeof(checksum_hex), "%016llx",
                   static_cast<unsigned long long>(cost.checksum));
@@ -215,13 +259,13 @@ int main(int argc, char** argv) {
         {config.name, Fmt(cost.ns_per_entry(), 1),
          std::to_string(cost.entries),
          std::to_string(cost.node_reads + cost.decoded_hits), visit_split,
-         Fmt(baseline_ns / std::max(cost.ns_per_entry(), 1e-12), 2) + "x",
+         Fmt(naive_ns / std::max(cost.ns_per_entry(), 1e-12), 2) + "x",
          checksum_hex});
     json.AddRow()
         .Str("config", config.name)
-        .Str("path", config.path == HotPath::kSoa ? "soa" : "aos")
+        .Str("path", naive ? "naive" : "soa")
         .Int("cache", config.cache ? 1 : 0)
-        .Str("simd", config.path != HotPath::kSoa ? "n/a"
+        .Str("simd", naive           ? "n/a"
                      : config.vector ? SimdLevelName(ActiveSimdLevel())
                                      : "scalar")
         .Num("wall_seconds", cost.wall_seconds)
@@ -234,16 +278,37 @@ int main(int argc, char** argv) {
   }
   table.Print();
   json.Write();
+  DQMO_CHECK(checksums_agree);  // Bit-identity across the hot-path rows.
 
-  DQMO_CHECK(checksums_agree);  // Bit-identity across every configuration.
-  const double speedup = best_ns > 0.0 ? baseline_ns / best_ns : 0.0;
-  std::printf("full hot path vs legacy AoS: %sx ns/entry\n",
-              Fmt(speedup, 2).c_str());
-  if (GetEnvInt("DQMO_CHECK_SPEEDUP", 0) != 0 && speedup < 2.0) {
+  // The gate: the naive search and the full hot path, alternated in this
+  // process so host noise meets both sides alike; the fastest pass of each.
+  DecodedNodeCache cache(4096);
+  bench->tree()->AttachNodeCache(&cache);
+  RunWorkload(bench.get(), std::min(trajectories, 3), frames,
+              Search::kDynamic, nullptr);
+  double naive_min = 0.0;
+  double full_min = 0.0;
+  for (int pass = 0; pass < kGatePasses; ++pass) {
+    RunCost naive;
+    RunCost full;
+    RunWorkload(bench.get(), trajectories, frames, Search::kNaive, &naive);
+    RunWorkload(bench.get(), trajectories, frames, Search::kDynamic, &full);
+    naive_min = pass == 0 ? naive.ns_per_entry()
+                          : std::min(naive_min, naive.ns_per_entry());
+    full_min = pass == 0 ? full.ns_per_entry()
+                         : std::min(full_min, full.ns_per_entry());
+  }
+  bench->tree()->AttachNodeCache(nullptr);
+  const double speedup = full_min > 0.0 ? naive_min / full_min : 0.0;
+  std::printf("full hot path vs naive snapshot search: %sx ns/entry "
+              "(min of %d alternating passes: %s vs %s)\n",
+              Fmt(speedup, 2).c_str(), kGatePasses, Fmt(naive_min, 1).c_str(),
+              Fmt(full_min, 1).c_str());
+  if (GetEnvInt("DQMO_CHECK_SPEEDUP", 0) != 0 && speedup < kGateSpeedup) {
     std::fprintf(stderr,
-                 "FAIL: hot-path speedup %.2fx below the 2x acceptance "
+                 "FAIL: hot-path speedup %.2fx below the %.2fx acceptance "
                  "threshold\n",
-                 speedup);
+                 speedup, kGateSpeedup);
     return 1;
   }
   return 0;

@@ -203,7 +203,7 @@ bool PinSimdTier(benchmark::State& state) {
 
 /// Decode of a full leaf page into reused SoA columns — the per-visit cost
 /// the decoded-node cache amortizes (compare BM_NodeDeserializeLeaf, the
-/// AoS decode the legacy path pays instead).
+/// AoS decode RangeSearch and the write path pay instead).
 void BM_SoaDecodeLeaf(benchmark::State& state) {
   Rng rng(8);
   const Node node = RandomLeafNode(&rng);

@@ -35,7 +35,7 @@ SimdLevel DetectSimdLevel() {
 //   Le mirrors. Intersecting with the canonical empty interval sets
 //   lo=+inf / hi=-inf, which max/min then keep forever (empty is
 //   absorbing: lo only grows, hi only shrinks) — this is why dropping the
-//   legacy loop's early exit cannot change which intervals end up
+//   scalar OverlapTimes's early exit cannot change which intervals end up
 //   non-empty, and TimeSet::Add ignores the empty ones.
 
 inline void IntersectGe(double a, double b, double* lo, double* hi) {
@@ -79,7 +79,8 @@ void OverlapBoxOne(const TrajectoryCoeffs& tc, const SoaNode& node, int k,
   const double rt_hi = node.end_hi[k];
   for (const TrajectoryCoeffs::Seg& s : tc.segs) {
     // sol = s.time ∩ r.time (a temporally disjoint segment yields an empty
-    // sol here, so the legacy Overlaps pre-check needs no replica).
+    // sol here, so the scalar OverlapTimes's Overlaps pre-check needs no
+    // replica).
     double lo = std::max(s.time.lo, rt_lo);
     double hi = std::min(s.time.hi, rt_hi);
     for (int i = 0; i < tc.dims; ++i) {

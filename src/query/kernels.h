@@ -9,11 +9,12 @@
 // results, instead of re-deriving geometry entry by entry through AoS
 // structs.
 //
-// Bit-identity contract: every kernel reproduces the legacy per-entry
-// scalar code (Trajectory::OverlapTimes, npdq.cc's Discardable,
-// Box::MinDistance / StSegment::DistanceAt) operation-for-operation — same
-// IEEE ops in the same order, division kept as division, no FMA
-// contraction — so batch results are bit-identical to the AoS path. The
+// Bit-identity contract: every kernel reproduces the scalar per-entry
+// predicate it batches (QueryTrajectory::OverlapTimes, npdq.cc's
+// Discardable, StSegment::Intersects, Box::MinDistance /
+// StSegment::DistanceAt) operation-for-operation — same IEEE ops in the
+// same order, division kept as division, no FMA contraction — so batch
+// results are bit-identical to that predicate applied entry by entry. The
 // AVX2 variants emulate std::min/std::max with compare+blend (NOT
 // vminpd/vmaxpd, which differ on signed zeros) and are therefore also
 // bit-identical; tests/kernels_test.cc enforces all of this property-style.
@@ -115,13 +116,13 @@ void NpdqClassifyBatch(const StBox* p, const StBox& q,
 /// signs) vs bounding-box semantics (dispatches scalar/AVX2). `out` is
 /// resized to node.count.
 ///
-/// Bounding-box bit-identity note: the legacy test is
+/// Bounding-box bit-identity note: the scalar test is
 /// QuantizeOutward(m.Bounds()).Overlaps(box), but leaf columns hold
 /// float32 page values widened to double, and outward float quantization
 /// is the identity on float-representable doubles (the cast is exact, so
 /// neither bound moves). The kernel therefore tests Bounds() overlap
 /// directly from the columns; tests/kernels_test.cc verifies the
-/// equivalence against the quantizing legacy code property-style.
+/// equivalence against the quantizing scalar test property-style.
 void NpdqLeafMatchBatch(const StBox* p, const StBox& q, bool exact,
                         const SoaNode& node, std::vector<uint8_t>* out);
 

@@ -69,7 +69,6 @@ Result<std::vector<Neighbor>> KnnAt(const RTree& tree, const Vec& point,
   std::vector<double> dist_scratch;
   std::vector<uint8_t> alive_scratch;
   NodeVisitor visitor(&tree, &options, options.skip_report, stats);
-  const bool soa = options.hot_path == HotPath::kSoa;
 
   Tracer::SpanScope heap_span(SpanKind::kHeapOp);
   PeekHeap<HeapEntry, std::greater<>> heap;
@@ -94,60 +93,33 @@ Result<std::vector<Neighbor>> KnnAt(const RTree& tree, const Vec& point,
     // Declare the heap's nearest node pages before the (synchronous) scan
     // of this one: the speculative reads land while it is scanned.
     visitor.HintHeapFront(heap);
-    if (soa) {
-      DQMO_ASSIGN_OR_RETURN(std::shared_ptr<const SoaNode> node,
-                            visitor.Load(top.page, top.bounds));
-      if (node == nullptr) continue;  // Subtree skipped.
-      // Legacy charges one distance computation per entry before the alive
-      // filter; the kernels evaluate exactly those entries. `best` cannot
-      // change during one node scan (only object pops change it), so the
-      // bound is loop-invariant here exactly as in the legacy loop.
-      stats->distance_computations.fetch_add(
-          static_cast<uint64_t>(node->count), std::memory_order_relaxed);
-      const double bound = worst_bound();
-      if (node->is_leaf()) {
-        KnnLeafDistanceBatch(*node, t, point, &dist_scratch, &alive_scratch);
-        for (int i = 0; i < node->count; ++i) {
-          if (alive_scratch[static_cast<size_t>(i)] == 0) continue;
-          const double d = dist_scratch[static_cast<size_t>(i)];
-          if (d > bound) continue;
-          heap.push(
-              HeapEntry{d, true, kInvalidPageId, StBox(), node->SegmentAt(i)});
-        }
-      } else {
-        KnnEntryDistanceBatch(*node, t, point, &dist_scratch,
-                              &alive_scratch);
-        for (int i = 0; i < node->count; ++i) {
-          if (alive_scratch[static_cast<size_t>(i)] == 0) continue;
-          const double d = dist_scratch[static_cast<size_t>(i)];
-          if (d > bound) continue;
-          heap.push(HeapEntry{d, false,
-                              node->child[static_cast<size_t>(i)],
-                              node->EntryBoundsAt(i),
-                              {}});
-        }
-      }
-      continue;
-    }
-    DQMO_ASSIGN_OR_RETURN(std::optional<Node> maybe_node,
-                          visitor.LoadAos(top.page, top.bounds));
-    if (!maybe_node.has_value()) continue;  // Subtree skipped.
-    const Node& node = *maybe_node;
-    if (node.is_leaf()) {
-      for (const MotionSegment& m : node.segments) {
-        ++stats->distance_computations;
-        if (!m.seg.time.Contains(t)) continue;  // Not alive at t.
-        const double d = m.seg.DistanceAt(t, point);
-        if (d > worst_bound()) continue;
-        heap.push(HeapEntry{d, true, kInvalidPageId, StBox(), m});
+    DQMO_ASSIGN_OR_RETURN(std::shared_ptr<const SoaNode> node,
+                          visitor.Load(top.page, top.bounds));
+    if (node == nullptr) continue;  // Subtree skipped.
+    // The paper charges one distance computation per entry of a loaded
+    // node (Sect. 5), counted before the alive filter. `best` cannot change
+    // during one node scan (only object pops change it), so the bound is
+    // loop-invariant.
+    stats->distance_computations.fetch_add(
+        static_cast<uint64_t>(node->count), std::memory_order_relaxed);
+    const double bound = worst_bound();
+    if (node->is_leaf()) {
+      KnnLeafDistanceBatch(*node, t, point, &dist_scratch, &alive_scratch);
+      for (int i = 0; i < node->count; ++i) {
+        if (alive_scratch[static_cast<size_t>(i)] == 0) continue;
+        const double d = dist_scratch[static_cast<size_t>(i)];
+        if (d > bound) continue;
+        heap.push(
+            HeapEntry{d, true, kInvalidPageId, StBox(), node->SegmentAt(i)});
       }
     } else {
-      for (const ChildEntry& e : node.children) {
-        ++stats->distance_computations;
-        if (!e.bounds.time.Contains(t)) continue;
-        const double d = e.bounds.spatial.MinDistance(point);
-        if (d > worst_bound()) continue;
-        heap.push(HeapEntry{d, false, e.child, e.bounds, {}});
+      KnnEntryDistanceBatch(*node, t, point, &dist_scratch, &alive_scratch);
+      for (int i = 0; i < node->count; ++i) {
+        if (alive_scratch[static_cast<size_t>(i)] == 0) continue;
+        const double d = dist_scratch[static_cast<size_t>(i)];
+        if (d > bound) continue;
+        heap.push(HeapEntry{d, false, node->child[static_cast<size_t>(i)],
+                            node->EntryBoundsAt(i), {}});
       }
     }
   }

@@ -86,9 +86,6 @@ void NonPredictiveDynamicQuery::NoteSkippedSnapshot(const StBox& q) {
 Status NonPredictiveDynamicQuery::Visit(PageId pid, const StBox& entry_bounds,
                                         const StBox& q, int depth,
                                         std::vector<MotionSegment>* out) {
-  if (options_.hot_path == HotPath::kLegacyAos) {
-    return VisitLegacy(pid, entry_bounds, q, depth, out);
-  }
   // Out of budget: prune, finish degraded.
   if (!visitor_.Charge(pid, entry_bounds)) return Status::OK();
   DQMO_ASSIGN_OR_RETURN(std::shared_ptr<const SoaNode> node,
@@ -99,7 +96,8 @@ Status NonPredictiveDynamicQuery::Visit(PageId pid, const StBox& entry_bounds,
   // may use P beneath it (Sect. 4.2, Update Management).
   const bool p_usable = prev_.has_value() && options_.use_previous &&
                         node->stamp <= prev_stamp_;
-  // The legacy loops charge one distance computation per entry up front.
+  // The paper charges one distance computation per entry of a loaded node
+  // (Sect. 5), counted before any entry is tested.
   stats_.distance_computations.fetch_add(static_cast<uint64_t>(node->count),
                                          std::memory_order_relaxed);
   if (node->is_leaf()) {
@@ -162,71 +160,6 @@ Status NonPredictiveDynamicQuery::Visit(PageId pid, const StBox& entry_bounds,
     }
     DQMO_RETURN_IF_ERROR(Visit(node->child[static_cast<size_t>(k)],
                                node->EntryBoundsAt(k), q, depth + 1, out));
-  }
-  return Status::OK();
-}
-
-Status NonPredictiveDynamicQuery::VisitLegacy(
-    PageId pid, const StBox& entry_bounds, const StBox& q, int depth,
-    std::vector<MotionSegment>* out) {
-  // Out of budget: prune, finish degraded.
-  if (!visitor_.Charge(pid, entry_bounds)) return Status::OK();
-  DQMO_ASSIGN_OR_RETURN(std::optional<Node> maybe_node,
-                        visitor_.LoadAos(pid, entry_bounds));
-  if (!maybe_node.has_value()) return Status::OK();  // Subtree skipped.
-  const Node& node = *maybe_node;
-  // A node stamped after the previous query ran may contain motions
-  // inserted since then; neither discardability nor the returned-by-P skip
-  // may use P beneath it (Sect. 4.2, Update Management).
-  const bool p_usable = prev_.has_value() && options_.use_previous &&
-                        node.stamp <= prev_stamp_;
-  if (node.is_leaf()) {
-    const bool exact = options_.leaf_semantics == LeafSemantics::kExact;
-    for (const MotionSegment& m : node.segments) {
-      ++stats_.distance_computations;
-      const bool in_q = exact
-                            ? m.seg.Intersects(q)
-                            : QuantizeOutward(m.Bounds()).Overlaps(q);
-      if (!in_q) continue;
-      if (p_usable) {
-        const bool in_p = exact
-                              ? m.seg.Intersects(*prev_)
-                              : QuantizeOutward(m.Bounds()).Overlaps(*prev_);
-        if (in_p) continue;  // Already retrieved by the previous snapshot.
-      }
-      out->push_back(m);
-      ++stats_.objects_returned;
-    }
-    return Status::OK();
-  }
-  if (options_.prefetcher != nullptr) {
-    // Pre-pass mirror of the loop below, stats-free: collect the surviving
-    // siblings beyond the first and hint them before any recursion. The
-    // duplicate Overlaps/Discardable work only runs with a prefetcher
-    // attached, keeping the bare legacy path untouched.
-    hint_scratch_.clear();
-    bool first = true;
-    for (const ChildEntry& e : node.children) {
-      if (!e.bounds.Overlaps(q)) continue;
-      if (p_usable && Discardable(*prev_, q, e, options_.spatial_pruning)) {
-        continue;
-      }
-      if (first) {
-        first = false;
-        continue;
-      }
-      hint_scratch_.push_back(e.child);
-    }
-    visitor_.Hint(hint_scratch_);
-  }
-  for (const ChildEntry& e : node.children) {
-    ++stats_.distance_computations;
-    if (!e.bounds.Overlaps(q)) continue;
-    if (p_usable && Discardable(*prev_, q, e, options_.spatial_pruning)) {
-      ++stats_.nodes_discarded;
-      continue;
-    }
-    DQMO_RETURN_IF_ERROR(VisitLegacy(e.child, e.bounds, q, depth + 1, out));
   }
   return Status::OK();
 }

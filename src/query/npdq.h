@@ -88,8 +88,9 @@ struct NpdqOptions : TraversalOptions {
 };
 
 /// True iff subtree entry `r` is discardable for current query `q` given
-/// previous query `p` (Lemma 1 under double temporal axes). Exposed for
-/// tests and the discardability ablation.
+/// previous query `p` (Lemma 1 under double temporal axes). The scalar
+/// reference for NpdqClassifyBatch (query/kernels.h); kernels_test
+/// compares the two entry by entry.
 bool Discardable(const StBox& p, const StBox& q, const ChildEntry& r,
                  SpatialPruning pruning);
 
@@ -135,8 +136,6 @@ class NonPredictiveDynamicQuery {
  private:
   Status Visit(PageId pid, const StBox& entry_bounds, const StBox& q,
                int depth, std::vector<MotionSegment>* out);
-  Status VisitLegacy(PageId pid, const StBox& entry_bounds, const StBox& q,
-                     int depth, std::vector<MotionSegment>* out);
 
   RTree* tree_;
   NpdqOptions options_;

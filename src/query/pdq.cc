@@ -120,16 +120,13 @@ bool PredictiveDynamicQuery::IsDuplicate(const Item& item) {
 
 Status PredictiveDynamicQuery::Explore(const Item& node_item,
                                        double t_start) {
-  if (options_.hot_path == HotPath::kLegacyAos) {
-    return ExploreLegacy(node_item, t_start);
-  }
   DQMO_ASSIGN_OR_RETURN(std::shared_ptr<const SoaNode> node,
                         visitor_.Load(node_item.page, node_item.bounds));
   if (node == nullptr) return Status::OK();  // Subtree skipped.
   Tracer::SpanScope prune_span(SpanKind::kKernelPrune,
                                static_cast<uint64_t>(node->count));
-  // The legacy loop charges one distance computation per entry before the
-  // empty-times filter; the batch kernels evaluate exactly those entries.
+  // The paper charges one distance computation per entry of a loaded node
+  // (Sect. 5), counted before the empty-times filter.
   stats_.distance_computations.fetch_add(static_cast<uint64_t>(node->count),
                                          std::memory_order_relaxed);
   if (node->is_leaf()) {
@@ -146,30 +143,6 @@ Status PredictiveDynamicQuery::Explore(const Item& node_item,
       if (times.empty()) continue;
       PushNodeItem(node->child[static_cast<size_t>(k)],
                    node->EntryBoundsAt(k), std::move(times), t_start);
-    }
-  }
-  return Status::OK();
-}
-
-Status PredictiveDynamicQuery::ExploreLegacy(const Item& node_item,
-                                             double t_start) {
-  DQMO_ASSIGN_OR_RETURN(std::optional<Node> maybe_node,
-                        visitor_.LoadAos(node_item.page, node_item.bounds));
-  if (!maybe_node.has_value()) return Status::OK();  // Subtree skipped.
-  const Node& node = *maybe_node;
-  if (node.is_leaf()) {
-    for (const MotionSegment& m : node.segments) {
-      ++stats_.distance_computations;
-      TimeSet times = trajectory_.OverlapTimes(m.seg);
-      if (times.empty()) continue;
-      PushObjectItem(m, std::move(times), t_start);
-    }
-  } else {
-    for (const ChildEntry& e : node.children) {
-      ++stats_.distance_computations;
-      TimeSet times = trajectory_.OverlapTimes(e.bounds);
-      if (times.empty()) continue;
-      PushNodeItem(e.child, e.bounds, std::move(times), t_start);
     }
   }
   return Status::OK();

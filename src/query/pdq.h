@@ -136,7 +136,6 @@ class PredictiveDynamicQuery : public UpdateListener {
                       double not_before);
   void RebuildFromRoot();
   Status Explore(const Item& node_item, double t_start);
-  Status ExploreLegacy(const Item& node_item, double t_start);
 
   /// Identity of a popped item, recorded for duplicate elimination without
   /// copying the item's TimeSet/MotionSegment payload.

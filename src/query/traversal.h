@@ -1,18 +1,17 @@
 // The read contract every query engine shares. The paper's query processors
 // (PDQ, Sect. 4.1; NPDQ, Sect. 4.2; SPDQ; moving kNN; the PDQ <-> NPDQ
 // hand-off session) differ only in what they prune. They all read NSI
-// R-tree nodes the same way: through one page reader, under one fault
-// policy, on one hot path, charged to one budget, with their declared
-// future hinted to one prefetcher. TraversalOptions names those five
-// settings once; every engine's options struct inherits it and adds only
-// its own algorithm settings. NodeVisitor is the one node-visit step that
-// applies them.
+// R-tree nodes the same way, decoded to SoA form through the decoded-node
+// cache: through one page reader, under one fault policy, charged to one
+// budget, with their declared future hinted to one prefetcher.
+// TraversalOptions names those four settings once; every engine's options
+// struct inherits it and adds only its own algorithm settings. NodeVisitor
+// is the one node-visit step that applies them.
 #ifndef DQMO_QUERY_TRAVERSAL_H_
 #define DQMO_QUERY_TRAVERSAL_H_
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <queue>
 #include <vector>
 
@@ -20,7 +19,6 @@
 #include "geom/box.h"
 #include "query/budget.h"
 #include "rtree/fault_policy.h"
-#include "rtree/node.h"
 #include "rtree/node_soa.h"
 #include "rtree/rtree.h"
 #include "rtree/stats.h"
@@ -37,10 +35,6 @@ struct TraversalOptions {
   /// kSkipSubtree an unreadable subtree is skipped and recorded in the
   /// engine's SkipReport, and the answer is flagged kPartial.
   FaultPolicy fault_policy = FaultPolicy::kFailFast;
-  /// kSoa visits nodes through the decoded-node cache and the batch
-  /// kernels (query/kernels.h); kLegacyAos keeps the original per-entry
-  /// path. Results and counters are bit-identical either way.
-  HotPath hot_path = HotPath::kSoa;
   /// Per-frame work budget + cancellation (query/budget.h); not owned, may
   /// be null (unbudgeted: the bit-identical default). One charge per node
   /// visit; a refused charge skips the node, records it in the SkipReport,
@@ -100,12 +94,6 @@ class NodeVisitor {
                                               const StBox& bounds) {
     return tree_->LoadNodeSoaOrSkip(page, bounds, options_->fault_policy,
                                     skips_, stats_, options_->reader);
-  }
-
-  /// Load on the legacy AoS path (HotPath::kLegacyAos).
-  Result<std::optional<Node>> LoadAos(PageId page, const StBox& bounds) {
-    return tree_->LoadNodeOrSkip(page, bounds, options_->fault_policy,
-                                 skips_, stats_, options_->reader);
   }
 
   /// Issues `pages` (most imminent first) to the prefetcher, each

@@ -2,20 +2,21 @@
 // hot path.
 //
 // Node::DeserializeFrom materializes an AoS Node (vector<ChildEntry> /
-// vector<MotionSegment>) on every load; the per-entry prune loops of
-// PDQ/NPDQ/kNN then walk those structs one entry at a time. SoaNode decodes
-// the same page bytes once into contiguous per-column arrays (spatial lo/hi
-// per dimension, start/end-time extents, child ids — and, for leaves, the
-// segment endpoints), so batch-prune kernels (query/kernels.h) can sweep a
-// whole node with stride-1 loads and the decoded form can be cached across
-// visits (rtree/node_cache.h) without re-parsing the page.
+// vector<MotionSegment>) on every load, for loops that walk those structs
+// one entry at a time. SoaNode decodes the same page bytes once into
+// contiguous per-column arrays (spatial lo/hi per dimension, start/end-time
+// extents, child ids — and, for leaves, the segment endpoints), so
+// batch-prune kernels (query/kernels.h) can sweep a whole node with
+// stride-1 loads and the decoded form can be cached across visits
+// (rtree/node_cache.h) without re-parsing the page.
 //
 // Bit-compatibility contract: DecodeFrom reads exactly the bytes
 // Node::DeserializeFrom reads, widening the same float32 values to double,
 // and the materializers (ChildEntryAt / EntryBoundsAt / SegmentAt)
 // reconstruct values identical to the AoS decode — including the combined
-// time interval bounds.time = [ts_lo, te_hi]. Queries running over the SoA
-// path therefore deliver byte-identical results to the legacy AoS path.
+// time interval bounds.time = [ts_lo, te_hi]. Every query engine reads
+// nodes in this form; the AoS Node remains the write path's and the naive
+// snapshot search's (RTree::RangeSearch) representation.
 #ifndef DQMO_RTREE_NODE_SOA_H_
 #define DQMO_RTREE_NODE_SOA_H_
 
@@ -28,15 +29,6 @@
 #include "rtree/node.h"
 
 namespace dqmo {
-
-/// Which decoded-node representation a query traversal uses.
-enum class HotPath {
-  /// Structure-of-arrays decode + batch-prune kernels (the default).
-  kSoa,
-  /// The pre-existing per-entry AoS path (Node::DeserializeFrom); kept for
-  /// the abl_hot_path ablation and as the kernel-equivalence reference.
-  kLegacyAos,
-};
 
 /// One decoded node in structure-of-arrays form. Internal nodes populate
 /// the entry columns; leaves populate the segment columns. All float32 page

@@ -181,11 +181,6 @@ struct SessionSpec {
   /// every interleaving deliver identical results.
   double region_lo = 6.0;
   double region_hi = 94.0;
-  /// Query hot path for every engine the session drives (results and
-  /// QueryStats are bit-identical across paths; the determinism tests
-  /// assert exactly that).
-  HotPath hot_path = HotPath::kSoa;
-
   // --- Overload-resilience knobs (all defaults preserve the pre-budget
   // engine bit-for-bit: no budget is consulted, no frame is shed). ---
 

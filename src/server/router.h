@@ -116,6 +116,8 @@ struct ShardedSessionResult {
     int frame = 0;
     /// Fold of this frame's merged delivery alone (kFnvOffset-seeded).
     uint64_t merged_checksum = 0;
+    /// Keys of this frame's merged delivery, in delivery order.
+    std::vector<MotionSegment::Key> merged_keys;
     bool partial = false;
     /// Per-shard fold of the shard's own (pre-merge) delivery.
     std::vector<uint64_t> shard_checksums;

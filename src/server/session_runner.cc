@@ -262,12 +262,10 @@ struct BreakerFramePlane {
 // Per-kind evaluators.
 
 /// How every query kind reads a target.
-TraversalOptions TargetTraversal(const SessionSpec& spec,
-                                 const FrameTarget& target,
+TraversalOptions TargetTraversal(const FrameTarget& target,
                                  QueryBudget* budget) {
   TraversalOptions o;
   o.reader = target.reader;
-  o.hot_path = spec.hot_path;
   o.budget = budget;
   o.prefetcher = target.prefetcher;
   // A budgeted frame must degrade (skip + kPartial), not fail. So must a
@@ -315,6 +313,8 @@ class Evaluator {
   /// as it is evaluated); returns its size.
   virtual size_t Merge(uint64_t evaluated) = 0;
   virtual void Fold(uint64_t* h) = 0;
+  /// Keys of the merged answer, for FrameRecords.
+  virtual void MergedKeys(std::vector<MotionSegment::Key>* keys) const = 0;
   virtual void EndFrame(bool /*degraded*/) {}
   /// Fills the per-target cost (and lifetime skips, where kept).
   virtual void Finish(ShardedSessionResult* out) const = 0;
@@ -342,6 +342,10 @@ class StreamEvaluator : public Evaluator {
 
   void Fold(uint64_t* h) override { FoldKeySorted(h, merged_); }
 
+  void MergedKeys(std::vector<MotionSegment::Key>* keys) const override {
+    for (const MotionSegment& m : merged_) keys->push_back(m.key());
+  }
+
  protected:
   std::vector<std::vector<MotionSegment>> streams_;
   std::vector<MotionSegment> merged_;
@@ -357,8 +361,7 @@ class HandoffEvaluator : public StreamEvaluator {
                    QueryBudget* budget)
       : StreamEvaluator(targets.size()) {
     for (const FrameTarget& target : targets) {
-      DynamicQuerySession::Options sopt(
-          TargetTraversal(spec, target, budget));
+      DynamicQuerySession::Options sopt(TargetTraversal(target, budget));
       sopt.window = spec.window;
       base_horizon_ = sopt.prediction_horizon;
       sessions_.push_back(
@@ -456,7 +459,7 @@ class NpdqEvaluator : public StreamEvaluator {
         bounds_(targets.size()) {
     for (const FrameTarget& target : targets) {
       npdq_.push_back(std::make_unique<NonPredictiveDynamicQuery>(
-          target.tree, NpdqOptions(TargetTraversal(spec, target, budget))));
+          target.tree, NpdqOptions(TargetTraversal(target, budget))));
     }
   }
 
@@ -576,7 +579,7 @@ class KnnEvaluator : public Evaluator {
       out->evaluated = false;
       return Status::OK();
     }
-    KnnOptions kopt(TargetTraversal(spec_, targets_[s], budget_));
+    KnnOptions kopt(TargetTraversal(targets_[s], budget_));
     skips_[s].Reset();
     kopt.skip_report = &skips_[s];
     kopt.prune_bound = bound;
@@ -599,6 +602,10 @@ class KnnEvaluator : public Evaluator {
   size_t Merge(uint64_t /*evaluated*/) override { return top_.size(); }
 
   void Fold(uint64_t* h) override { FoldNeighbors(h, top_); }
+
+  void MergedKeys(std::vector<MotionSegment::Key>* keys) const override {
+    for (const Neighbor& n : top_) keys->push_back(n.motion.key());
+  }
 
   void Finish(ShardedSessionResult* out) const override {
     for (size_t s = 0; s < stats_.size(); ++s) out->shard_stats[s] = stats_[s];
@@ -739,6 +746,7 @@ ShardedSessionResult RunFrames(const SessionSpec& spec,
       rec.merged_checksum = kFnvOffset;
       FoldU64(&rec.merged_checksum, static_cast<uint64_t>(i));
       eval->Fold(&rec.merged_checksum);
+      eval->MergedKeys(&rec.merged_keys);
       rec.partial = partial;
       rec.shard_checksums = target_checksums;
       rec.shard_blocked = plane.blocked;

@@ -2,14 +2,16 @@
 // (rtree/node_soa.h), the decoded-node cache (rtree/node_cache.h), and the
 // batch-prune kernels (query/kernels.h).
 //
-// The hot path's contract is *bit-identity* with the legacy per-entry AoS
-// code, not approximate agreement: every kernel decision and every distance
-// must equal the value the pre-optimization loop would have computed, down
-// to the last ULP, on both the scalar and the AVX2 dispatch tier. These
-// tests enforce that property-style over seeded uniform and skewed random
-// nodes, then at the whole-query level (PDQ/NPDQ/kNN over both hot paths,
-// including identical QueryStats), and finally through the decoded-node
-// cache under interleaved inserts.
+// The hot path's contract is *bit-identity* with the scalar per-entry
+// predicates (QueryTrajectory::OverlapTimes, Discardable,
+// StSegment::Intersects, Box::MinDistance, StSegment::DistanceAt), not
+// approximate agreement: every kernel decision and every distance must
+// equal the value the predicate computes for that entry, down to the last
+// ULP, on both the scalar and the AVX2 dispatch tier. These tests enforce
+// that property-style over seeded uniform and skewed random nodes, then at
+// the whole-query level (PDQ/NPDQ/kNN answers and every QueryStats counter
+// pinned), and finally through the decoded-node cache under interleaved
+// inserts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,7 +36,11 @@
 namespace dqmo {
 namespace {
 
+using ::dqmo::testing::AccountOf;
+using ::dqmo::testing::FoldAnswer;
 using ::dqmo::testing::KeysOf;
+using ::dqmo::testing::kFoldSeed;
+using ::dqmo::testing::QueryAccount;
 using ::dqmo::testing::RandomQueryBox;
 using ::dqmo::testing::RandomSegment;
 using ::dqmo::testing::RandomSegments;
@@ -232,8 +238,8 @@ TEST(SoaDecodeTest, DecodeReusesColumnsWithoutStaleEntries) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel equivalence, scalar tier: each batch kernel against the legacy
-// per-entry computation it replaces.
+// Kernel equivalence, scalar tier: each batch kernel against the scalar
+// per-entry predicate it batches.
 
 TEST(KernelEquivalenceTest, PdqBoxBatchMatchesTrajectoryOverlapTimes) {
   ScopedSimdLevel force(SimdLevel::kScalar);
@@ -325,7 +331,7 @@ TEST(KernelEquivalenceTest, NpdqClassifyBatchMatchesDiscardable) {
 }
 
 TEST(KernelEquivalenceTest, NpdqLeafMatchBatchMatchesLegacyLeafTest) {
-  // The legacy leaf predicate — including its QuantizeOutward step, which
+  // The scalar leaf predicate — including its QuantizeOutward step, which
   // the kernel elides as the identity on float-widened columns — on both
   // semantics, with and without a usable previous snapshot, on every
   // dispatch tier the CPU offers.
@@ -591,72 +597,73 @@ TEST(DecodedNodeCacheTest, HeldPointerSurvivesEviction) {
 }
 
 // ---------------------------------------------------------------------------
-// Whole-query equivalence: legacy AoS vs SoA hot path, including QueryStats.
+// Whole-query accounting: PDQ, NPDQ and kNN over one fixed tree, with every
+// counter of the query's cost account and a checksum of its answers pinned.
+// The pins are the values a per-entry AoS loop produced on these fixtures
+// (one distance computation per entry of every loaded node), with the same
+// answers, so they hold the batch kernels to the paper's account.
 
-class HotPathEquivalenceTest : public ::testing::Test {
+class QueryAccountingTest : public ::testing::Test {
  protected:
   void SetUp() override {
     auto tree = RTree::Create(&file_, RTree::Options());
     ASSERT_TRUE(tree.ok()) << tree.status().ToString();
     tree_ = std::move(tree).value();
     Rng rng(4242);
-    data_ = RandomSegments(&rng, 500, 2, 100, 100);
-    for (const auto& m : data_) ASSERT_TRUE(tree_->Insert(m).ok());
-  }
-
-  static void ExpectStatsEqual(const QueryStats& a, const QueryStats& b) {
-    EXPECT_EQ(a.node_reads.load(), b.node_reads.load());
-    EXPECT_EQ(a.leaf_reads.load(), b.leaf_reads.load());
-    EXPECT_EQ(a.distance_computations.load(), b.distance_computations.load());
-    EXPECT_EQ(a.objects_returned.load(), b.objects_returned.load());
-    EXPECT_EQ(a.nodes_discarded.load(), b.nodes_discarded.load());
-    EXPECT_EQ(a.queue_pushes.load(), b.queue_pushes.load());
-    EXPECT_EQ(a.queue_pops.load(), b.queue_pops.load());
-    EXPECT_EQ(a.duplicates_skipped.load(), b.duplicates_skipped.load());
+    for (const auto& m : RandomSegments(&rng, 500, 2, 100, 100)) {
+      ASSERT_TRUE(tree_->Insert(m).ok());
+    }
   }
 
   PageFile file_;
   std::unique_ptr<RTree> tree_;
-  std::vector<MotionSegment> data_;
 };
 
-TEST_F(HotPathEquivalenceTest, PdqPathsDeliverIdenticalFramesAndStats) {
+TEST_F(QueryAccountingTest, PdqFramesAndStatsMatchPinnedCounts) {
   Rng rng(7);
   const QueryTrajectory traj = WalkTrajectory(&rng, 10, 50, 8, 10.0);
-  PredictiveDynamicQuery::Options soa_opt, aos_opt;
-  soa_opt.hot_path = HotPath::kSoa;
-  aos_opt.hot_path = HotPath::kLegacyAos;
-  auto soa = PredictiveDynamicQuery::Make(tree_.get(), traj, soa_opt);
-  auto aos = PredictiveDynamicQuery::Make(tree_.get(), traj, aos_opt);
-  ASSERT_TRUE(soa.ok() && aos.ok());
+  auto pdq = PredictiveDynamicQuery::Make(tree_.get(), traj);
+  ASSERT_TRUE(pdq.ok());
+  uint64_t checksum = kFoldSeed;
   double prev = 10;
   for (int i = 1; i <= 40; ++i) {
     const double t = 10 + i * 1.0;
-    auto fs = (*soa)->Frame(prev, t);
-    auto fa = (*aos)->Frame(prev, t);
-    ASSERT_TRUE(fs.ok() && fa.ok());
-    ASSERT_EQ(fs->size(), fa->size()) << "frame " << i;
-    for (size_t j = 0; j < fs->size(); ++j) {
-      EXPECT_EQ((*fs)[j].motion.key(), (*fa)[j].motion.key());
-      EXPECT_EQ((*fs)[j].visible_times, (*fa)[j].visible_times);
+    auto frame = (*pdq)->Frame(prev, t);
+    ASSERT_TRUE(frame.ok());
+    FoldAnswer(&checksum, static_cast<uint64_t>(frame->size()));
+    for (const PdqResult& r : *frame) {
+      FoldAnswer(&checksum, static_cast<uint64_t>(r.motion.oid));
+      FoldAnswer(&checksum, r.motion.seg.time.lo);
+      for (const Interval& iv : r.visible_times.intervals()) {
+        FoldAnswer(&checksum, iv.lo);
+        FoldAnswer(&checksum, iv.hi);
+      }
     }
     prev = t;
   }
-  ExpectStatsEqual((*soa)->stats(), (*aos)->stats());
+  EXPECT_EQ(AccountOf((*pdq)->stats(), checksum),
+            (QueryAccount{4, 3, 308, 16, 0, 20, 20, 0,
+                          0xec9afd9cbf92514ULL}));
 }
 
-TEST_F(HotPathEquivalenceTest, NpdqPathsDeliverIdenticalSequencesAndStats) {
+TEST_F(QueryAccountingTest, NpdqSequencesAndStatsMatchPinnedCounts) {
+  // {pruning, leaf semantics} -> account, in loop order.
+  const QueryAccount pinned[] = {
+      {62, 32, 3976, 54, 0, 0, 0, 0, 0x29eaa2f43ed89847ULL},
+      {62, 32, 3976, 33, 0, 0, 0, 0, 0x97e6e234e03f498fULL},
+      {62, 32, 3976, 54, 0, 0, 0, 0, 0x29eaa2f43ed89847ULL},
+      {62, 32, 3976, 33, 0, 0, 0, 0, 0x97e6e234e03f498fULL},
+  };
+  int row = 0;
   for (SpatialPruning pruning : {SpatialPruning::kIntersectionContained,
                                  SpatialPruning::kNodeContained}) {
     for (LeafSemantics leaf : {LeafSemantics::kBoundingBox,
                                LeafSemantics::kExact}) {
-      NpdqOptions so, ao;
-      so.hot_path = HotPath::kSoa;
-      ao.hot_path = HotPath::kLegacyAos;
-      so.spatial_pruning = ao.spatial_pruning = pruning;
-      so.leaf_semantics = ao.leaf_semantics = leaf;
-      NonPredictiveDynamicQuery soa(tree_.get(), so);
-      NonPredictiveDynamicQuery aos(tree_.get(), ao);
+      NpdqOptions options;
+      options.spatial_pruning = pruning;
+      options.leaf_semantics = leaf;
+      NonPredictiveDynamicQuery npdq(tree_.get(), options);
+      uint64_t checksum = kFoldSeed;
       Rng rng(11);
       Vec pos(50, 50);
       for (int i = 1; i <= 30; ++i) {
@@ -664,37 +671,43 @@ TEST_F(HotPathEquivalenceTest, NpdqPathsDeliverIdenticalSequencesAndStats) {
                   std::clamp(pos[1] + rng.Uniform(-5, 5), 10.0, 90.0));
         const StBox q(Box::Centered(pos, 12.0),
                       Interval(10 + i * 0.8, 10 + (i + 1) * 0.8));
-        auto rs = soa.Execute(q);
-        auto ra = aos.Execute(q);
-        ASSERT_TRUE(rs.ok() && ra.ok());
-        EXPECT_EQ(KeysOf(*rs), KeysOf(*ra)) << "snapshot " << i;
+        auto fresh = npdq.Execute(q);
+        ASSERT_TRUE(fresh.ok());
+        const std::set<MotionSegment::Key> keys = KeysOf(*fresh);
+        FoldAnswer(&checksum, static_cast<uint64_t>(keys.size()));
+        for (const MotionSegment::Key& key : keys) {
+          FoldAnswer(&checksum, static_cast<uint64_t>(key.oid));
+          FoldAnswer(&checksum, key.t_start);
+        }
       }
-      ExpectStatsEqual(soa.stats(), aos.stats());
+      EXPECT_EQ(AccountOf(npdq.stats(), checksum), pinned[row])
+          << "pruning " << static_cast<int>(pruning) << ", leaf "
+          << static_cast<int>(leaf);
+      ++row;
     }
   }
 }
 
-TEST_F(HotPathEquivalenceTest, KnnPathsDeliverIdenticalNeighborsAndStats) {
+TEST_F(QueryAccountingTest, KnnNeighborsAndStatsMatchPinnedCounts) {
   Rng rng(13);
-  QueryStats soa_stats, aos_stats;
-  KnnOptions so, ao;
-  so.hot_path = HotPath::kSoa;
-  ao.hot_path = HotPath::kLegacyAos;
+  QueryStats stats;
+  uint64_t checksum = kFoldSeed;
   for (int i = 0; i < 25; ++i) {
     const Vec point(rng.Uniform(0, 100), rng.Uniform(0, 100));
     const double t = rng.Uniform(0, 100);
     const int k = 1 + static_cast<int>(rng.UniformU64(12));
-    auto ns = KnnAt(*tree_, point, t, k, &soa_stats, so);
-    auto na = KnnAt(*tree_, point, t, k, &aos_stats, ao);
-    ASSERT_TRUE(ns.ok() && na.ok());
-    ASSERT_EQ(ns->size(), na->size()) << "probe " << i;
-    for (size_t j = 0; j < ns->size(); ++j) {
-      EXPECT_EQ((*ns)[j].motion.key(), (*na)[j].motion.key());
-      // Bit-identical distances, not approximately equal.
-      EXPECT_EQ((*ns)[j].distance, (*na)[j].distance);
+    auto neighbors = KnnAt(*tree_, point, t, k, &stats);
+    ASSERT_TRUE(neighbors.ok());
+    FoldAnswer(&checksum, static_cast<uint64_t>(neighbors->size()));
+    for (const Neighbor& n : *neighbors) {
+      FoldAnswer(&checksum, static_cast<uint64_t>(n.motion.oid));
+      FoldAnswer(&checksum, n.motion.seg.time.lo);
+      FoldAnswer(&checksum, n.distance);  // Bits, not approximately.
     }
   }
-  ExpectStatsEqual(soa_stats, aos_stats);
+  EXPECT_EQ(AccountOf(stats, checksum),
+            (QueryAccount{50, 25, 2161, 89, 0, 0, 0, 0,
+                          0xf43c57d02033c2aeULL}));
 }
 
 // ---------------------------------------------------------------------------

@@ -158,24 +158,21 @@ TEST(BudgetedQueryTest, NpdqNodeBudgetYieldsPartialSubsetThenFullAfterRearm) {
   EXPECT_EQ(npdq.integrity(), ResultIntegrity::kComplete);
 }
 
-TEST(BudgetedQueryTest, NpdqBudgetDegradesBothHotPaths) {
+TEST(BudgetedQueryTest, NpdqBudgetDegradesAtItsNodeCap) {
   Fixture fx;
   BuildFixture(&fx, 12);
   const StBox q = CenteredQuery(50, 50, 40, 10, 20);
-  for (const HotPath path : {HotPath::kSoa, HotPath::kLegacyAos}) {
-    QueryBudget budget;
-    NpdqOptions options;
-    options.budget = &budget;
-    options.hot_path = path;
-    NonPredictiveDynamicQuery npdq(fx.tree.get(), options);
-    budget.ArmFrame({0, 4});
-    auto out = npdq.Execute(q);
-    ASSERT_TRUE(out.ok());
-    EXPECT_EQ(npdq.integrity(), ResultIntegrity::kPartial);
-    EXPECT_GT(npdq.skip_report().pages_skipped(), 0u);
-    // The budget saw exactly its cap (+1 refused charge), on either path.
-    EXPECT_EQ(budget.nodes_charged(), 5u);
-  }
+  QueryBudget budget;
+  NpdqOptions options;
+  options.budget = &budget;
+  NonPredictiveDynamicQuery npdq(fx.tree.get(), options);
+  budget.ArmFrame({0, 4});
+  auto out = npdq.Execute(q);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(npdq.integrity(), ResultIntegrity::kPartial);
+  EXPECT_GT(npdq.skip_report().pages_skipped(), 0u);
+  // The budget saw exactly its cap (+1 refused charge).
+  EXPECT_EQ(budget.nodes_charged(), 5u);
 }
 
 TEST(BudgetedQueryTest, PdqBudgetRequeuesAndDeliversAcrossLaterFrames) {

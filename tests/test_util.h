@@ -5,6 +5,9 @@
 #define DQMO_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "geom/trajectory.h"
 #include "motion/motion_segment.h"
 #include "rtree/layout.h"
+#include "rtree/stats.h"
 #include "storage/wal.h"
 
 namespace dqmo::testing {
@@ -112,6 +116,62 @@ inline std::set<MotionSegment::Key> KeysOf(
   std::set<MotionSegment::Key> keys;
   for (const MotionSegment& m : segments) keys.insert(m.key());
   return keys;
+}
+
+/// One query's cost account as the paper charges it (Sect. 5: node reads,
+/// leaf reads, one distance computation per entry of every loaded node),
+/// its queue and discard bookkeeping, and a checksum of its answers: one
+/// pinned row of an accounting test.
+struct QueryAccount {
+  uint64_t node_reads = 0;
+  uint64_t leaf_reads = 0;
+  uint64_t distance_computations = 0;
+  uint64_t objects_returned = 0;
+  uint64_t nodes_discarded = 0;
+  uint64_t queue_pushes = 0;
+  uint64_t queue_pops = 0;
+  uint64_t duplicates_skipped = 0;
+  uint64_t checksum = 0;
+
+  bool operator==(const QueryAccount&) const = default;
+};
+
+inline QueryAccount AccountOf(const QueryStats& s, uint64_t checksum) {
+  return QueryAccount{s.node_reads,
+                      s.leaf_reads,
+                      s.distance_computations,
+                      s.objects_returned,
+                      s.nodes_discarded,
+                      s.queue_pushes,
+                      s.queue_pops,
+                      s.duplicates_skipped,
+                      checksum};
+}
+
+/// Prints an account as the brace initializer that pins it.
+inline void PrintTo(const QueryAccount& a, std::ostream* os) {
+  *os << "{" << a.node_reads << ", " << a.leaf_reads << ", "
+      << a.distance_computations << ", " << a.objects_returned << ", "
+      << a.nodes_discarded << ", " << a.queue_pushes << ", " << a.queue_pops
+      << ", " << a.duplicates_skipped << ", 0x" << std::hex << a.checksum
+      << std::dec << "ULL}";
+}
+
+/// FNV-1a answer checksums: start at kFoldSeed, fold each answer field
+/// byte by byte.
+constexpr uint64_t kFoldSeed = 1469598103934665603ULL;
+
+inline void FoldAnswer(uint64_t* h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    *h ^= (v >> (8 * i)) & 0xFF;
+    *h *= 1099511628211ULL;
+  }
+}
+
+inline void FoldAnswer(uint64_t* h, double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  FoldAnswer(h, bits);
 }
 
 }  // namespace dqmo::testing

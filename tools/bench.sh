@@ -71,7 +71,8 @@ fi
 
 # Every driver that emits a BENCH_<name>.json under --json. The figure
 # sweeps shrink to CI size via the env below; abl_hot_path additionally
-# runs its 5-configuration matrix.
+# runs its 5-configuration matrix (the naive snapshot search and four SoA
+# hot-path configurations).
 json_benches=(
   fig06_pdq_io fig07_pdq_cpu fig08_pdq_size_io fig09_pdq_size_cpu
   fig10_npdq_io fig11_npdq_cpu fig12_npdq_size_io fig13_npdq_size_cpu
