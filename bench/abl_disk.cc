@@ -151,15 +151,15 @@ void RunSweep(RTree* tree, PageReader* reader, Prefetcher* prefetcher,
   out->node_reads = stats.node_reads + stats.leaf_reads;
 }
 
-/// One pread arm over the shared checkpoint image.
+/// One pread arm over the shared checkpoint image, read in place.
 ArmResult RunDiskArm(const std::string& label, const std::string& image,
-                     const std::string& live, bool prefetch,
-                     uint64_t sim_delay_us, int trajectories, int frames) {
+                     bool prefetch, uint64_t sim_delay_us, int trajectories,
+                     int frames) {
   ArmResult out;
   out.label = label;
   DiskPageFile::Options options;
   options.sim_read_delay_us = sim_delay_us;
-  auto disk = DiskPageFile::CreateFromImage(live, image, options);
+  auto disk = DiskPageFile::Open(image, options);
   DQMO_CHECK(disk.ok());
   std::unique_ptr<Prefetcher> prefetcher;
   PageReader* reader = disk->get();
@@ -244,8 +244,8 @@ int Run(int argc, char** argv) {
   // Phase 1 — backend equivalence (no latency model; correctness only).
   const ArmResult mem = RunMemoryArm(image, trajectories, frames);
   const ArmResult eq =
-      RunDiskArm("pread", image, (dir / "eq_pread.live").string(),
-                 /*prefetch=*/true, /*sim=*/0, trajectories, frames);
+      RunDiskArm("pread", image, /*prefetch=*/true, /*sim=*/0,
+                 trajectories, frames);
   const bool same =
       eq.checksum == mem.checksum && eq.node_reads == mem.node_reads;
   bool checksums_ok = same;
@@ -270,12 +270,10 @@ int Run(int argc, char** argv) {
 
   // Phase 2 — cold-cache frame latency, prefetch off vs on (pread).
   const ArmResult off =
-      RunDiskArm("pread, prefetch off", image,
-                 (dir / "lat_off.live").string(), /*prefetch=*/false,
+      RunDiskArm("pread, prefetch off", image, /*prefetch=*/false,
                  sim_delay_us, trajectories, frames);
   const ArmResult on =
-      RunDiskArm("pread, prefetch on", image,
-                 (dir / "lat_on.live").string(), /*prefetch=*/true,
+      RunDiskArm("pread, prefetch on", image, /*prefetch=*/true,
                  sim_delay_us, trajectories, frames);
   const bool latency_identical =
       off.checksum == on.checksum && on.checksum == mem.checksum;

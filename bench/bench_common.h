@@ -224,6 +224,9 @@ inline std::unique_ptr<Workbench> PrepareBench() {
   auto bench = Workbench::Prepare(config);
   DQMO_CHECK(bench.ok());
   std::printf("# index: %s\n", (*bench)->Describe().c_str());
+  // The metrics block describes the measured run, not the index: a cold
+  // DQMO_CACHE_DIR builds and saves it here, a warm one only loads it.
+  MetricsRegistry::Global().ResetAll();
   return std::move(bench).value();
 }
 

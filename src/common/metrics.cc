@@ -235,7 +235,7 @@ size_t MetricsRegistry::size() const {
   return impl().entries.size();
 }
 
-void MetricsRegistry::ResetAllForTest() {
+void MetricsRegistry::ResetAll() {
   std::lock_guard<std::mutex> lock(impl().mu);
   for (auto& [name, entry] : impl().entries) {
     switch (entry.kind) {

@@ -263,9 +263,10 @@ class MetricsRegistry {
   /// Number of registered metrics.
   size_t size() const;
 
-  /// Zeroes every registered metric (names stay registered). Tests only —
-  /// requires quiescence, like every cross-metric snapshot.
-  void ResetAllForTest();
+  /// Zeroes every registered metric (names stay registered). Requires
+  /// quiescence, like every cross-metric snapshot: tests between cases,
+  /// benches between preparing their index and the measured run.
+  void ResetAll();
 
  private:
   MetricsRegistry() = default;

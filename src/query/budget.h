@@ -6,11 +6,11 @@
 // every other client's latency climbs. The budget bounds one frame's work
 // along two axes — a wall-clock deadline and a node-read cap — and carries
 // a sticky cancellation flag another thread may raise at any time. The
-// traversal loops (PDQ / NPDQ / kNN, both hot paths) charge one unit per
-// node pop; the first failed charge makes the traversal finish the frame
-// degraded through the existing kSkipSubtree machinery: the unexplored
-// subtree is recorded in the SkipReport, the frame's integrity flips to
-// kPartial, and the caller gets everything found so far.
+// traversal loops (PDQ / NPDQ / kNN) charge one unit per node pop; the
+// first failed charge makes the traversal finish the frame degraded
+// through the existing kSkipSubtree machinery: the unexplored subtree is
+// recorded in the SkipReport, the frame's integrity flips to kPartial, and
+// the caller gets everything found so far.
 //
 // Determinism contract: a null budget pointer (or a never-armed budget) is
 // never consulted, so unbudgeted runs stay bit-identical to the pre-budget

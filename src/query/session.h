@@ -51,8 +51,8 @@ class DynamicQuerySession {
  public:
   /// The inherited TraversalOptions (query/traversal.h) are the one read
   /// contract of both engines: the SPDQ and the NPDQ fallback read through
-  /// the same reader, fault policy, hot path, budget and prefetcher, so a
-  /// hand-off only changes which engine is reading.
+  /// the same reader, fault policy, budget and prefetcher, so a hand-off
+  /// only changes which engine is reading.
   ///
   /// Under kSkipSubtree a frame served from a degraded traversal is
   /// flagged FrameResult::integrity == kPartial, and a degraded

@@ -74,13 +74,13 @@ class RTree {
 
   /// Re-reads the meta page from the (already re-loaded) backing file into
   /// *this* object, in place. This is the repair path: the scrubber reloads
-  /// a quarantined shard's PageFile from its checkpoint image and then
+  /// a quarantined shard's page store from its checkpoint image and then
   /// Reopen()s the tree so every pointer the router captured at session
   /// build (tree, reader, gate) stays valid. Must be called with the
   /// shard's exclusive gate held — no traversal may be in flight. The
   /// update stamp is forced strictly past both the in-memory and persisted
-  /// stamps so stamp-keyed caches (router BoundsCache, NPDQ discard prune)
-  /// can never mistake post-repair state for pre-repair state.
+  /// stamps so stamp-keyed caches (the router's RootBounds, NPDQ discard
+  /// prune) can never mistake post-repair state for pre-repair state.
   Status Reopen();
 
   RTree(const RTree&) = delete;

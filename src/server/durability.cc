@@ -49,20 +49,11 @@ Result<std::unique_ptr<DurableIndex>> DurableIndex::Open(
 
   // 1. Checkpoint image, if one was ever installed. A crash-left .tmp next
   // to it is ignored by construction: only the rename installs an image.
-  // Disk mode rebuilds the live file (pgf_path + ".live") from the image —
-  // the live file is a disposable working copy, never the durable truth,
-  // so a crash mid-build costs nothing.
+  // Disk mode reads the image in place (verified first, like the load).
   const bool had_image = FileExists(pgf_path);
   if (options.io_backend != IoBackend::kMemory) {
-    const std::string live_path = pgf_path + ".live";
-    if (had_image) {
-      DQMO_ASSIGN_OR_RETURN(index->disk_,
-                            DiskPageFile::CreateFromImage(
-                                live_path, pgf_path, options.disk));
-    } else {
-      DQMO_ASSIGN_OR_RETURN(index->disk_,
-                            DiskPageFile::Create(live_path, options.disk));
-    }
+    DQMO_ASSIGN_OR_RETURN(index->disk_, DiskPageFile::Open(
+                                            pgf_path, DiskPageFile::Options()));
     index->store_ = index->disk_.get();
   } else {
     if (had_image) DQMO_RETURN_IF_ERROR(index->file_.LoadFrom(pgf_path));
@@ -172,7 +163,7 @@ Status DurableIndex::ReloadFromDisk() {
   // story.
   DQMO_RETURN_IF_ERROR(Sync());
   if (disk_ != nullptr) {
-    DQMO_RETURN_IF_ERROR(disk_->ReloadFromImage(pgf_path_));
+    DQMO_RETURN_IF_ERROR(disk_->ReloadFromImage());
   } else {
     DQMO_RETURN_IF_ERROR(file_.LoadFrom(pgf_path_));
   }

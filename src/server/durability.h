@@ -64,8 +64,8 @@ namespace dqmo {
 /// Where a durable index keeps its live pages.
 enum class IoBackend : uint8_t {
   kMemory,  // In-process PageFile (the seed backend; I/O is a counter).
-  kPread,   // DiskPageFile: sync pread/pwrite, plus the Prefetcher's pread
-            // workers for speculative reads.
+  kPread,   // DiskPageFile: sync pread of the checkpoint image, plus the
+            // Prefetcher's pread workers for speculative reads.
 };
 
 /// What recovery found and did; returned by DurableIndex::Open and printed
@@ -100,16 +100,13 @@ class DurableIndex {
     /// Tree geometry for a fresh index (ignored when a checkpoint loads).
     RTree::Options tree;
     /// Where the live pages reside. kMemory (the default): an in-process
-    /// PageFile, the original behavior. kPread: a DiskPageFile at
-    /// pgf_path + ".live" — a disposable working copy rebuilt from the
-    /// checkpoint image on every Open (a crash mid-build costs nothing).
+    /// PageFile, the original behavior. kPread: a DiskPageFile over the
+    /// checkpoint image itself — read in place, never written; pages
+    /// written since the last checkpoint stay in its in-memory frames.
     /// The durable contract is unchanged either way: the durable state is
     /// always (installed image, synced WAL tail); only where the *live*
     /// pages sit moves.
     IoBackend io_backend = IoBackend::kMemory;
-    /// Disk-mode tuning (dirty frame budget, slow-device model). Ignored
-    /// for kMemory.
-    DiskPageFile::Options disk;
   };
 
   /// Opens (recovering if needed) the index persisted as `pgf_path` +

@@ -184,9 +184,10 @@ class BreakerGateReader : public PageReader {
   PageReader* base_;
   CircuitBreaker* breaker_;
   std::atomic<uint64_t> blocked_reads_{0};
-  /// The chain below (retry Rng, faulty scratch) is stateful; concurrent
-  /// pool misses from different sessions serialize here. Blocked reads and
-  /// pool hits never touch it.
+  /// The chain below is stateful (the faulty reader's scratch buffer, the
+  /// retry reader's exhausted-read count); concurrent pool misses from
+  /// different sessions serialize here. Blocked reads and pool hits never
+  /// touch it.
   std::mutex fetch_mu_;
 };
 

@@ -92,9 +92,9 @@ void ShardScrubber::ScrubShard(int i, PassReport* report) {
   ++report->shards_scrubbed;
   {
     auto guard = s.gate->LockExclusive();
-    // No speculative read may be in flight: a reload rewrites the file under
-    // the fd, and a speculation issued pre-rebuild must never land
-    // post-rebuild.
+    // No speculative read may be in flight: a reload reopens the image
+    // under the fd and drops the frames, and a speculation issued
+    // pre-rebuild must never land post-rebuild.
     if (s.prefetcher != nullptr) s.prefetcher->Quiesce();
     std::vector<PageId> bad;
     const uint64_t bad_count = s.file->VerifyAllPages(&bad);

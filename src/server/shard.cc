@@ -149,16 +149,15 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
   }
 
   // Per-shard slice of the page_budget_mb memory budget: 3/4 to the
-  // BufferPool, 1/4 to the disk store's dirty-frame table, floors of 16
-  // pages each so tiny budgets stay functional.
+  // BufferPool, floor of 16 pages so tiny budgets stay functional. A disk
+  // store's frames are not budgeted: they hold the pages written since the
+  // shard's last checkpoint, so the checkpoint cadence bounds them.
   size_t pool_pages = options.pool_pages;
-  size_t dirty_frame_budget = DiskPageFile::Options().dirty_frame_budget;
   if (options.page_budget_mb > 0) {
     const size_t budget_pages = options.page_budget_mb *
                                 (size_t{1} << 20) / kPageSize /
                                 static_cast<size_t>(options.num_shards);
     pool_pages = std::max<size_t>(16, budget_pages * 3 / 4);
-    dirty_frame_budget = std::max<size_t>(16, budget_pages / 4);
   }
 
   for (int i = 0; i < options.num_shards; ++i) {
@@ -167,7 +166,6 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
       DurableIndex::Options dopt;
       dopt.tree = options.tree;
       dopt.io_backend = options.io_backend;
-      dopt.disk.dirty_frame_budget = dirty_frame_budget;
       DQMO_ASSIGN_OR_RETURN(
           s->durable,
           DurableIndex::Open(ShardFileName(options.durable_dir, i, "pgf"),

@@ -121,16 +121,20 @@ struct ShardedEngineOptions {
   std::string durable_dir;
   /// Live-page backend for durable shards (server/durability.h). kMemory
   /// (default) keeps the PR-7 in-process PageFile. kPread gives each shard
-  /// its own DiskPageFile (shard-NNNN.pgf.live, own fd) plus a Prefetcher,
-  /// with its own pread workers, that the per-shard query sessions hint.
-  /// Ignored for in-memory (non-durable) engines.
+  /// its own DiskPageFile over its checkpoint image shard-NNNN.pgf (read
+  /// in place through its own fd, never written; pages written since the
+  /// last checkpoint stay in memory) plus a Prefetcher, with its own pread
+  /// workers, that the per-shard query sessions hint. Speculation reaches
+  /// only image pages, so a pread engine filled by inserts reads from disk
+  /// after its first Checkpoint. Ignored for in-memory (non-durable)
+  /// engines.
   IoBackend io_backend = IoBackend::kMemory;
   /// Speculative reads outstanding per shard (0 disables prefetch).
   size_t prefetch_depth = 8;
   /// Memory budget (MiB) split across all shards' page caches: each shard
-  /// gets budget/num_shards, of which 3/4 sizes its BufferPool and 1/4 its
-  /// DiskPageFile dirty-frame table (floors of 16 pages each). 0 keeps
-  /// pool_pages and the default dirty budget as given.
+  /// gets budget/num_shards, of which 3/4 sizes its BufferPool (floor of
+  /// 16 pages). A DiskPageFile's frames (the pages written since the last
+  /// checkpoint) are outside it. 0 keeps pool_pages as given.
   size_t page_budget_mb = 0;
   /// Per-shard failure domains (server/health.h): each shard gains a
   /// circuit breaker + quarantine gate, a retrying, fault-injectable read

@@ -5,7 +5,6 @@
 #include <stdlib.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -32,7 +31,8 @@ struct DiskMetrics {
           r.GetCounter("dqmo_disk_reads_total",
                        "Physical pread page reads on the disk backend"),
           r.GetCounter("dqmo_disk_writes_total",
-                       "Physical pwrite page writes on the disk backend"),
+                       "Page writes on the disk backend (into in-memory "
+                       "frames; a checkpoint writes the image)"),
           r.GetHistogram("dqmo_disk_read_ns",
                          "DiskPageFile synchronous page read latency"),
       };
@@ -82,23 +82,6 @@ Status FullPread(int fd, uint8_t* buf, size_t len, uint64_t offset,
   return Status::OK();
 }
 
-Status FullPwrite(int fd, const uint8_t* buf, size_t len, uint64_t offset,
-                  const std::string& path) {
-  size_t done = 0;
-  while (done < len) {
-    const ssize_t n = ::pwrite(fd, buf + done, len - done,
-                               static_cast<off_t>(offset + done));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(StrFormat("pwrite %s at offset %llu failed",
-                                       path.c_str(),
-                                       (unsigned long long)(offset + done)));
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 AlignedPageBuf::AlignedPageBuf() : data_(nullptr) {
@@ -125,54 +108,58 @@ DiskPageFile::~DiskPageFile() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Result<std::unique_ptr<DiskPageFile>> DiskPageFile::Create(
+Result<std::unique_ptr<DiskPageFile>> DiskPageFile::Open(
     const std::string& path, const Options& options) {
   auto file = std::unique_ptr<DiskPageFile>(new DiskPageFile());
   file->path_ = path;
-  file->dirty_frame_budget_ = options.dirty_frame_budget;
   file->sim_read_delay_us_ = options.sim_read_delay_us;
-  file->fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (file->fd_ < 0) {
-    return Status::IOError("cannot create " + path);
+  if (::access(path.c_str(), F_OK) != 0) {
+    if (errno == ENOENT) return file;  // Fresh: SaveTo(path) creates it.
+    return Status::IOError("cannot stat " + path);
   }
-  DQMO_RETURN_IF_ERROR(file->WriteHeader());
+  DQMO_RETURN_IF_ERROR(file->LoadImage());
   return file;
 }
 
-Result<std::unique_ptr<DiskPageFile>> DiskPageFile::CreateFromImage(
-    const std::string& live_path, const std::string& image_path,
-    const Options& options) {
-  DQMO_ASSIGN_OR_RETURN(auto file, Create(live_path, options));
-  DQMO_RETURN_IF_ERROR(file->ReloadFromImage(image_path));
-  return file;
-}
-
-Status DiskPageFile::ReloadFromImage(const std::string& image_path) {
-  // The live file is a disposable working copy: truncate, restream from
-  // the durable image (verifying page-at-a-time), rewrite the header.
-  // The object's address — held by tree, pool, and gate — never changes.
+Status DiskPageFile::ReloadFromImage() {
+  // Verified before anything is dropped: a damaged image leaves the store
+  // (and the tree over it) exactly as it was.
+  DQMO_RETURN_IF_ERROR(LoadImage());
   ++write_count_;
   frames_.clear();
-  frame_fifo_.clear();
   dirty_pages_.clear();
-  if (::ftruncate(fd_, static_cast<off_t>(kPgfDataOffset)) != 0) {
-    return Status::IOError("cannot truncate " + path_);
-  }
-  AlignedPageBuf copy;
+  stats_.Reset();
+  return Status::OK();
+}
+
+Status DiskPageFile::LoadImage() {
+  // The loader's header check and CRC stream, keeping nothing: the pages
+  // are read in place from here on.
   StreamPgfOptions stream;
   stream.verify_checksums = true;
-  auto streamed = StreamPgfPages(
-      image_path, stream, [&](uint64_t id, const uint8_t* page) {
-        std::memcpy(copy.data(), page, kPageSize);
-        return FullPwrite(fd_, copy.data(), kPageSize,
-                          PageOffset(static_cast<PageId>(id)), path_);
-      });
-  if (!streamed.ok()) return streamed.status();
-  num_pages_ = streamed->num_pages;
+  DQMO_ASSIGN_OR_RETURN(
+      const PgfHeader header,
+      StreamPgfPages(path_, stream,
+                     [](uint64_t, const uint8_t*) { return Status::OK(); }));
+  DQMO_RETURN_IF_ERROR(ReopenImage());
+  num_pages_ = header.num_pages;
   verified_.assign(num_pages_, 1);
-  DQMO_RETURN_IF_ERROR(WriteHeader());
-  if (::fsync(fd_) != 0) return Status::IOError("fsync failed on " + path_);
-  stats_.Reset();
+  return Status::OK();
+}
+
+Status DiskPageFile::ReopenImage() {
+  const int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IOError("cannot open " + path_);
+  if (fd_ < 0) {
+    fd_ = fd;
+    return Status::OK();
+  }
+  // Same descriptor number, new file, atomically: a speculative pread in
+  // flight finishes on the old file, which a checkpoint leaves holding the
+  // same bytes for every page such a read can target.
+  const bool swapped = ::dup2(fd, fd_) == fd_;
+  ::close(fd);
+  if (!swapped) return Status::IOError("cannot reopen " + path_);
   return Status::OK();
 }
 
@@ -184,18 +171,8 @@ Status DiskPageFile::CheckId(PageId id) const {
   return Status::OK();
 }
 
-Status DiskPageFile::WriteHeader() {
-  AlignedPageBuf block;
-  EncodePgfHeaderBlock(num_pages_, block.data());
-  return FullPwrite(fd_, block.data(), kPageSize, 0, path_);
-}
-
 Status DiskPageFile::RawRead(PageId id, uint8_t* buf) const {
   return FullPread(fd_, buf, kPageSize, PageOffset(id), path_);
-}
-
-Status DiskPageFile::RawWrite(PageId id, const uint8_t* buf) const {
-  return FullPwrite(fd_, buf, kPageSize, PageOffset(id), path_);
 }
 
 uint8_t* DiskPageFile::ThreadScratch() {
@@ -205,9 +182,7 @@ uint8_t* DiskPageFile::ThreadScratch() {
   return scratch_[std::this_thread::get_id()].data();
 }
 
-bool DiskPageFile::HasDirtyFrame(PageId id) const {
-  return frames_.count(id) != 0;
-}
+bool DiskPageFile::HasFrame(PageId id) const { return frames_.count(id) != 0; }
 
 bool DiskPageFile::PageVerified(PageId id) const {
   return LoadFlag(verified_, id) != 0;
@@ -221,21 +196,15 @@ PageId DiskPageFile::Allocate() {
   ++write_count_;
   const PageId id = static_cast<PageId>(num_pages_++);
   verified_.push_back(0);
-  Frame& frame = frames_[id];  // Fresh zeroed aligned buffer.
-  frame.sealed = false;
-  frame_fifo_.push_back(id);
+  frames_[id];  // Zeroed and unsealed: the trailer is not yet valid.
   dirty_pages_.push_back(id);
-  // Budget eviction may flush older frames to disk; an error there would
-  // have nowhere to go from Allocate's signature, but FlushFrame failures
-  // surface again at SealAllDirty/Publish, which do return Status.
-  (void)EvictFramesOverBudget(id);
   return id;
 }
 
 Result<PageReader::ReadResult> DiskPageFile::Read(PageId id) {
   DQMO_RETURN_IF_ERROR(CheckId(id));
   // Identical accounting to the in-memory backend: one physical read per
-  // Read call, dirty-frame hits included — so node-level I/O counts match
+  // Read call, frame hits included — so node-level I/O counts match
   // across backends byte-for-byte.
   stats_.physical_reads.fetch_add(1, std::memory_order_relaxed);
   DiskMetrics::Get().reads->Add();
@@ -250,16 +219,14 @@ Result<PageReader::ReadResult> DiskPageFile::Read(PageId id) {
       // flag orders the trailer bytes).
       std::lock_guard<std::mutex> lock(scratch_mu_);
       if (!frame.sealed) {
-        SealPage(frame.buf.data());
+        SealPage(frame.buf.get());
+        StoreFlag(verified_, id, 1);  // Freshly sealed: consistent.
         std::atomic_ref<bool>(frame.sealed)
             .store(true, std::memory_order_release);
       }
     }
-    std::memcpy(scratch, frame.buf.data(), kPageSize);
-    StoreFlag(verified_, id, 1);  // Freshly sealed: consistent.
-    return ReadResult{scratch, /*physical=*/true};
-  }
-  {
+    std::memcpy(scratch, frame.buf.get(), kPageSize);
+  } else {
     const uint64_t tick = TickNs();
     ScopedLatencyTimer timer(DiskMetrics::Get().read_ns);
     DQMO_RETURN_IF_ERROR(RawRead(id, scratch));
@@ -291,12 +258,11 @@ Result<PageReader::ReadResult> DiskPageFile::Read(PageId id) {
 Status DiskPageFile::Write(PageId id, const uint8_t* data) {
   DQMO_RETURN_IF_ERROR(CheckId(id));
   ++write_count_;
-  // Write-through: seal and persist immediately, superseding any frame.
-  AlignedPageBuf copy;
-  std::memcpy(copy.data(), data, kPageSize);
-  SealPage(copy.data());
-  DQMO_RETURN_IF_ERROR(RawWrite(id, copy.data()));
-  frames_.erase(id);  // Stale fifo entries are skipped on pop.
+  DQMO_ASSIGN_OR_RETURN(Frame * frame,
+                        EnsureFrame(id, /*load_existing=*/false));
+  std::memcpy(frame->buf.get(), data, kPageSize);
+  SealPage(frame->buf.get());
+  frame->sealed = true;
   StoreFlag(verified_, id, 1);
   stats_.physical_writes.fetch_add(1, std::memory_order_relaxed);
   DiskMetrics::Get().writes->Add();
@@ -307,19 +273,15 @@ Result<DiskPageFile::Frame*> DiskPageFile::EnsureFrame(PageId id,
                                                        bool load_existing) {
   auto it = frames_.find(id);
   if (it != frames_.end()) return &it->second;
-  Frame& frame = frames_[id];
+  Frame frame;
   if (load_existing) {
-    // Invariant: any page without a resident frame is on disk (Allocate
-    // creates the frame; eviction writes it back), so seeding an in-place
-    // edit from disk always succeeds.
-    Status s = RawRead(id, frame.buf.data());
-    if (!s.ok()) {
-      frames_.erase(id);
-      return s;
-    }
+    // Invariant: a page without a frame is in the image (Allocate creates
+    // the frame and only a checkpoint, which installs it, drops it), whose
+    // bytes are sealed.
+    DQMO_RETURN_IF_ERROR(RawRead(id, frame.buf.get()));
+    frame.sealed = true;
   }
-  frame_fifo_.push_back(id);
-  return &frame;
+  return &frames_.emplace(id, std::move(frame)).first->second;
 }
 
 Result<PageView> DiskPageFile::WritableView(PageId id) {
@@ -328,61 +290,36 @@ Result<PageView> DiskPageFile::WritableView(PageId id) {
   stats_.physical_writes.fetch_add(1, std::memory_order_relaxed);
   DiskMetrics::Get().writes->Add();
   DQMO_ASSIGN_OR_RETURN(Frame * frame, EnsureFrame(id, /*load_existing=*/true));
-  if (frame->sealed || LoadFlag(verified_, id) != 0) {
-    dirty_pages_.push_back(id);
-  } else if (std::find(dirty_pages_.begin(), dirty_pages_.end(), id) ==
-             dirty_pages_.end()) {
-    dirty_pages_.push_back(id);
-  }
+  // An unsealed frame is already listed (Allocate or an earlier view).
+  if (frame->sealed) dirty_pages_.push_back(id);
   frame->sealed = false;  // Trailer stale until sealed.
   StoreFlag(verified_, id, 0);
-  DQMO_RETURN_IF_ERROR(EvictFramesOverBudget(id));
-  // Re-find: eviction never drops `id`, but map insertions may have moved
-  // nothing (node-based) — the frame pointer is stable.
-  return PageView(frame->buf.data(), kPageSize);
+  return PageView(frame->buf.get(), kPageSize);
 }
 
-Status DiskPageFile::FlushFrame(PageId id, Frame* frame) {
-  if (!frame->sealed) {
-    SealPage(frame->buf.data());
-    frame->sealed = true;
-  }
-  DQMO_RETURN_IF_ERROR(RawWrite(id, frame->buf.data()));
+void DiskPageFile::SealFrame(PageId id, Frame* frame) {
+  if (frame->sealed) return;
+  SealPage(frame->buf.get());
+  frame->sealed = true;
   StoreFlag(verified_, id, 1);
-  frames_.erase(id);
-  return Status::OK();
-}
-
-Status DiskPageFile::EvictFramesOverBudget(PageId keep) {
-  const size_t budget = dirty_frame_budget_ == 0 ? 1 : dirty_frame_budget_;
-  while (frames_.size() > budget && frames_.size() > 1) {
-    const PageId victim = frame_fifo_.front();
-    frame_fifo_.pop_front();
-    if (victim == keep) {
-      frame_fifo_.push_back(victim);  // Never evict the page in hand.
-      continue;
-    }
-    auto it = frames_.find(victim);
-    if (it == frames_.end()) continue;  // Stale fifo entry.
-    DQMO_RETURN_IF_ERROR(FlushFrame(victim, &it->second));
-  }
-  return Status::OK();
 }
 
 void DiskPageFile::SealAllDirty() {
-  // Seal *and* write back: after this, every page is on disk and the frame
-  // table is empty — the steady state concurrent readers (and speculative
-  // prefetch reads, which bypass the frame table) require.
-  while (!frames_.empty()) {
-    auto it = frames_.begin();
-    // Flush failures surface at Publish/SaveTo, which return Status; the
-    // page stays framed (and correct in memory) if the write fails.
-    if (!FlushFrame(it->first, &it->second).ok()) {
-      frames_.erase(it);  // Avoid spinning; Publish will re-detect.
-    }
+  // Every unsealed frame is listed. Sealed frames stay resident until the
+  // checkpoint: they are what concurrent readers see.
+  for (PageId id : dirty_pages_) {
+    auto it = frames_.find(id);
+    if (it != frames_.end()) SealFrame(id, &it->second);
   }
-  frame_fifo_.clear();
   dirty_pages_.clear();
+}
+
+Status DiskPageFile::CopyPage(PageId id, uint8_t* buf) {
+  auto it = frames_.find(id);
+  if (it == frames_.end()) return RawRead(id, buf);
+  SealFrame(id, &it->second);
+  std::memcpy(buf, it->second.buf.get(), kPageSize);
+  return Status::OK();
 }
 
 Status DiskPageFile::Publish() {
@@ -390,7 +327,7 @@ Status DiskPageFile::Publish() {
   AlignedPageBuf buf;
   for (PageId id = 0; id < num_pages_; ++id) {
     if (LoadFlag(verified_, id) != 0) continue;
-    DQMO_RETURN_IF_ERROR(RawRead(id, buf.data()));
+    DQMO_RETURN_IF_ERROR(CopyPage(id, buf.data()));
     if (!PageChecksumOk(buf.data())) {
       ++stats_.checksum_failures;
       return PageChecksumError(id, buf.data());
@@ -403,16 +340,7 @@ Status DiskPageFile::Publish() {
 Status DiskPageFile::VerifyPage(PageId id) {
   DQMO_RETURN_IF_ERROR(CheckId(id));
   AlignedPageBuf buf;
-  auto it = frames_.find(id);
-  if (it != frames_.end()) {
-    if (!it->second.sealed) {
-      SealPage(it->second.buf.data());
-      it->second.sealed = true;
-    }
-    std::memcpy(buf.data(), it->second.buf.data(), kPageSize);
-  } else {
-    DQMO_RETURN_IF_ERROR(RawRead(id, buf.data()));
-  }
+  DQMO_RETURN_IF_ERROR(CopyPage(id, buf.data()));
   // Scrub semantics: always recompute, never trust the verified_ cache.
   if (!PageChecksumOk(buf.data())) {
     ++stats_.checksum_failures;
@@ -434,27 +362,20 @@ size_t DiskPageFile::VerifyAllPages(std::vector<PageId>* bad) {
 }
 
 Status DiskPageFile::SaveTo(const std::string& path) {
-  if (path == path_) {
-    // The live file is a working copy; a checkpoint image lives elsewhere.
-    return Status::InvalidArgument("cannot checkpoint " + path_ +
-                                   " over its own live file");
-  }
-  // Everything to disk first; the frame table empties either way.
-  for (auto it = frames_.begin(); it != frames_.end();
-       it = frames_.begin()) {
-    DQMO_RETURN_IF_ERROR(FlushFrame(it->first, &it->second));
-  }
-  frame_fifo_.clear();
-  dirty_pages_.clear();
-  // The one image writer, fed page-at-a-time from the (now fully flushed)
-  // live file.
+  SealAllDirty();
+  // The one image writer, fed each page's (sealed) frame or image bytes.
   AlignedPageBuf page;
-  return WritePgfImage(path, num_pages_,
-                       [&](uint64_t id) -> Result<PgfPageRun> {
-                         DQMO_RETURN_IF_ERROR(
-                             RawRead(static_cast<PageId>(id), page.data()));
-                         return PgfPageRun{page.data(), 1};
-                       });
+  DQMO_RETURN_IF_ERROR(
+      WritePgfImage(path, num_pages_, [&](uint64_t id) -> Result<PgfPageRun> {
+        DQMO_RETURN_IF_ERROR(CopyPage(static_cast<PageId>(id), page.data()));
+        return PgfPageRun{page.data(), 1};
+      }));
+  if (path != path_) return Status::OK();
+  // The checkpoint: the installed image holds every frame's bytes. Until
+  // the reopen succeeds the frames and the old file still serve them.
+  DQMO_RETURN_IF_ERROR(ReopenImage());
+  frames_.clear();
+  return Status::OK();
 }
 
 Status DiskPageFile::CorruptPageForTest(PageId id, size_t offset,
@@ -463,16 +384,10 @@ Status DiskPageFile::CorruptPageForTest(PageId id, size_t offset,
   if (offset >= kPageSize) {
     return Status::InvalidArgument("corruption offset past page end");
   }
-  // Damage at rest: the frame (if any) goes to disk sealed first, then the
-  // stored bytes are flipped with the trailer left stale.
-  auto it = frames_.find(id);
-  if (it != frames_.end()) {
-    DQMO_RETURN_IF_ERROR(FlushFrame(id, &it->second));
-  }
-  AlignedPageBuf buf;
-  DQMO_RETURN_IF_ERROR(RawRead(id, buf.data()));
-  buf.data()[offset] ^= mask;
-  DQMO_RETURN_IF_ERROR(RawWrite(id, buf.data()));
+  ++write_count_;
+  DQMO_ASSIGN_OR_RETURN(Frame * frame, EnsureFrame(id, /*load_existing=*/true));
+  SealFrame(id, frame);  // Damage the sealed form; sealing must not heal it.
+  frame->buf[offset] ^= mask;
   StoreFlag(verified_, id, 0);
   return Status::OK();
 }

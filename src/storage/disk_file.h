@@ -4,21 +4,22 @@
 //
 // File layout: the one image layout of storage/image_format.h — a PgfHeader
 // padded to one full 4 KiB block, then the pages, each at a 4 KiB-aligned
-// file offset, one device block per page read. The live file, the
-// checkpoint images SaveTo writes, and PageFile's images share it byte for
-// byte.
+// file offset, one device block per page read. The store's file IS its
+// checkpoint image: the store opens it read-only and never writes it.
+// Every durable page byte goes through WritePgfImage.
 //
-// Memory model: reads are served from a small per-thread aligned scratch
-// buffer (no page cache of its own — the BufferPool above provides caching,
-// and ShardedEngineOptions::page_budget_mb sizes pool + store together).
-// Writes land in a bounded dirty-frame table; when it overflows its budget
-// the oldest frame is sealed and written back (FIFO), and
-// SealAllDirty/Publish/SaveTo flush everything. Accounting is deliberately
-// identical to the in-memory PageFile: every Read charges one physical
-// read — even when served from a dirty frame — and every
-// Write/WritableView one physical write, so node-level I/O counts are
-// byte-identical across backends (the differential sweep in
-// tests/disk_backend_test.cc holds this line).
+// Memory model: pages written since the image was installed (Allocate,
+// Write, WritableView) live in in-memory frames until the next
+// SaveTo(path()), which writes a new image from the frames and the old
+// image's bytes, installs it, and drops the frames — so the store holds
+// exactly the pages written since its last checkpoint, as the kMemory
+// PageFile holds all of its pages. Image reads are served from a small
+// per-thread aligned scratch buffer (no page cache of its own — the
+// BufferPool above provides caching). Accounting is deliberately identical
+// to the in-memory PageFile: every Read charges one physical read — even
+// when served from a frame — and every Write/WritableView one physical
+// write, so node-level I/O counts are byte-identical across backends (the
+// differential sweep in tests/disk_backend_test.cc holds this line).
 //
 // Threading: same contract as PageFile (see page_store.h) — concurrent
 // Read calls race only on atomic flags and scratch buffers keyed by thread;
@@ -28,7 +29,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -69,16 +69,12 @@ class AlignedPageBuf {
 class DiskPageFile : public PageStore {
  public:
   struct Options {
-    /// Dirty frames resident before the oldest is written back (FIFO).
-    /// This is the store's share of ShardedEngineOptions::page_budget_mb;
-    /// 0 means a minimal working set of one frame.
-    size_t dirty_frame_budget = 256;
     /// Deterministic slow-device model (bench/abl_disk.cc's cold-cache
     /// knob, not a production setting): every pread costs this much extra,
     /// served in the caller thread on synchronous reads and in the
     /// Prefetcher's workers on speculative reads — so prefetch can genuinely
-    /// hide it, exactly like real device latency. Dirty-frame hits are
-    /// memory and stay free. 0 disables.
+    /// hide it, exactly like real device latency. Frame hits are memory and
+    /// stay free. 0 disables.
     uint64_t sim_read_delay_us = 0;
   };
 
@@ -86,25 +82,19 @@ class DiskPageFile : public PageStore {
   DiskPageFile(const DiskPageFile&) = delete;
   DiskPageFile& operator=(const DiskPageFile&) = delete;
 
-  /// Creates a fresh, empty file at `path` (truncating any existing file)
-  /// and opens it.
-  static Result<std::unique_ptr<DiskPageFile>> Create(
-      const std::string& path, const Options& options);
+  /// Opens the checkpoint image at `path` in place, read-only, after the
+  /// loader's header check and per-page CRC stream (storage/image_format.h;
+  /// O(1) memory). No file at `path` opens an empty store: its first
+  /// SaveTo(path) creates the image.
+  static Result<std::unique_ptr<DiskPageFile>> Open(const std::string& path,
+                                                    const Options& options);
 
-  /// Builds a live file at `live_path` from the checkpoint image at
-  /// `image_path` (stream-verified, O(1) memory) and opens it. The live
-  /// file is a disposable working copy: DurableIndex rebuilds it from the
-  /// durable image on every open, so a crash mid-build costs nothing.
-  static Result<std::unique_ptr<DiskPageFile>> CreateFromImage(
-      const std::string& live_path, const std::string& image_path,
-      const Options& options);
-
-  /// Rebuilds this store's file in place from `image_path`, discarding all
-  /// current pages and dirty frames. The object's address is stable across
-  /// the reload — exactly what DurableIndex::ReloadFromDisk needs, since
-  /// tree/pool/gate all hold this pointer. Requires exclusion from
-  /// readers.
-  Status ReloadFromImage(const std::string& image_path);
+  /// Drops every frame and reopens the image at path() with Open's
+  /// verification, discarding all writes since the last checkpoint. The
+  /// object's address is stable across the reload — exactly what
+  /// DurableIndex::ReloadFromDisk needs, since tree/pool/gate all hold this
+  /// pointer. Requires exclusion from readers.
+  Status ReloadFromImage();
 
   // PageStore interface.
   PageId Allocate() override;
@@ -119,7 +109,13 @@ class DiskPageFile : public PageStore {
   Status Publish() override;
   Status VerifyPage(PageId id) override;
   size_t VerifyAllPages(std::vector<PageId>* bad) override;
+  /// SaveTo(path()) is the checkpoint: it writes a new image from the
+  /// frames and the current image's bytes, installs it, reopens it and
+  /// drops the frames. Any other path gets an image copy; the frames stay.
   Status SaveTo(const std::string& path) override;
+  /// Damages the store's copy of the page: its frame (made from the image
+  /// when absent) gets the flipped byte with the trailer left stale. The
+  /// image itself is never written.
   Status CorruptPageForTest(PageId id, size_t offset, uint8_t mask) override;
   void set_verify_on_read(bool verify) override { verify_on_read_ = verify; }
   bool verify_on_read() const override { return verify_on_read_; }
@@ -130,6 +126,9 @@ class DiskPageFile : public PageStore {
   // Disk-specific surface (the Prefetcher rides on these).
 
   const std::string& path() const { return path_; }
+  /// The image's descriptor (-1 until an image exists). A checkpoint swaps
+  /// the new image in under the same number (dup2), so a speculative pread
+  /// in flight across it never sees a closed or reused descriptor.
   int fd() const { return fd_; }
   /// Options::sim_read_delay_us; the Prefetcher's workers serve it after
   /// each speculative pread.
@@ -138,15 +137,16 @@ class DiskPageFile : public PageStore {
   /// File offset of page `id`'s first byte.
   static uint64_t PageOffset(PageId id) { return PgfPageOffset(id); }
 
-  /// True when `id` currently has an unflushed dirty frame — its on-disk
-  /// bytes are stale, so speculative disk reads of it must be skipped.
-  bool HasDirtyFrame(PageId id) const;
+  /// True when `id` has a frame: it was written since the image was
+  /// installed, so the image's bytes for it are stale (or absent) and
+  /// speculative image reads of it must be skipped.
+  bool HasFrame(PageId id) const;
 
-  /// Page mutations so far (Allocate, Write, WritableView, ReloadFromImage).
-  /// The Prefetcher records it at Hint and discards a landing whose count
-  /// moved: the write may have replaced the page after the speculative
-  /// read, and the write guard's SealAllDirty leaves no dirty frame behind
-  /// to say so.
+  /// Page mutations so far (Allocate, Write, WritableView, ReloadFromImage,
+  /// CorruptPageForTest). The Prefetcher records it at Hint and discards a
+  /// landing whose count moved: the write may have replaced the page after
+  /// the speculative read, and a checkpoint since then leaves no frame
+  /// behind to say so.
   uint64_t write_count() const { return write_count_.load(); }
 
   /// Verify-once bookkeeping shared with the Prefetcher: prefetched bytes
@@ -155,45 +155,48 @@ class DiskPageFile : public PageStore {
   bool PageVerified(PageId id) const;
   void MarkPageVerified(PageId id);
 
-  /// Dirty frames currently resident (test/introspection).
-  size_t resident_dirty_frames() const { return frames_.size(); }
+  /// Frames currently resident: pages written since the last checkpoint
+  /// (test/introspection).
+  size_t resident_frames() const { return frames_.size(); }
 
  private:
+  /// One page written since the image was installed. A plain heap buffer:
+  /// nothing writes it to a device directly.
   struct Frame {
-    AlignedPageBuf buf;
+    std::unique_ptr<uint8_t[]> buf{new uint8_t[kPageSize]()};
     bool sealed = false;
   };
 
   DiskPageFile() = default;
 
   Status CheckId(PageId id) const;
-  /// Writes the header block for the current num_pages_ at offset 0.
-  Status WriteHeader();
-  /// pread of page `id` into `buf`, no verification, no accounting.
+  /// Verifies the image at path_ (header + every page's CRC) and points
+  /// fd_ at it; sets num_pages_ and marks every page verified.
+  Status LoadImage();
+  /// Opens the file now at path_ and installs it as fd_: dup2 onto the
+  /// old descriptor number when there is one.
+  Status ReopenImage();
+  /// pread of image page `id` into `buf`, no verification, no accounting.
   Status RawRead(PageId id, uint8_t* buf) const;
-  /// pwrite of page `id` from `buf`, no accounting.
-  Status RawWrite(PageId id, const uint8_t* buf) const;
-  /// Returns `id`'s frame, creating it (seeded from disk when the page
-  /// already exists on disk) if absent. Mutation path only.
+  /// Seals `frame` if a WritableView left it unsealed.
+  void SealFrame(PageId id, Frame* frame);
+  /// Copies page `id` (its sealed frame, else its image bytes) into `buf`.
+  Status CopyPage(PageId id, uint8_t* buf);
+  /// Returns `id`'s frame, creating it (seeded from the image when
+  /// `load_existing`) if absent. Mutation path only.
   Result<Frame*> EnsureFrame(PageId id, bool load_existing);
-  /// Seals + writes back + drops the oldest frames until the budget holds.
-  Status EvictFramesOverBudget(PageId keep);
-  /// Seals + writes back + drops one specific frame.
-  Status FlushFrame(PageId id, Frame* frame);
   /// Per-thread aligned scratch for Read results.
   uint8_t* ThreadScratch();
 
   std::string path_;
   int fd_ = -1;
   size_t num_pages_ = 0;
-  size_t dirty_frame_budget_ = 256;
   uint64_t sim_read_delay_us_ = 0;
   bool verify_on_read_ = true;
 
-  /// Unflushed writes, bounded by dirty_frame_budget_. frame_fifo_ orders
-  /// eviction (oldest first; ids may repeat — stale entries are skipped).
+  /// Pages written since the image was installed, until the next
+  /// checkpoint drops them.
   std::unordered_map<PageId, Frame> frames_;
-  std::list<PageId> frame_fifo_;
   std::vector<PageId> dirty_pages_;
 
   /// Per-page verified flags (atomic_ref on the read path), same

@@ -91,8 +91,8 @@ struct StreamPgfOptions {
 /// header is checked against the file's actual size first: unknown magic,
 /// another version, absurd page counts, truncation, and trailing garbage
 /// all fail with a typed Status before anything is sized from the header.
-/// The one loader behind PageFile::LoadFrom,
-/// DiskPageFile::CreateFromImage/ReloadFromImage, the tool's scrub and
+/// The one loader behind PageFile::LoadFrom, DiskPageFile::Open's and
+/// ReloadFromImage's verification, the tool's scrub and
 /// RepairDurableShard's probe.
 Result<PgfHeader> StreamPgfPages(const std::string& path,
                                  const StreamPgfOptions& options,

@@ -3,8 +3,8 @@
 // Until PR 9 the only store was the in-memory PageFile, and every layer —
 // RTree, BufferPool, TreeGate, DurableIndex, ShardedEngine — held a
 // concrete PageFile*. This interface lifts exactly the surface those layers
-// use, so a disk-resident backend (storage/disk_file.h: pread/pwrite over
-// a 4 KiB-aligned file) can slot in underneath all of them
+// use, so a disk-resident backend (storage/disk_file.h: pread over its
+// 4 KiB-aligned checkpoint image) can slot in underneath all of them
 // without changing query or server code.
 //
 // Contract (inherited verbatim from PageFile; see its header for the full
@@ -81,7 +81,8 @@ class PageStore : public PageReader {
   /// The pointer stays valid until the store's next mutation of that page.
   virtual Result<PageView> WritableView(PageId id) = 0;
 
-  /// Seals (and, for disk stores, writes back) every dirty page now.
+  /// Seals every dirty page now. Writes nothing to any file: a disk store
+  /// keeps the sealed pages in memory until the next checkpoint.
   virtual void SealAllDirty() = 0;
 
   /// Pages dirtied since the last SealAllDirty (may contain already-
@@ -97,11 +98,12 @@ class PageStore : public PageReader {
   virtual size_t VerifyAllPages(std::vector<PageId>* bad) = 0;
 
   /// Persists all pages atomically to `path` (temp + fsync + rename; the
-  /// kSaveBeforeRename crash point sits between the two). A disk store
-  /// refuses its own live file as `path` with InvalidArgument.
+  /// kSaveBeforeRename crash point sits between the two). For a disk store,
+  /// `path` equal to its own file is the checkpoint: the new image becomes
+  /// the file it reads.
   virtual Status SaveTo(const std::string& path) = 0;
 
-  /// Test hook: damages stored bytes at rest (trailer left stale).
+  /// Test hook: damages the store's copy of a page (trailer left stale).
   virtual Status CorruptPageForTest(PageId id, size_t offset,
                                     uint8_t mask) = 0;
 

@@ -187,9 +187,9 @@ void Prefetcher::Hint(const PageId* ids, size_t n, const ChargeFn& charge) {
     const PageId id = ids[i];
     if (id >= file_->num_pages()) continue;
     if (table_.count(id) != 0) continue;
-    // A dirty frame means the on-disk bytes are stale; the sync path
-    // serves those from the frame table.
-    if (file_->HasDirtyFrame(id)) continue;
+    // A framed page was written since the image: its image bytes are
+    // stale (or absent), and the sync path serves the frame.
+    if (file_->HasFrame(id)) continue;
     if (charge && !charge()) break;
     Entry entry;
     entry.write_count = write_count;
@@ -278,8 +278,8 @@ Result<PageReader::ReadResult> Prefetcher::Read(PageId id) {
         EraseLocked(it);
       } else if (entry.state == EntryState::kLanded) {
         // A write came after the hint: the landed bytes may predate it
-        // even though no dirty frame is left (the write guard wrote it
-        // back). Discard as wasted and read synchronously.
+        // even though no frame is left (a checkpoint installed it).
+        // Discard as wasted and read synchronously.
         ChargeWasted(entry, id);
         EraseLocked(it);
       }

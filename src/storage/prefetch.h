@@ -102,9 +102,9 @@ class Prefetcher : public PageReader {
 
   /// Declares the traversal's next page ids (most-imminent first). Issues
   /// speculative reads for ids not already tracked, up to the depth bound,
-  /// each charged through `charge` (null: unbudgeted). Dirty-framed,
-  /// out-of-range, and duplicate ids are skipped. Best-effort and cheap to
-  /// call every pop.
+  /// each charged through `charge` (null: unbudgeted). Framed (written
+  /// since the image), out-of-range, and duplicate ids are skipped.
+  /// Best-effort and cheap to call every pop.
   void Hint(const PageId* ids, size_t n, const ChargeFn& charge = nullptr);
   void Hint(const std::vector<PageId>& ids,
             const ChargeFn& charge = nullptr) {

@@ -87,16 +87,14 @@ struct Bundle {
   std::unique_ptr<RTree> tree;
 };
 
-void OpenBundle(IoBackend backend, const std::string& image,
-                const std::string& live, Bundle* b,
+void OpenBundle(IoBackend backend, const std::string& image, Bundle* b,
                 FaultInjector* injector = nullptr) {
   if (backend == IoBackend::kMemory) {
     ASSERT_TRUE(b->mem.LoadFrom(image).ok());
     b->store = &b->mem;
     b->reader = &b->mem;
   } else {
-    auto disk =
-        DiskPageFile::CreateFromImage(live, image, DiskPageFile::Options());
+    auto disk = DiskPageFile::Open(image, DiskPageFile::Options());
     ASSERT_TRUE(disk.ok()) << disk.status().ToString();
     b->disk = std::move(disk).value();
     Prefetcher::Options popt;
@@ -135,10 +133,10 @@ void FinishRun(Bundle* b, const QueryStats& stats, RunResult* out) {
 }
 
 RunResult RunPdq(IoBackend backend, const std::string& image,
-                 const std::string& live, FaultInjector* injector = nullptr) {
+                 FaultInjector* injector = nullptr) {
   RunResult out;
   Bundle b;
-  OpenBundle(backend, image, live, &b, injector);
+  OpenBundle(backend, image, &b, injector);
   if (::testing::Test::HasFatalFailure()) return out;
 
   std::vector<KeySnapshot> keys;
@@ -167,10 +165,10 @@ RunResult RunPdq(IoBackend backend, const std::string& image,
 }
 
 RunResult RunNpdq(IoBackend backend, const std::string& image,
-                  const std::string& live, FaultInjector* injector = nullptr) {
+                  FaultInjector* injector = nullptr) {
   RunResult out;
   Bundle b;
-  OpenBundle(backend, image, live, &b, injector);
+  OpenBundle(backend, image, &b, injector);
   if (::testing::Test::HasFatalFailure()) return out;
 
   NpdqOptions options;
@@ -197,10 +195,10 @@ RunResult RunNpdq(IoBackend backend, const std::string& image,
 }
 
 RunResult RunKnn(IoBackend backend, const std::string& image,
-                 const std::string& live, FaultInjector* injector = nullptr) {
+                 FaultInjector* injector = nullptr) {
   RunResult out;
   Bundle b;
-  OpenBundle(backend, image, live, &b, injector);
+  OpenBundle(backend, image, &b, injector);
   if (::testing::Test::HasFatalFailure()) return out;
 
   MovingKnnQuery::Options options;
@@ -224,8 +222,7 @@ RunResult RunKnn(IoBackend backend, const std::string& image,
   return out;
 }
 
-using Runner = RunResult (*)(IoBackend, const std::string&,
-                             const std::string&, FaultInjector*);
+using Runner = RunResult (*)(IoBackend, const std::string&, FaultInjector*);
 
 /// The equivalence contract, per kind: identical results and node counts
 /// across both backends, physical reads related exactly by
@@ -239,10 +236,8 @@ void CheckBackends(Runner run, uint64_t seed, const std::string& kind) {
   BuildImage(seed, 2000, image);
   if (::testing::Test::HasFatalFailure()) return;
 
-  const RunResult mem =
-      run(IoBackend::kMemory, image, tmp.path("mem.live"), nullptr);
-  const RunResult disk =
-      run(IoBackend::kPread, image, tmp.path("pread.live"), nullptr);
+  const RunResult mem = run(IoBackend::kMemory, image, nullptr);
+  const RunResult disk = run(IoBackend::kPread, image, nullptr);
 
   EXPECT_EQ(disk.checksum, mem.checksum) << kind << " seed " << seed;
   EXPECT_EQ(disk.node_reads, mem.node_reads);
@@ -285,15 +280,13 @@ void CheckFailedSpeculationHarmless(Runner run, const std::string& kind) {
   BuildImage(99, 2000, image);
   if (::testing::Test::HasFatalFailure()) return;
 
-  const RunResult mem =
-      run(IoBackend::kMemory, image, tmp.path("mem.live"), nullptr);
+  const RunResult mem = run(IoBackend::kMemory, image, nullptr);
 
   FaultInjector::Options fopt;
   fopt.seed = 7;
   fopt.fail_every_kth = 2;
   FaultInjector injector(fopt);
-  const RunResult faulty =
-      run(IoBackend::kPread, image, tmp.path("faulty.live"), &injector);
+  const RunResult faulty = run(IoBackend::kPread, image, &injector);
 
   EXPECT_EQ(faulty.checksum, mem.checksum);
   EXPECT_EQ(faulty.node_reads, mem.node_reads);
@@ -329,16 +322,14 @@ TEST(BackendFaultTest, SlowSpeculationStaysByteIdentical) {
   const std::string image = tmp.path("index.pgf");
   BuildImage(123, 2000, image);
 
-  const RunResult mem =
-      RunPdq(IoBackend::kMemory, image, tmp.path("mem.live"), nullptr);
+  const RunResult mem = RunPdq(IoBackend::kMemory, image, nullptr);
 
   FaultInjector::Options fopt;
   fopt.seed = 11;
   fopt.slow_every_kth = 2;
   fopt.slow_read_delay_us = 250;
   FaultInjector injector(fopt);
-  const RunResult slow =
-      RunPdq(IoBackend::kPread, image, tmp.path("slow.live"), &injector);
+  const RunResult slow = RunPdq(IoBackend::kPread, image, &injector);
 
   EXPECT_EQ(slow.checksum, mem.checksum);
   EXPECT_EQ(slow.node_reads, mem.node_reads);

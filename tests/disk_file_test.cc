@@ -1,12 +1,12 @@
 // DiskPageFile contract tests: the disk-resident PageStore must honour the
 // accounting the in-memory PageFile established (every Read is one charged
-// physical access — even a dirty-frame hit), bound its dirty working set,
-// interoperate byte-for-byte with PageFile checkpoint images, and reject
-// corrupt images at open. Plus the Prefetcher charging contract (hits
-// counted exactly once; cancel/quiesce charge wasted; failed speculation
-// is counted once and falls through without poisoning anything), its
-// pread workers landing every hint of a full table, and the one WAL
-// scanner's summary, with and without a record sink.
+// physical access — even a frame hit), never write its image except by a
+// checkpoint, interoperate byte-for-byte with PageFile checkpoint images,
+// and reject corrupt images at open. Plus the Prefetcher charging contract
+// (hits counted exactly once; cancel/quiesce charge wasted; failed
+// speculation is counted once and falls through without poisoning
+// anything), its pread workers landing every hint of a full table, and the
+// one WAL scanner's summary, with and without a record sink.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -72,11 +72,11 @@ std::vector<uint8_t> ReadFileBytes(const std::string& path) {
   return bytes;
 }
 
-std::unique_ptr<DiskPageFile> MakeDiskFile(const std::string& path, int pages,
-                                           size_t dirty_budget = 256) {
-  DiskPageFile::Options options;
-  options.dirty_frame_budget = dirty_budget;
-  auto file = DiskPageFile::Create(path, options);
+/// A store over a fresh image at `path` holding `pages` filled pages: the
+/// writes go to frames, and the checkpoint installs them as the image.
+std::unique_ptr<DiskPageFile> MakeDiskFile(const std::string& path,
+                                           int pages) {
+  auto file = DiskPageFile::Open(path, DiskPageFile::Options());
   EXPECT_TRUE(file.ok()) << file.status().ToString();
   if (!file.ok()) return nullptr;
   std::vector<uint8_t> buf(kPageSize);
@@ -85,7 +85,8 @@ std::unique_ptr<DiskPageFile> MakeDiskFile(const std::string& path, int pages,
     FillPage(id, buf.data());
     EXPECT_TRUE((*file)->Write(id, buf.data()).ok());
   }
-  EXPECT_TRUE((*file)->Publish().ok());
+  EXPECT_TRUE((*file)->SaveTo(path).ok());
+  EXPECT_EQ((*file)->resident_frames(), 0u);
   (*file)->ResetStats();
   return std::move(file).value();
 }
@@ -106,39 +107,69 @@ TEST(DiskPageFileTest, WriteReadRoundtripChargesEveryRead) {
   for (PageId id = 0; id < 8; ++id) ASSERT_TRUE(file->Read(id).ok());
   EXPECT_EQ(file->stats().physical_reads, 16u);
 
-  // A dirty-frame hit is still one charged physical read: the paper's
-  // metric counts accesses to the store, not to the medium.
+  // A frame hit is still one charged physical read: the paper's metric
+  // counts accesses to the store, not to the medium.
   auto view = file->WritableView(3);
   ASSERT_TRUE(view.ok());
   const IoStats before = file->stats();
-  ASSERT_TRUE(file->HasDirtyFrame(3));
+  ASSERT_TRUE(file->HasFrame(3));
   auto r = file->Read(3);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(file->stats().physical_reads,
             before.physical_reads.load() + 1);
 }
 
-TEST(DiskPageFileTest, DirtyFrameBudgetBoundsResidency) {
-  TempDir tmp("evict");
-  auto file = MakeDiskFile(tmp.path("f.pgf"), 0, /*dirty_budget=*/4);
+TEST(DiskPageFileTest, ImageChangesOnlyAtCheckpoint) {
+  TempDir tmp("ckpt");
+  const std::string path = tmp.path("f.pgf");
+  auto file = MakeDiskFile(path, 4);
   ASSERT_NE(file, nullptr);
+  const std::vector<uint8_t> image = ReadFileBytes(path);
+  ASSERT_EQ(image.size(), PgfPageOffset(4));
 
+  // An in-place edit of an image page and a new page: both stay in frames,
+  // sealed by the write guard's SealAllDirty, and the image is untouched.
+  auto view = file->WritableView(1);
+  ASSERT_TRUE(view.ok());
+  FillPage(7, view->data());
   std::vector<uint8_t> buf(kPageSize);
-  for (int i = 0; i < 12; ++i) {
-    const PageId id = file->Allocate();
-    auto view = file->WritableView(id);
-    ASSERT_TRUE(view.ok());
-    FillPage(id, view->data());
-    EXPECT_LE(file->resident_dirty_frames(), 4u) << "after page " << id;
-  }
-  // Evicted-and-rewritten pages read back intact (they were flushed, not
-  // dropped), and sealing the rest leaves nothing resident beyond budget.
+  const PageId added = file->Allocate();
+  FillPage(added, buf.data());
+  ASSERT_TRUE(file->Write(added, buf.data()).ok());
   file->SealAllDirty();
-  ASSERT_TRUE(file->Publish().ok());
-  for (PageId id = 0; id < 12; ++id) {
+  EXPECT_EQ(file->resident_frames(), 2u);
+  EXPECT_EQ(ReadFileBytes(path), image);
+  auto edited = file->Read(1);
+  ASSERT_TRUE(edited.ok()) << edited.status().ToString();
+  EXPECT_TRUE(PayloadMatches(7, edited->data));
+
+  // An image saved elsewhere is a copy: the store's own file and frames
+  // stay as they were.
+  const std::string copy = tmp.path("copy.pgf");
+  ASSERT_TRUE(file->SaveTo(copy).ok());
+  EXPECT_EQ(file->resident_frames(), 2u);
+  EXPECT_EQ(ReadFileBytes(path), image);
+
+  // SaveTo(path()) is the checkpoint: it installs both pages, drops the
+  // frames, and the store reads the new image in place.
+  ASSERT_TRUE(file->SaveTo(file->path()).ok());
+  EXPECT_EQ(file->resident_frames(), 0u);
+  EXPECT_EQ(ReadFileBytes(path), ReadFileBytes(copy));
+  for (PageId id = 0; id < 5; ++id) {
     auto r = file->Read(id);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_TRUE(PayloadMatches(id, r->data)) << "page " << id;
+    EXPECT_TRUE(PayloadMatches(id == 1 ? 7 : id, r->data)) << "page " << id;
+  }
+
+  // A fresh open reads them back.
+  file.reset();
+  auto reopened = DiskPageFile::Open(path, DiskPageFile::Options());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ASSERT_EQ((*reopened)->num_pages(), 5u);
+  for (PageId id = 0; id < 5; ++id) {
+    auto r = (*reopened)->Read(id);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(PayloadMatches(id == 1 ? 7 : id, r->data)) << "page " << id;
   }
 }
 
@@ -157,9 +188,7 @@ TEST(DiskPageFileTest, ImageInteropWithPageFile) {
   const std::string image = tmp.path("ckpt.pgf");
   ASSERT_TRUE(mem.SaveTo(image).ok());
 
-  DiskPageFile::Options options;
-  auto disk = DiskPageFile::CreateFromImage(tmp.path("live.pgf"), image,
-                                            options);
+  auto disk = DiskPageFile::Open(image, DiskPageFile::Options());
   ASSERT_TRUE(disk.ok()) << disk.status().ToString();
   ASSERT_EQ((*disk)->num_pages(), mem.num_pages());
   for (PageId id = 0; id < 6; ++id) {
@@ -173,9 +202,6 @@ TEST(DiskPageFileTest, ImageInteropWithPageFile) {
   // Disk -> image -> memory: the round trip back is just as exact.
   const std::string image2 = tmp.path("ckpt2.pgf");
   ASSERT_TRUE((*disk)->SaveTo(image2).ok());
-  // The live file is a working copy, never a checkpoint target.
-  const Status over_live = (*disk)->SaveTo(tmp.path("live.pgf"));
-  EXPECT_TRUE(over_live.IsInvalidArgument()) << over_live.ToString();
   PageFile mem2;
   ASSERT_TRUE(mem2.LoadFrom(image2).ok());
   ASSERT_EQ(mem2.num_pages(), mem.num_pages());
@@ -216,8 +242,7 @@ TEST(DiskPageFileTest, CorruptImageRejectedAtOpen) {
   ASSERT_EQ(std::fwrite(&bad, 1, 1, f), 1u);
   std::fclose(f);
 
-  auto disk = DiskPageFile::CreateFromImage(tmp.path("live.pgf"), image,
-                                            DiskPageFile::Options{});
+  auto disk = DiskPageFile::Open(image, DiskPageFile::Options{});
   EXPECT_FALSE(disk.ok());
   EXPECT_TRUE(disk.status().IsCorruption()) << disk.status().ToString();
 }
@@ -250,17 +275,19 @@ TEST(DiskPageFileTest, ReloadFromImageRestores) {
   const std::string image = tmp.path("ckpt.pgf");
   ASSERT_TRUE(mem.SaveTo(image).ok());
 
-  auto disk = DiskPageFile::CreateFromImage(tmp.path("live.pgf"), image,
-                                            DiskPageFile::Options{});
+  auto disk = DiskPageFile::Open(image, DiskPageFile::Options{});
   ASSERT_TRUE(disk.ok());
 
-  // Scribble over page 0, then reload: the checkpoint's bytes win.
+  // Scribble over page 0 and add a page, then reload: the checkpoint's
+  // bytes win and the frames are gone.
   auto view = (*disk)->WritableView(0);
   ASSERT_TRUE(view.ok());
   std::memset(view->data(), 0xee, kPagePayloadSize);
+  (*disk)->Allocate();
   (*disk)->SealAllDirty();
-  ASSERT_TRUE((*disk)->ReloadFromImage(image).ok());
+  ASSERT_TRUE((*disk)->ReloadFromImage().ok());
   ASSERT_EQ((*disk)->num_pages(), 4u);
+  EXPECT_EQ((*disk)->resident_frames(), 0u);
   auto r = (*disk)->Read(0);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(PayloadMatches(0, r->data));
@@ -411,11 +438,11 @@ TEST(PrefetcherTest, DirtyFramedPagesAreSkipped) {
   auto view = fx.file->WritableView(2);
   ASSERT_TRUE(view.ok());
   view->data()[0] ^= 0xff;
-  ASSERT_TRUE(fx.file->HasDirtyFrame(2));
+  ASSERT_TRUE(fx.file->HasFrame(2));
 
   const std::vector<PageId> hints = {2};
   fx.prefetcher->Hint(hints);
-  // The on-disk bytes are stale, so no speculation was issued; the read
+  // The image's bytes are stale, so no speculation was issued; the read
   // falls through to the store and serves the fresh frame.
   EXPECT_EQ(fx.file->stats().prefetch_issued, 0u);
   EXPECT_EQ(fx.prefetcher->tracked(), 0u);
@@ -427,9 +454,8 @@ TEST(PrefetcherTest, DirtyFramedPagesAreSkipped) {
 
 TEST(PrefetcherTest, LandingOlderThanAWriteIsDiscarded) {
   // A speculation issued before a write to its page must not be served
-  // after it — even once the write guard's SealAllDirty has written the
-  // frame back and dropped it, so no dirty frame is left to say the
-  // landing is stale.
+  // after it — even once a checkpoint has installed the write and dropped
+  // its frame, so no frame is left to say the landing is stale.
   PrefetcherFixture fx("stale");
   ASSERT_NE(fx.prefetcher, nullptr);
 
@@ -439,8 +465,8 @@ TEST(PrefetcherTest, LandingOlderThanAWriteIsDiscarded) {
   auto view = fx.file->WritableView(5);
   ASSERT_TRUE(view.ok());
   view->data()[0] ^= 0xff;
-  fx.file->SealAllDirty();
-  ASSERT_FALSE(fx.file->HasDirtyFrame(5));
+  ASSERT_TRUE(fx.file->SaveTo(fx.file->path()).ok());
+  ASSERT_FALSE(fx.file->HasFrame(5));
   const uint8_t fresh = static_cast<uint8_t>(((5 * 131 + 0) & 0xff) ^ 0xff);
 
   auto r = fx.prefetcher->Read(5);

@@ -29,7 +29,7 @@ class MetricsTest : public ::testing::Test {
   void SetUp() override {
     SetMetricsEnabled(true);
     if (!MetricsEnabled()) GTEST_SKIP() << "metrics compiled out";
-    MetricsRegistry::Global().ResetAllForTest();
+    MetricsRegistry::Global().ResetAll();
   }
 };
 

@@ -1,7 +1,7 @@
 // Tests for Non-Predictive Dynamic Queries (Sect. 4.2): the discardability
 // lemma under double temporal axes, frame-by-frame correctness against
-// brute force, both sound (leaf-semantics, pruning) pairings, and
-// timestamp-based update management.
+// brute force, both sound (leaf-semantics, pruning) pairings, the pinned
+// account of runs that discard, and timestamp-based update management.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -14,9 +14,13 @@
 namespace dqmo {
 namespace {
 
+using ::dqmo::testing::AccountOf;
 using ::dqmo::testing::BruteForceRange;
 using ::dqmo::testing::BruteForceRangeBb;
+using ::dqmo::testing::FoldAnswer;
+using ::dqmo::testing::kFoldSeed;
 using ::dqmo::testing::KeysOf;
+using ::dqmo::testing::QueryAccount;
 using ::dqmo::testing::RandomSegments;
 
 struct NpdqFixture {
@@ -235,15 +239,14 @@ TEST_P(NpdqCorrectness, ExactSemanticsWithNodeContainedPruning) {
 INSTANTIATE_TEST_SUITE_P(Seeds, NpdqCorrectness,
                          ::testing::Values(21, 22, 23));
 
-TEST(NpdqTest, DiscardabilityReducesIoAtHighOverlap) {
-  // Discardability prunes a subtree only when every Q-relevant motion below
-  // it already started before the previous snapshot ended. Build a workload
-  // where that structure exists: long-lived motions that all started in the
-  // past, queried while still alive by a slowly moving window.
-  PageFile file;
-  auto tree_or = RTree::Create(&file, RTree::Options());
+/// Discardability prunes a subtree only when every Q-relevant motion below
+/// it already started before the previous snapshot ended. This tree has
+/// that structure: long-lived motions that all started in the past, which
+/// HighOverlapQuery's slowly moving window queries while they are alive.
+void BuildHighOverlapTree(PageFile* file, std::unique_ptr<RTree>* tree) {
+  auto tree_or = RTree::Create(file, RTree::Options());
   ASSERT_TRUE(tree_or.ok());
-  auto tree = std::move(tree_or).value();
+  *tree = std::move(tree_or).value();
   Rng rng(32);
   for (int i = 0; i < 20000; ++i) {
     const double ts = rng.Uniform(0.0, 50.0);
@@ -253,8 +256,23 @@ TEST(NpdqTest, DiscardabilityReducesIoAtHighOverlap) {
     p1[0] = std::min(100.0, p0[0] + rng.Uniform(0.0, 2.0));
     MotionSegment m(static_cast<ObjectId>(i),
                     StSegment(p0, p1, Interval(ts, te)));
-    ASSERT_TRUE(tree->Insert(m).ok());
+    ASSERT_TRUE((*tree)->Insert(m).ok());
   }
+}
+
+/// Frame `i` of 20: a 20 x 20 window drifting slowly, so consecutive
+/// frames overlap heavily.
+StBox HighOverlapQuery(int i) {
+  const double t = 60.0 + i * 0.1;
+  const double x = 40.0 + i * 0.2;
+  return MakeQuery(x, x + 20.0, 40.0, 60.0, t, t + 0.1);
+}
+
+TEST(NpdqTest, DiscardabilityReducesIoAtHighOverlap) {
+  PageFile file;
+  std::unique_ptr<RTree> tree;
+  BuildHighOverlapTree(&file, &tree);
+  ASSERT_NE(tree, nullptr);
 
   // With discardability.
   NonPredictiveDynamicQuery with(tree.get());
@@ -264,9 +282,7 @@ TEST(NpdqTest, DiscardabilityReducesIoAtHighOverlap) {
   NonPredictiveDynamicQuery without(tree.get(), no_prev);
 
   for (int i = 0; i < 20; ++i) {
-    const double t = 60.0 + i * 0.1;
-    const double x = 40.0 + i * 0.2;  // Slow drift: high overlap.
-    const StBox q = MakeQuery(x, x + 20.0, 40.0, 60.0, t, t + 0.1);
+    const StBox q = HighOverlapQuery(i);
     auto a = with.Execute(q);
     auto b = without.Execute(q);
     ASSERT_TRUE(a.ok());
@@ -277,6 +293,50 @@ TEST(NpdqTest, DiscardabilityReducesIoAtHighOverlap) {
   }
   EXPECT_LT(with.stats().node_reads, without.stats().node_reads);
   EXPECT_GT(with.stats().nodes_discarded, 0u);
+}
+
+TEST(NpdqTest, DiscardAccountingMatchesPinnedCounts) {
+  // The whole-query account of the runs that discard subtrees, in all four
+  // {pruning, leaf semantics} pairings: a discard charged twice, or a skip
+  // charged as a discard, moves nodes_discarded (and the reads with it).
+  PageFile file;
+  std::unique_ptr<RTree> tree;
+  BuildHighOverlapTree(&file, &tree);
+  ASSERT_NE(tree, nullptr);
+  // {pruning, leaf semantics} -> account, in loop order.
+  // Node containment (the last two rows) discards nothing here.
+  const QueryAccount pinned[] = {
+      {315, 255, 25798, 600, 204, 0, 0, 0, 0x4e2fe109c3d90eefULL},
+      {315, 255, 25798, 572, 204, 0, 0, 0, 0x91cc36f58d95bf49ULL},
+      {519, 459, 46275, 600, 0, 0, 0, 0, 0x4e2fe109c3d90eefULL},
+      {519, 459, 46275, 572, 0, 0, 0, 0, 0x91cc36f58d95bf49ULL},
+  };
+  int row = 0;
+  for (SpatialPruning pruning : {SpatialPruning::kIntersectionContained,
+                                 SpatialPruning::kNodeContained}) {
+    for (LeafSemantics leaf :
+         {LeafSemantics::kBoundingBox, LeafSemantics::kExact}) {
+      NpdqOptions options;
+      options.spatial_pruning = pruning;
+      options.leaf_semantics = leaf;
+      NonPredictiveDynamicQuery npdq(tree.get(), options);
+      uint64_t checksum = kFoldSeed;
+      for (int i = 0; i < 20; ++i) {
+        auto fresh = npdq.Execute(HighOverlapQuery(i));
+        ASSERT_TRUE(fresh.ok());
+        const std::set<MotionSegment::Key> keys = KeysOf(*fresh);
+        FoldAnswer(&checksum, static_cast<uint64_t>(keys.size()));
+        for (const MotionSegment::Key& key : keys) {
+          FoldAnswer(&checksum, static_cast<uint64_t>(key.oid));
+          FoldAnswer(&checksum, key.t_start);
+        }
+      }
+      EXPECT_EQ(AccountOf(npdq.stats(), checksum), pinned[row])
+          << "pruning " << static_cast<int>(pruning) << ", leaf "
+          << static_cast<int>(leaf);
+      ++row;
+    }
+  }
 }
 
 TEST(NpdqTest, ResetHistoryActsAsFreshQuery) {

@@ -81,18 +81,24 @@ size_t AckedCount(const std::string& ack_path) {
   return static_cast<size_t>(st.st_size);
 }
 
+DurableIndex::Options BackendOptions(IoBackend backend) {
+  DurableIndex::Options options;
+  options.io_backend = backend;
+  return options;
+}
+
 /// Child body: never returns. Exit codes: 0 = workload completed,
 /// CrashPoints::kExitCode = killed at the armed point, anything else = a
 /// real failure the parent must flag.
 [[noreturn]] void RunChildWorkload(const Paths& paths, const char* point,
-                                   uint64_t skip) {
+                                   uint64_t skip, IoBackend backend) {
   if (point != nullptr) CrashPoints::Arm(point, skip);
   const int fd = ::open(paths.ack.c_str(), O_WRONLY | O_CREAT | O_TRUNC,
                         0644);
   if (fd < 0) ::_exit(3);
   const std::vector<MotionSegment> data = TestData();
-  auto opened = DurableIndex::Open(paths.pgf, paths.wal,
-                                   DurableIndex::Options());
+  auto opened =
+      DurableIndex::Open(paths.pgf, paths.wal, BackendOptions(backend));
   if (!opened.ok()) ::_exit(4);
   DurableIndex* index = opened->get();
   for (int i = 0; i < kNumInserts; ++i) {
@@ -109,9 +115,10 @@ size_t AckedCount(const std::string& ack_path) {
 }
 
 /// Forks the workload and returns the child's exit code.
-int ForkWorkload(const Paths& paths, const char* point, uint64_t skip) {
+int ForkWorkload(const Paths& paths, const char* point, uint64_t skip,
+                 IoBackend backend = IoBackend::kMemory) {
   const pid_t pid = ::fork();
-  if (pid == 0) RunChildWorkload(paths, point, skip);
+  if (pid == 0) RunChildWorkload(paths, point, skip, backend);
   EXPECT_GT(pid, 0);
   int status = 0;
   EXPECT_EQ(::waitpid(pid, &status, 0), pid);
@@ -124,10 +131,11 @@ int ForkWorkload(const Paths& paths, const char* point, uint64_t skip) {
 /// insert sequence at least as long as the acknowledged count, and every
 /// query answer matches the brute-force oracle over that prefix exactly.
 void ValidateRecovery(const Paths& paths,
-                      const std::vector<MotionSegment>& data) {
+                      const std::vector<MotionSegment>& data,
+                      IoBackend backend = IoBackend::kMemory) {
   const size_t acked = AckedCount(paths.ack);
-  auto opened = DurableIndex::Open(paths.pgf, paths.wal,
-                                   DurableIndex::Options());
+  auto opened =
+      DurableIndex::Open(paths.pgf, paths.wal, BackendOptions(backend));
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   RTree* tree = (*opened)->tree();
   ASSERT_TRUE(tree->CheckInvariants().ok());
@@ -174,21 +182,28 @@ void ValidateRecovery(const Paths& paths,
 
 TEST(CrashRecovery, KillAtEveryCrashPointRecoversToOracle) {
   const std::vector<MotionSegment> data = TestData();
-  for (const std::string& point : CrashPoints::All()) {
-    bool crashed_at_least_once = false;
-    // Skip counts walk the same point through successive hits (first WAL
-    // sync, a later one mid-run, one inside a checkpoint, ...).
-    for (uint64_t skip : {0u, 1u, 2u, 9u, 20u}) {
-      SCOPED_TRACE(point + " skip=" + std::to_string(skip));
-      const Paths paths = FreshPaths("matrix");
-      const int code = ForkWorkload(paths, point.c_str(), skip);
-      if (code == 0) break;  // Point not reached that often: done walking.
-      ASSERT_EQ(code, CrashPoints::kExitCode);
-      crashed_at_least_once = true;
-      ValidateRecovery(paths, data);
+  // Both live-page backends: kPread's checkpoint writes its image from its
+  // frames and the image it reads, then reopens the installed file.
+  for (const IoBackend backend : {IoBackend::kMemory, IoBackend::kPread}) {
+    const std::string name =
+        backend == IoBackend::kMemory ? "memory" : "pread";
+    for (const std::string& point : CrashPoints::All()) {
+      bool crashed_at_least_once = false;
+      // Skip counts walk the same point through successive hits (first WAL
+      // sync, a later one mid-run, one inside a checkpoint, ...).
+      for (uint64_t skip : {0u, 1u, 2u, 9u, 20u}) {
+        SCOPED_TRACE(name + " " + point + " skip=" + std::to_string(skip));
+        const Paths paths = FreshPaths(("matrix_" + name).c_str());
+        const int code = ForkWorkload(paths, point.c_str(), skip, backend);
+        if (code == 0) break;  // Point not reached that often: done walking.
+        ASSERT_EQ(code, CrashPoints::kExitCode);
+        crashed_at_least_once = true;
+        ValidateRecovery(paths, data, backend);
+      }
+      EXPECT_TRUE(crashed_at_least_once)
+          << name << " " << point
+          << " never fired — the matrix is not testing it";
     }
-    EXPECT_TRUE(crashed_at_least_once)
-        << point << " never fired — the matrix is not testing it";
   }
 }
 
@@ -517,7 +532,6 @@ class DurableReload : public ::testing::TestWithParam<IoBackend> {
         ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::replace(tag.begin(), tag.end(), '/', '_');
     paths_ = FreshPaths(("reload_" + tag).c_str());
-    std::remove((paths_.pgf + ".live").c_str());
     Rng rng(2468);
     data_ = RandomSegments(&rng, 20, 2, 100.0, 20.0);
     options_.io_backend = GetParam();
@@ -536,8 +550,7 @@ class DurableReload : public ::testing::TestWithParam<IoBackend> {
 
   void TearDown() override {
     index_.reset();
-    for (const std::string& path : {paths_.pgf, paths_.pgf + ".live",
-                                    paths_.wal}) {
+    for (const std::string& path : {paths_.pgf, paths_.wal}) {
       std::remove(path.c_str());
     }
   }

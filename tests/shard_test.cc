@@ -1024,11 +1024,11 @@ TEST(ShardedEngineTest, DurableShardsRecoverAcrossReopen) {
 
 TEST(ShardedEngineTest, DurableShardsOnDiskBackendsByteIdenticalAndRecover) {
   // The disk wiring end-to-end: a durable sharded engine on
-  // io_backend=kPread gives every shard its own DiskPageFile (live
-  // file rebuilt from the checkpoint image) plus a Prefetcher the router's
-  // sessions hint — and the whole stack must answer byte-identically to
-  // the kMemory durable engine, survive a reopen with a WAL tail, and
-  // keep the speculation ledger closed.
+  // io_backend=kPread gives every shard its own DiskPageFile over its
+  // checkpoint image plus a Prefetcher the router's sessions hint — and
+  // the whole stack must answer byte-identically to the kMemory durable
+  // engine, survive a reopen with a WAL tail, keep the speculation ledger
+  // closed, and leave one image and one log per shard on disk.
   const std::vector<MotionSegment> data =
       ShapedData(WorkloadShape::kUniform, 31, 100, 8.0);
   const std::vector<SessionSpec> specs = SweepSpecs(2, 20);
@@ -1081,6 +1081,16 @@ TEST(ShardedEngineTest, DurableShardsOnDiskBackendsByteIdenticalAndRecover) {
     }
     before = ShardRouter(engine->get()).Run(specs);
     ExpectSameResults(before, want, "pread vs memory backend");
+  }
+  {
+    auto engine = ShardedEngine::Create(dopt);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    EXPECT_EQ((*engine)->num_segments(), data.size());
+    // The replayed tail sits in frames; the checkpoint makes every page an
+    // image page again, which is what speculation reads.
+    ASSERT_TRUE((*engine)->Checkpoint().ok());
+    const ExecutorReport after = ShardRouter(engine->get()).Run(specs);
+    ExpectSameResults(after, before, "pread durable reopen");
     // Speculation ran and its ledger closes: after Quiesce, every issue
     // is a hit, a wasted landing, or a failure.
     uint64_t issued = 0, hits = 0, wasted = 0, failed = 0;
@@ -1096,25 +1106,27 @@ TEST(ShardedEngineTest, DurableShardsOnDiskBackendsByteIdenticalAndRecover) {
     EXPECT_GT(issued, 0u);
     EXPECT_EQ(issued, hits + wasted + failed);
   }
-  {
-    auto engine = ShardedEngine::Create(dopt);
-    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-    EXPECT_EQ((*engine)->num_segments(), data.size());
-    const ExecutorReport after = ShardRouter(engine->get()).Run(specs);
-    ExpectSameResults(after, before, "pread durable reopen");
+  // The image is the live file: one image and one log per shard, nothing
+  // else.
+  std::set<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.insert(entry.path().filename().string());
   }
+  EXPECT_EQ(files, (std::set<std::string>{"shard-0000.pgf", "shard-0000.wal",
+                                          "shard-0001.pgf", "shard-0001.wal",
+                                          "shard-0002.pgf", "shard-0002.wal"}));
   std::filesystem::remove_all(dir);
 }
 
 TEST(ShardedEngineTest, DiskShardsMatchMemoryWithWritesBetweenFrames) {
   // Writes landing between frames on the disk backend. Each batch
   // rewrites pages a speculation issued by an earlier frame may already
-  // have read, and the write guard writes every dirty frame back and drops
-  // it, so only a write count can tell such a landing is stale. Serving it
-  // would show a session the tree before the write: the disk engine must
-  // answer exactly like the kMemory one. The cached legs hold decoded nodes
-  // across the same writes; the tree's StoreNode/FreePage invalidation is
-  // the only thing keeping them fresh.
+  // have read, and a checkpoint every ten frames installs the writes and
+  // drops their frames, so only a write count can tell such a landing is
+  // stale. Serving it would show a session the tree before the write: the
+  // disk engine must answer exactly like the kMemory one. The cached legs
+  // hold decoded nodes across the same writes; the tree's StoreNode/
+  // FreePage invalidation is the only thing keeping them fresh.
   const std::vector<MotionSegment> data =
       ShapedData(WorkloadShape::kUniform, 11, 800, 60.0);
   const SessionKind kinds[] = {SessionKind::kSession, SessionKind::kNpdq,
@@ -1147,12 +1159,18 @@ TEST(ShardedEngineTest, DiskShardsMatchMemoryWithWritesBetweenFrames) {
     EXPECT_TRUE(engine.ok()) << label << ": " << engine.status().ToString();
     if (!engine.ok()) return ExecutorReport{};
     EXPECT_TRUE((*engine)->InsertBatch(data).ok()) << label;
+    // Speculation reads only image pages: install the load first.
+    EXPECT_TRUE((*engine)->Checkpoint().ok()) << label;
     // Before every even frame, 12 fresh motions inside the sessions' time
-    // window; the same sequence on every backend.
+    // window; the same sequence on every backend. A checkpoint before
+    // frames 5, 15, ...
     Rng rng(2024);
     ObjectId next_oid = 1'000'000;
     ShardRouter::Options ropt;
     ropt.frame_hook = [&](int frame) {
+      if (frame % 10 == 5) {
+        EXPECT_TRUE((*engine)->Checkpoint().ok()) << label;
+      }
       if (frame % 2 != 0) return;
       std::vector<MotionSegment> batch;
       for (int j = 0; j < 12; ++j) {

@@ -72,7 +72,8 @@ std::string ScratchDir(const std::string& name) {
 /// A durable pread engine whose read path exercises the worker-thread
 /// span source: no decoded-node cache (every node visit reaches the
 /// pool), a pool too small to absorb the working set (misses flow down
-/// the failure-domain chain), and speculative prefetch.
+/// the failure-domain chain), and speculative prefetch (of image pages:
+/// MakeEngine checkpoints the load).
 ShardedEngineOptions DiskEngineOptions(const std::string& dir,
                                        int shards = 16) {
   ShardedEngineOptions opt;
@@ -92,6 +93,7 @@ std::unique_ptr<ShardedEngine> MakeEngine(
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   if (!engine.ok()) return nullptr;
   EXPECT_TRUE((*engine)->InsertBatch(data).ok());
+  EXPECT_TRUE((*engine)->Checkpoint().ok());
   return std::move(engine).value();
 }
 

@@ -12,8 +12,11 @@
 # stage its traced sharded session on both backends. An env stage checks
 # that only the observability and bench-harness files read the
 # environment, that the docs name no variable nothing reads, that only
-# the log and DurableIndex touch the WAL, and that no committed bench
-# artifact names a metric family the code no longer registers. The TSan
+# the log and DurableIndex touch the WAL, that no source names the disk
+# store's deleted working copy (CreateFromImage, dirty_frame_budget, a
+# .live path: the checkpoint image is each disk shard's one file), and
+# that no committed bench artifact names a metric family the code no
+# longer registers. The TSan
 # pass also runs disk_file_test, whose Prefetcher owns its pread worker
 # threads. A hot-path stage gates the A15 ablation: the zero-copy query
 # hot path must beat the paper's naive snapshot search by >= 1.2x
@@ -91,6 +94,29 @@ done < <(find src \( -name '*.h' -o -name '*.cc' \) | sort)
 if (( ${#wal_users[@]} > 0 )); then
   echo "FAIL: only storage/wal.* and server/durability.* may touch the WAL:"
   printf '%s\n' "${wal_users[@]}"
+  exit 1
+fi
+
+# One file per durable disk shard: a DiskPageFile reads its checkpoint
+# image in place, and pages written since live in memory until the next
+# checkpoint. With // comments stripped, no source in src/, bench/, tools/
+# or tests/ (this script aside) may name the deleted working copy's
+# builder (CreateFromImage), its write-back budget (dirty_frame_budget) or
+# a .live path.
+echo "==== [env] one file per durable disk shard ===="
+live_users=()
+while IFS= read -r f; do
+  [[ "${f}" == tools/ci.sh ]] && continue
+  if sed 's|//.*||' "${f}" |
+    grep -E '\b(CreateFromImage|dirty_frame_budget)\b|\.live\b' \
+      > /dev/null; then
+    live_users+=("${f}")
+  fi
+done < <(find src bench tools tests \( -name '*.h' -o -name '*.cc' \
+  -o -name '*.py' -o -name '*.sh' \) | sort)
+if (( ${#live_users[@]} > 0 )); then
+  echo "FAIL: the disk store's image is its one file; these name a copy:"
+  printf '%s\n' "${live_users[@]}"
   exit 1
 fi
 

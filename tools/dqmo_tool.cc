@@ -855,9 +855,12 @@ int CmdExplain(const std::string& path, int argc, char** argv) {
       std::filesystem::remove_all(scratch_dir, ec);
     }
   };
-  if (Status s = (*engine)->InsertBatch(*segments); !s.ok()) {
+  Status loaded = (*engine)->InsertBatch(*segments);
+  // The pread twin reads (and prefetches) image pages: install the load.
+  if (loaded.ok() && !memory) loaded = (*engine)->Checkpoint();
+  if (!loaded.ok()) {
     cleanup();
-    return Fail(s);
+    return Fail(loaded);
   }
 
   // Arm every frame and keep the slowest — the one worth explaining.
